@@ -17,15 +17,14 @@ from .matmul import (enumerate_sketch_moments, entry_variance_bound,
                      expected_frobenius_error, gram_sketch_error,
                      rand_matrix_multiply, sample_size_frobenius,
                      sample_size_spectral)
-from .srht import (OpCounter, SrhtOperator, coherence_check, fwht, make_srht,
-                   next_pow2, srht_apply, subsampled_fwht)
+from .srht import (OpCounter, SketchRankError, SrhtOperator, coherence_check,
+                   fwht, make_srht, next_pow2, srht_apply, subsampled_fwht)
 from .lsq import (ConditionReport, LsqSolution, check_conditions,
                   exact_least_squares, forward_error_bound, ls_sample_size,
                   rand_least_squares, rand_least_squares_amplified)
-from .lowrank import (LowRankResult, SketchRankError, column_sample_fro_check,
-                      lowrank_sample_size, lowrank_sample_size_explicit,
-                      rand_low_rank, rayleigh_ritz_identity_check,
-                      structural_inequality_check)
+from .lowrank import (LowRankResult, column_sample_fro_check,
+                      lowrank_sample_size_explicit, rand_low_rank,
+                      rayleigh_ritz_identity_check, structural_inequality_check)
 from .generators import gen_lsq_instance, gen_matrix
 from .matio import (MatrixFileError, read_matrix, read_vector, write_matrix,
                     write_vector)
@@ -47,15 +46,14 @@ __all__ = [
     "sample_size_frobenius", "sample_size_spectral", "gram_sketch_error",
     "enumerate_sketch_moments",
     # SRHT
-    "OpCounter", "SrhtOperator", "fwht", "subsampled_fwht", "make_srht",
-    "srht_apply", "coherence_check", "next_pow2",
+    "OpCounter", "SrhtOperator", "SketchRankError", "fwht", "subsampled_fwht",
+    "make_srht", "srht_apply", "coherence_check", "next_pow2",
     # least squares
     "ConditionReport", "LsqSolution", "exact_least_squares", "ls_sample_size",
     "check_conditions", "rand_least_squares", "rand_least_squares_amplified",
     "forward_error_bound",
     # low rank
-    "LowRankResult", "SketchRankError", "lowrank_sample_size",
-    "lowrank_sample_size_explicit", "rand_low_rank",
+    "LowRankResult", "lowrank_sample_size_explicit", "rand_low_rank",
     "rayleigh_ritz_identity_check", "structural_inequality_check",
     "column_sample_fro_check",
     # instances and I/O

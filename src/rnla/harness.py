@@ -1,10 +1,12 @@
 """Experiment runner: seeded trials, aggregation, JSON reports, check suites.
 
 One experiment = one problem instance + `trials` independent algorithm seeds
-base_seed, base_seed+1, ...  Per-trial exceptions are recorded on the trial
-(and count against the success rate), never abort the run.  Aggregation is a
-deterministic fold in trial order, so a rerun with the same config produces a
-byte-identical report except for wall-time fields.
+base_seed, base_seed+1, ...  Exact oracles (the thin SVD of A, the exact
+product) are computed once per run, by the first trial that needs them; the
+solvers take the SVD as an argument.  Per-trial exceptions are recorded on
+the trial (and count against the success rate), never abort the run.
+Aggregation is a deterministic fold in trial order, so a rerun with the same
+config produces a byte-identical report except for wall-time fields.
 
 Reports are serialized by a local writer that prints every float with 17
 significant digits and fixed key order; stdlib json cannot control float
@@ -21,15 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import gen_lsq_instance, gen_matrix
-from .linalg import frobenius_norm, spectral_norm
-from .lowrank import SketchRankError, rand_low_rank, structural_inequality_check
-from .lsq import exact_least_squares, rand_least_squares
+from .linalg import frobenius_norm, spectral_norm, thin_svd
+from .lowrank import (lowrank_sample_size_explicit, rand_low_rank,
+                      structural_inequality_check)
+from .lsq import rand_least_squares
 from .matio import read_matrix, read_vector
 from .matmul import (enumerate_sketch_moments, entry_variance_bound,
                      expected_frobenius_error, rand_matrix_multiply)
 from .sampling import (RNG_NAME, colnorm_probs, draw_plan, make_rng,
                        optimal_probs, rownorm_probs, uniform_probs)
-from .srht import OpCounter, fwht, next_pow2, subsampled_fwht
+from .srht import OpCounter, SketchRankError, fwht, next_pow2, subsampled_fwht
 
 __all__ = [
     "VERSION",
@@ -137,13 +140,13 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
         if fam == "file":
             A = read_matrix(inst["path"])
             b = read_vector(inst["rhs"])
-            x_star = None
+            if A.shape[0] != b.size:
+                raise ValueError(f"A has {A.shape[0]} rows but b has length {b.size}")
         else:
             consistent = fam == "consistent_lsq"
-            A, b, x_star = gen_lsq_instance(int(inst["m"]), int(inst["n"]),
-                                            iseed, consistent=consistent)
-        x_opt, Z = exact_least_squares(A, b)
-        return {"A": A, "b": b, "x_star": x_star, "x_opt": x_opt, "Z": Z}
+            A, b, _ = gen_lsq_instance(int(inst["m"]), int(inst["n"]),
+                                       iseed, consistent=consistent)
+        return {"A": A, "b": b}
     if alg == "lowrank":
         if fam == "file":
             A = read_matrix(inst["path"])
@@ -156,13 +159,40 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
 
 # ------------------------------------------------------------------- trials
 
+def _oracle(ctx: dict, compute):
+    """compute() on the run's first call, inside that trial's wall_time; then saved."""
+    if "oracle" not in ctx:
+        ctx["oracle"] = compute()
+    return ctx["oracle"]
+
+
+def _lsq_oracle(A, b):
+    """(thin SVD of A, x_opt, Z) from the one factorization."""
+    svd_A = thin_svd(A)
+    x_opt = svd_A.pinv() @ b
+    return svd_A, x_opt, float(np.linalg.norm(A @ x_opt - b))
+
+
+def _low_rank_with_retry(A, k: int, eps: float, seed: int, c: int | None, svd_A):
+    """(rand_low_rank result, retried): one retry at twice the first width.
+
+    With c None the first width is lowrank_sample_size_explicit(n, k, eps).
+    """
+    try:
+        return rand_low_rank(A, k, eps, seed, c_override=c, svd_A=svd_A), False
+    except SketchRankError:
+        if c is None:
+            c = lowrank_sample_size_explicit(A.shape[1], k, eps).count
+        return rand_low_rank(A, k, eps, seed, c_override=2 * c, svd_A=svd_A), True
+
+
 def _trial_matmul(ctx: dict, params: dict, seed: int, diagnostics: bool) -> TrialReport:
     A, B, probs = ctx["A"], ctx["B"], ctx["probs"]
     c = int(params["c"])
     sk = rand_matrix_multiply(A, B, c, probs, seed)
-    E = A @ B - sk.C @ sk.R
+    AB, bound = _oracle(ctx, lambda: (A @ B, expected_frobenius_error(A, B, c, probs)))
+    E = AB - sk.C @ sk.R
     fro_sq = float(np.sum(E * E))
-    bound = expected_frobenius_error(A, B, c, probs)
     t = TrialReport(seed=seed)
     t.metrics = {"fro_error_sq": fro_sq, "spectral_error": spectral_norm(E)}
     t.bounds = {"expected_fro_err_sq": bound}
@@ -171,12 +201,13 @@ def _trial_matmul(ctx: dict, params: dict, seed: int, diagnostics: bool) -> Tria
 
 
 def _trial_lsq(ctx: dict, params: dict, seed: int, diagnostics: bool) -> TrialReport:
-    A, b, Z, x_opt = ctx["A"], ctx["b"], ctx["Z"], ctx["x_opt"]
+    A, b = ctx["A"], ctx["b"]
+    svd_A, x_opt, Z = _oracle(ctx, lambda: _lsq_oracle(A, b))
     eps = float(params["eps"])
     r = params.get("r")
     sol = rand_least_squares(A, b, eps, seed,
                              r_override=None if r is None else int(r),
-                             diagnostics=diagnostics)
+                             svd_A=svd_A if diagnostics else None)
     bound = (1.0 + eps) * Z + 1e-8
     t = TrialReport(seed=seed)
     t.metrics = {
@@ -200,25 +231,19 @@ def _trial_lowrank(ctx: dict, params: dict, seed: int, diagnostics: bool) -> Tri
     eps = float(params["eps"])
     c = params.get("c")
     c = int(c) if c is not None else None
-    retried = False
-    try:
-        res = rand_low_rank(A, k, eps, seed, c_override=c, diagnostics=diagnostics)
-    except SketchRankError:
-        # One retry with doubled width before giving up on the trial.
-        retried = True
-        res = rand_low_rank(A, k, eps, seed,
-                            c_override=2 * (c if c is not None else k),
-                            diagnostics=diagnostics)
-    bound = (1.0 + eps) * res.baseline_fro + 1e-8
+    svd_A, norm_A = _oracle(ctx, lambda: (thin_svd(A), frobenius_norm(A)))
+    baseline = float(np.sqrt(np.sum(svd_A.sigma[k:] ** 2)))
+    res, retried = _low_rank_with_retry(A, k, eps, seed, c,
+                                        svd_A if diagnostics else None)
+    bound = (1.0 + eps) * baseline + 1e-8
     t = TrialReport(seed=seed)
-    t.metrics = {"error_fro": res.error_fro, "baseline_fro": res.baseline_fro}
-    if res.baseline_fro > 0.0:
-        t.metrics["error_ratio"] = res.error_fro / res.baseline_fro
+    t.metrics = {"error_fro": res.error_fro, "baseline_fro": baseline}
+    if baseline > 0.0:
+        t.metrics["error_ratio"] = res.error_fro / baseline
     t.bounds = {"error_bound": bound}
     t.flags = {"success": res.error_fro <= bound, "retried": retried}
     if res.diagnostics is not None:
         d = res.diagnostics
-        norm_A = frobenius_norm(A)
         t.flags["identity_ok"] = d.identity_gap <= 1e-9 * max(1.0, norm_A)
         t.flags["split_ok"] = (res.error_fro ** 2
                                <= d.projected_tail_sq + d.tail_sq + 1e-8)
@@ -335,8 +360,8 @@ def _check_lsq(params: dict, seed: int) -> TrialReport:
     eps = float(params.get("eps", 0.5))
     r = int(params.get("r", 200))
     A, b, _ = gen_lsq_instance(n, d, seed, consistent=False)
-    _, Z = exact_least_squares(A, b)
-    sol = rand_least_squares(A, b, eps, seed + 1, r_override=r)
+    svd_A, _, Z = _lsq_oracle(A, b)
+    sol = rand_least_squares(A, b, eps, seed + 1, r_override=r, svd_A=svd_A)
     rep = sol.diagnostics
     one_sided = sol.residual_norm >= Z - 1e-10
     conditional = (not (rep.cond22_pass and rep.cond23_pass)
@@ -357,10 +382,7 @@ def _check_lowrank(params: dict, seed: int) -> TrialReport:
     c = int(params.get("c", 8))
     sigma = [1.0] * k + [0.05] * (min(m, n) - k)
     A = gen_matrix("lowrank_plus_noise", m, n, seed, sigma=sigma)
-    try:
-        res = rand_low_rank(A, k, 0.4, seed, c_override=c, diagnostics=True)
-    except SketchRankError:
-        res = rand_low_rank(A, k, 0.4, seed, c_override=2 * c, diagnostics=True)
+    res, _ = _low_rank_with_retry(A, k, 0.4, seed, c, thin_svd(A))
     d = res.diagnostics
     identity_ok = d.identity_gap <= 1e-9 * max(1.0, frobenius_norm(A))
     split_ok = res.error_fro ** 2 <= d.projected_tail_sq + d.tail_sq + 1e-8

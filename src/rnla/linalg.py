@@ -86,6 +86,10 @@ class ThinSVD:
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.sigma) @ self.V.T
 
+    def pinv(self) -> np.ndarray:
+        """Pseudoinverse V @ diag(1/sigma) @ U.T; all zeros at rank 0."""
+        return (self.V / self.sigma) @ self.U.T
+
 
 def _rank_cutoff(s: np.ndarray) -> float:
     if s.size == 0 or s[0] <= 0.0:
@@ -127,11 +131,7 @@ def pseudoinverse(M) -> np.ndarray:
     Returns V @ diag(1/sigma) @ U.T; the zero matrix maps to the zero matrix
     of transposed shape.
     """
-    M = as_matrix(M)
-    f = thin_svd(M)
-    if f.rank == 0:
-        return np.zeros((M.shape[1], M.shape[0]))
-    return (f.V / f.sigma) @ f.U.T
+    return thin_svd(M).pinv()
 
 
 def best_rank_k(M, k: int) -> np.ndarray:

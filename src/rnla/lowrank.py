@@ -7,7 +7,9 @@ Utilde_k = U_C @ U_{W,k} satisfies an exact identity: projecting A onto it is
 the same as keeping the best rank-k part of the projection U_C U_C^T A, which
 is the best rank-k approximation of A inside the captured range.  Diagnostics
 verify that identity, the range/tail error split, and the structural
-inequality that drives the approximation guarantee.
+inequality that drives the approximation guarantee.  They take A_k and the
+tail ||A - A_k||_F^2 from the caller's exact thin SVD of A (svd_A); the
+pipeline itself never factors A.
 """
 
 from __future__ import annotations
@@ -15,20 +17,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (as_matrix, frobenius_norm, orthonormal_basis,
+from .linalg import (ThinSVD, as_matrix, frobenius_norm, orthonormal_basis,
                      pseudoinverse, thin_svd)
-from .srht import OpCounter, make_srht, srht_apply
+from .sampling import SampleSize
+from .srht import OpCounter, SketchRankError, make_srht, srht_apply
 
 __all__ = [
-    "SketchRankError",
     "LowRankResult",
     "LowRankDiagnostics",
-    "SampleSizeLR",
-    "lowrank_sample_size",
     "lowrank_sample_size_explicit",
     "rand_low_rank",
     "rayleigh_ritz_identity_check",
@@ -37,13 +36,9 @@ __all__ = [
 ]
 
 
-class SketchRankError(ValueError):
-    """The sketched range cannot support a rank-k extraction."""
-
-
 @dataclass(frozen=True)
 class LowRankDiagnostics:
-    """Per-run identity and decomposition checks (diagnostics=True only)."""
+    """Per-run identity and decomposition checks (only when svd_A is given)."""
 
     identity_gap: float        # || (A - Uk Uk^T A) - (A - U_C (U_C^T A)_k) ||_F
     projected_tail_sq: float   # || A_k - U_C U_C^T A_k ||_F^2
@@ -58,36 +53,11 @@ class LowRankResult:
     U_tilde_k: np.ndarray
     c_used: int
     error_fro: float        # ||A - Utilde_k Utilde_k^T A||_F
-    baseline_fro: float     # ||A - A_k||_F, the best achievable
     seed: int
     diagnostics: LowRankDiagnostics | None = None
 
 
-class SampleSizeLR(NamedTuple):
-    count: int
-    raw: float
-
-
-def lowrank_sample_size(n: float, k: int, eps: float, c0: float = 1.0) -> SampleSizeLR:
-    """Sketch size c0 * (k ln n / eps^2) * (ln(k/eps^2) + ln ln n).
-
-    The leading constant is not pinned down by the theory; pass your own c0.
-    Requires n >= 3 so ln ln n is defined; n may be real since this is pure
-    arithmetic on the dimension.
-    """
-    if n < 3:
-        raise ValueError("n must be >= 3")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
-    if c0 <= 0.0:
-        raise ValueError("c0 must be positive")
-    raw = c0 * (k * math.log(n) / eps ** 2) * (math.log(k / eps ** 2) + math.log(math.log(n)))
-    return SampleSizeLR(count=math.ceil(raw), raw=raw)
-
-
-def lowrank_sample_size_explicit(n: int, k: int, eps: float) -> SampleSizeLR:
+def lowrank_sample_size_explicit(n: int, k: int, eps: float) -> SampleSize:
     """Fully explicit sketch size (192 k ln(40nk)/eps^2) ln(192 sqrt(20) k ln(40nk)/eps^2).
 
     The only calculator with every constant spelled out; far exceeds n at
@@ -101,12 +71,12 @@ def lowrank_sample_size_explicit(n: int, k: int, eps: float) -> SampleSizeLR:
         raise ValueError("eps must lie in (0, 1/2]")
     lead = 192.0 * k * math.log(40.0 * n * k) / eps ** 2
     raw = lead * math.log(math.sqrt(20.0) * lead)
-    return SampleSizeLR(count=math.ceil(raw), raw=raw)
+    return SampleSize(count=math.ceil(raw), raw=raw)
 
 
 def rand_low_rank(A, k: int, eps: float, seed: int,
                   c_override: int | None = None,
-                  diagnostics: bool = False) -> LowRankResult:
+                  svd_A: ThinSVD | None = None) -> LowRankResult:
     """Randomized rank-k approximation basis via an SRHT column sketch.
 
     Parameters
@@ -120,8 +90,9 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
         Operator seed.
     c_override : int, optional
         Sketch width instead of lowrank_sample_size_explicit; must be >= k.
-    diagnostics : bool
-        Also verify the extraction identity and error split for this run.
+    svd_A : ThinSVD, optional
+        The caller's exact thin SVD of A.  When given, also verify the
+        extraction identity and error split for this run.
 
     Raises
     ------
@@ -149,19 +120,18 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
     U_Wk = fw.U[:, :k]
     U_tilde = U_C @ U_Wk
     err = frobenius_norm(A - U_tilde @ (U_tilde.T @ A))
-    fa = thin_svd(A)
-    baseline = float(np.sqrt(np.sum(fa.sigma[k:] ** 2)))
     diag = None
-    if diagnostics:
-        A_k = (fa.U[:, :k] * fa.sigma[:k]) @ fa.V[:, :k].T
+    if svd_A is not None:
+        U, sigma, V = svd_A.U, svd_A.sigma, svd_A.V
+        A_k = (U[:, :k] * sigma[:k]) @ V[:, :k].T
         diag = LowRankDiagnostics(
             identity_gap=rayleigh_ritz_identity_check(A, U_C, k),
             projected_tail_sq=frobenius_norm(A_k - U_C @ (U_C.T @ A_k)) ** 2,
-            tail_sq=float(np.sum(fa.sigma[k:] ** 2)),
+            tail_sq=float(np.sum(sigma[k:] ** 2)),
             basis_cols=U_C.shape[1],
         )
     return LowRankResult(U_tilde_k=U_tilde, c_used=c, error_fro=err,
-                         baseline_fro=baseline, seed=int(seed), diagnostics=diag)
+                         seed=int(seed), diagnostics=diag)
 
 
 def rayleigh_ritz_identity_check(A, U_C, k: int) -> float:

@@ -12,24 +12,26 @@ two conditions
 together force the sketched solution's residual to within sqrt(1+eps) of the
 optimum Z and bound the forward error by sqrt(eps) * Z / sigma_min(A).  The
 ConditionReport carries exactly these quantities.
+
+U_A comes from the caller's exact thin SVD of A (svd_A); the solver itself
+touches A only through the sketch, and checks rank on the sketch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, pseudoinverse, thin_svd
-from .srht import OpCounter, make_srht, srht_apply
+from .linalg import ThinSVD, as_matrix, as_vector, pseudoinverse, thin_svd
+from .sampling import SampleSize
+from .srht import OpCounter, SketchRankError, make_srht, srht_apply
 
 __all__ = [
     "LsqSolution",
     "ConditionReport",
     "exact_least_squares",
-    "LsqSampleSize",
     "ls_sample_size",
     "rand_least_squares",
     "rand_least_squares_amplified",
@@ -75,19 +77,14 @@ def exact_least_squares(A, b) -> tuple[np.ndarray, float]:
     return x_opt, Z
 
 
-class LsqSampleSize(NamedTuple):
-    """Sketch size ceiling plus the two branch values behind the max."""
-
-    count: int
-    embed_branch: float   # 48^2 d ln(40 n d) ln(100^2 d ln(40 n d))
-    eps_branch: float     # 40 d ln(40 n d) / eps
-
-
-def ls_sample_size(n: int, d: int, eps: float) -> LsqSampleSize:
+def ls_sample_size(n: int, d: int, eps: float) -> SampleSize:
     """Theoretical sketch size for the randomized solver.
 
-    The value routinely exceeds n at desk scale (the constants are not
-    optimized); rand_least_squares accepts r_override for practical runs.
+    raw is the larger of the embedding branch
+    48^2 d ln(40 n d) ln(100^2 d ln(40 n d)) and the accuracy branch
+    40 d ln(40 n d) / eps.  The value routinely exceeds n at desk scale (the
+    constants are not optimized); rand_least_squares accepts r_override for
+    practical runs.
     """
     if not 1 <= d <= n:
         raise ValueError("need n >= d >= 1")
@@ -96,23 +93,21 @@ def ls_sample_size(n: int, d: int, eps: float) -> LsqSampleSize:
     ln_nd = math.log(40.0 * n * d)
     embed = 48.0 ** 2 * d * ln_nd * math.log(100.0 ** 2 * d * ln_nd)
     eps_b = 40.0 * d * ln_nd / eps
-    return LsqSampleSize(count=math.ceil(max(embed, eps_b)),
-                         embed_branch=embed, eps_branch=eps_b)
+    raw = max(embed, eps_b)
+    return SampleSize(count=math.ceil(raw), raw=raw)
 
 
-def check_conditions(A, b, sketch_of_UA, sketch_of_bperp, eps: float) -> ConditionReport:
+def check_conditions(sketch_of_UA, sketch_of_bperp, Z: float,
+                     eps: float) -> ConditionReport:
     """Evaluate both sketch-quality conditions for a realized operator X.
 
-    sketch_of_UA must be X applied to an orthonormal basis U_A of range(A)
-    and sketch_of_bperp must be X applied to bperp = b - U_A U_A^T b.
+    sketch_of_UA must be X applied to an orthonormal basis U_A of range(A),
+    one column per column of A; sketch_of_bperp must be X applied to
+    bperp = b - U_A U_A^T b, and Z = ||bperp|| is the optimal residual.
     """
-    A, b = as_matrix(A), as_vector(b)
     XU = as_matrix(sketch_of_UA)
     Xb = as_vector(sketch_of_bperp)
-    d = A.shape[1]
-    U_A = thin_svd(A).U
-    bperp = b - U_A @ (U_A.T @ b)
-    Z = float(np.linalg.norm(bperp))
+    d = XU.shape[1]
     s = np.linalg.svd(XU, compute_uv=False)
     sigma_min_sq = float(s[d - 1] ** 2) if s.size >= d else 0.0
     cross = float(np.sum((XU.T @ Xb) ** 2))
@@ -127,13 +122,15 @@ def check_conditions(A, b, sketch_of_UA, sketch_of_bperp, eps: float) -> Conditi
 
 def rand_least_squares(A, b, eps: float, seed: int,
                        r_override: int | None = None,
-                       diagnostics: bool = True) -> LsqSolution:
+                       svd_A: ThinSVD | None = None) -> LsqSolution:
     """Sketch-and-solve least squares through a fresh left-side SRHT operator.
 
     Parameters
     ----------
     A : array_like, shape (n, d)
-        Must have full column rank d (checked via the thin SVD).
+        Must have full column rank d.  SketchRankError, naming r and d, is
+        raised when the r x d sketch of A is rank deficient, as it always is
+        for a rank-deficient A.
     b : array_like, shape (n,)
     eps : float
         Target relative residual accuracy, in (0, 1).
@@ -142,9 +139,10 @@ def rand_least_squares(A, b, eps: float, seed: int,
     r_override : int, optional
         Sketch size to use instead of ls_sample_size (which usually exceeds
         n at desk scale).  Must be at least d.
-    diagnostics : bool
-        Compute the ConditionReport (costs a thin SVD of A plus two more
-        sketched columns); disable for timing runs.
+    svd_A : ThinSVD, optional
+        The caller's exact thin SVD of A.  When given, the ConditionReport is
+        computed from its U_A (costs a second transform, of d + 1 columns);
+        omit it for timing runs.
     """
     A, b = as_matrix(A), as_vector(b)
     n, d = A.shape
@@ -152,30 +150,35 @@ def rand_least_squares(A, b, eps: float, seed: int,
         raise ValueError(f"A has {n} rows but b has length {b.size}")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    svd_A = thin_svd(A)
-    if svd_A.rank != d:
-        raise ValueError(f"A must have full column rank {d}, got rank {svd_A.rank}")
     r = int(r_override) if r_override is not None else ls_sample_size(n, d, eps).count
     if r < d:
         raise ValueError(f"sketch size r={r} cannot preserve rank d={d}")
     op = make_srht(n, r, seed, side="left")
     counter = OpCounter()
     sk = srht_apply(op, np.column_stack([A, b]), counter)
-    x_tilde, _ = exact_least_squares(sk[:, :d], sk[:, d])
+    f = thin_svd(sk[:, :d])
+    if f.rank < d:
+        raise SketchRankError(
+            f"sketch rank deficient: rank(X A) = {f.rank} < d = {d} at r = {r}")
+    x_tilde = f.pinv() @ sk[:, d]
+    del f  # the sketch's factors are dead; free them before the second transform
     residual = float(np.linalg.norm(A @ x_tilde - b))
     report = None
-    if diagnostics:
+    if svd_A is not None:
         U_A = svd_A.U
+        if U_A.shape != (n, d):
+            raise ValueError(f"svd_A has U of shape {U_A.shape}; A needs {(n, d)}")
         bperp = b - U_A @ (U_A.T @ b)
         skd = srht_apply(op, np.column_stack([U_A, bperp]), counter)
-        report = check_conditions(A, b, skd[:, :d], skd[:, d], eps)
+        report = check_conditions(skd[:, :d], skd[:, d],
+                                  float(np.linalg.norm(bperp)), eps)
     return LsqSolution(x_tilde=x_tilde, residual_norm=residual, r_used=r,
                        diagnostics=report, ops=counter.adds_subs)
 
 
 def rand_least_squares_amplified(A, b, eps: float, delta: float, seed: int,
                                  r_override: int | None = None,
-                                 diagnostics: bool = True) -> LsqSolution:
+                                 svd_A: ThinSVD | None = None) -> LsqSolution:
     """Drive the failure probability below delta by independent repetition.
 
     Runs ceil(ln(1/delta) / ln 5) independent solves with derived seeds
@@ -188,7 +191,7 @@ def rand_least_squares_amplified(A, b, eps: float, delta: float, seed: int,
     best = None
     for t in range(reps):
         sol = rand_least_squares(A, b, eps, seed + t,
-                                 r_override=r_override, diagnostics=diagnostics)
+                                 r_override=r_override, svd_A=svd_A)
         if best is None or sol.residual_norm < best.residual_norm:
             best = sol
     return best
@@ -207,6 +210,6 @@ def forward_error_bound(A, b, eps: float, gamma: float) -> float:
     if f.rank < A.shape[1]:
         raise ValueError("condition number undefined: A is rank deficient")
     kappa = float(f.sigma[0] / f.sigma[-1])
-    x_opt, _ = exact_least_squares(A, b)
+    x_opt = f.pinv() @ b
     return math.sqrt(eps) * kappa * math.sqrt(max(0.0, 1.0 / gamma ** 2 - 1.0)) \
         * float(np.linalg.norm(x_opt))

@@ -14,19 +14,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import as_matrix, frobenius_norm, spectral_norm
-from .sampling import ProbVector, SamplingPlan, draw_plan, sampled_columns, sampled_rows
+from .sampling import (ProbVector, SampleSize, SamplingPlan, draw_plan,
+                       sampled_columns, sampled_rows)
 
 __all__ = [
     "MatMulSketch",
     "rand_matrix_multiply",
     "expected_frobenius_error",
     "entry_variance_bound",
-    "SampleSize",
     "sample_size_frobenius",
     "sample_size_spectral",
     "gram_sketch_error",
@@ -102,13 +101,6 @@ def entry_variance_bound(A, B, probs: ProbVector, c: int, i: int, j: int) -> flo
     term = A[i, :] ** 2 * B[:, j] ** 2
     live = _zero_prob_guard(term, probs.p)
     return float(np.sum(term[live] / probs.p[live]) / c)
-
-
-class SampleSize(NamedTuple):
-    """Ceiling actually used plus the raw real value it came from."""
-
-    count: int
-    raw: float
 
 
 def sample_size_frobenius(d: int, beta: float, eps: float) -> SampleSize:

@@ -12,6 +12,7 @@ so zero-probability indices are never drawn and never produce 1/sqrt(0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "make_rng",
     "ProbVector",
     "SamplingPlan",
+    "SampleSize",
     "optimal_probs",
     "colnorm_probs",
     "rownorm_probs",
@@ -102,6 +104,13 @@ class SamplingPlan:
             raise ValueError("c must be >= 1")
         if np.any(idx < 1) or np.any(idx > self.n):
             raise ValueError("plan indices out of [1, n]")
+
+
+class SampleSize(NamedTuple):
+    """Ceiling actually used plus the raw real value it came from."""
+
+    count: int
+    raw: float
 
 
 def _probs(raw: np.ndarray, kind: str) -> ProbVector:

@@ -27,6 +27,7 @@ from .linalg import as_matrix
 from .sampling import SamplingPlan, _draw_indices, make_rng, uniform_probs
 
 __all__ = [
+    "SketchRankError",
     "OpCounter",
     "SrhtOperator",
     "fwht",
@@ -35,6 +36,10 @@ __all__ = [
     "srht_apply",
     "coherence_check",
 ]
+
+
+class SketchRankError(ValueError):
+    """A realized sketch's rank is too low for the solve; a larger one may do."""
 
 
 @dataclass

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rnla import (ExperimentConfig, TrialReport, expected_frobenius_error,
-                  gen_lsq_instance, load_report, optimal_probs,
-                  rand_matrix_multiply, run_check_suite, run_experiment,
-                  write_matrix, write_vector)
+                  gen_lsq_instance, load_report, lowrank_sample_size_explicit,
+                  optimal_probs, rand_matrix_multiply, run_check_suite,
+                  run_experiment, write_matrix, write_vector)
 from rnla.harness import (VERSION, aggregate, build_report, dumps_report,
                           report_to_csv, run_trials, write_report)
 from rnla.sampling import RNG_NAME
@@ -131,6 +131,50 @@ def test_lowrank_unrecoverable_trial_becomes_data():
     assert agg.trials_ok == 0
     assert agg.trials_total == 3
     assert agg.metrics == {}
+
+
+def test_lowrank_retry_doubles_the_default_width():
+    """With no c, the one retry runs at twice the theoretical width, not 2k."""
+    cfg = ExperimentConfig(
+        "lowrank",
+        {"family": "lowrank_plus_noise", "m": 3, "n": 3, "seed": 3,
+         "sigma": (5.0,)},
+        {"k": 2, "eps": 0.49}, trials=1, base_seed=0)
+    (t,) = run_trials(cfg)
+    first = lowrank_sample_size_explicit(3, 2, 0.49).count
+    assert not t.ok
+    assert t.error.startswith("SketchRankError")
+    assert t.error.endswith(f"at c = {2 * first}")
+
+
+@pytest.mark.parametrize("diagnostics", [True, False])
+@pytest.mark.parametrize("algorithm, instance, params", [
+    ("lsq", {"family": "gaussian", "m": 64, "n": 3, "seed": 9},
+     {"eps": 0.5, "r": 32}),
+    ("lowrank", {"family": "lowrank_plus_noise", "m": 32, "n": 24, "seed": 2,
+                 "sigma": (8.0, 6.0, 4.0), "eta": 0.01},
+     {"k": 3, "eps": 0.25, "c": 10}),
+], ids=["lsq", "lowrank"])
+def test_each_run_factors_its_instance_once(monkeypatch, algorithm, instance,
+                                            params, diagnostics):
+    """One SVD of the m x n instance per run, whatever the trial count.
+
+    Every thin_svd goes through np.linalg.svd, so counting there also
+    catches a direct factorization.  Sketch sizes differ from the instance's.
+    """
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    cfg = ExperimentConfig(algorithm, instance, params, trials=5, base_seed=0,
+                           diagnostics=diagnostics)
+    trials = run_trials(cfg)
+    assert all(t.ok for t in trials)
+    assert shapes.count((instance["m"], instance["n"])) == 1
 
 
 def test_aggregate_hand_values():

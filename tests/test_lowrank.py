@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from rnla import (SketchRankError, column_sample_fro_check, frobenius_norm,
-                  gen_matrix, lowrank_sample_size, lowrank_sample_size_explicit,
-                  make_rng, orthonormal_basis, rand_low_rank,
+                  gen_matrix, lowrank_sample_size_explicit, make_rng,
+                  orthonormal_basis, rand_low_rank,
                   rayleigh_ritz_identity_check, structural_inequality_check,
                   thin_svd)
 
@@ -14,14 +12,6 @@ def test_sample_size_explicit_frozen():
     out = lowrank_sample_size_explicit(256, 2, 0.5)
     assert out.count == 169714
     assert out.raw == pytest.approx(169713.55345275524, rel=1e-12)
-
-
-def test_sample_size_scaled_closed_form():
-    # n = e^e makes both logs exact: raw = c0 * 4e * (ln 4 + 1).
-    out = lowrank_sample_size(math.e ** math.e, 1, 0.5, c0=2.0)
-    assert out.raw == pytest.approx(8.0 * math.e * (math.log(4.0) + 1.0),
-                                    rel=1e-14)
-    assert out.count == math.ceil(out.raw)
 
 
 def test_sample_size_monotonicity():
@@ -34,26 +24,28 @@ def test_sample_size_monotonicity():
 
 
 def test_sample_size_validation():
-    for fn in (lowrank_sample_size, lowrank_sample_size_explicit):
-        with pytest.raises(ValueError):
-            fn(2, 1, 0.5)
-        with pytest.raises(ValueError):
-            fn(16, 0, 0.5)
-        with pytest.raises(ValueError):
-            fn(16, 1, 0.6)
-        with pytest.raises(ValueError):
-            fn(16, 1, 0.0)
     with pytest.raises(ValueError):
-        lowrank_sample_size(16, 1, 0.5, c0=0.0)
+        lowrank_sample_size_explicit(2, 1, 0.5)
+    with pytest.raises(ValueError):
+        lowrank_sample_size_explicit(16, 0, 0.5)
+    with pytest.raises(ValueError):
+        lowrank_sample_size_explicit(16, 1, 0.6)
+    with pytest.raises(ValueError):
+        lowrank_sample_size_explicit(16, 1, 0.0)
+
+
+def _baseline(svd_A, k):
+    """The best rank-k error ||A - A_k||_F from the singular tail."""
+    return float(np.sqrt(np.sum(svd_A.sigma[k:] ** 2)))
 
 
 def test_exact_rank_matrix_recovered():
     rng = make_rng(0)
     A = rng.standard_normal((16, 2)) @ rng.standard_normal((2, 12))
+    f = thin_svd(A)
     for seed in range(3):
-        res = rand_low_rank(A, 2, 0.25, seed=seed, c_override=4,
-                            diagnostics=True)
-        assert res.baseline_fro == pytest.approx(0.0, abs=1e-10)
+        res = rand_low_rank(A, 2, 0.25, seed=seed, c_override=4, svd_A=f)
+        assert _baseline(f, 2) == pytest.approx(0.0, abs=1e-10)
         assert res.error_fro <= 1e-8
         assert res.diagnostics.tail_sq == pytest.approx(0.0, abs=1e-18)
         assert res.c_used == 4
@@ -68,23 +60,24 @@ def test_identity_and_split_on_random_runs():
     ]
     for A in cases:
         scale = max(1.0, frobenius_norm(A))
+        f = thin_svd(A)
         for seed in range(5):
-            res = rand_low_rank(A, 4, 0.25, seed=seed, c_override=12,
-                                diagnostics=True)
+            res = rand_low_rank(A, 4, 0.25, seed=seed, c_override=12, svd_A=f)
             d = res.diagnostics
             assert d.identity_gap <= 1e-9 * scale
             assert res.error_fro ** 2 <= d.projected_tail_sq + d.tail_sq + 1e-8
-            assert res.error_fro >= res.baseline_fro - 1e-10
+            assert res.error_fro >= _baseline(f, 4) - 1e-10
             assert 4 <= d.basis_cols <= 12
 
 
 def test_error_beats_relative_target_often():
     A = gen_matrix("lowrank_plus_noise", 64, 32, 3,
                    sigma=(10.0, 8.0, 6.0, 5.0), eta=0.02)
+    baseline = _baseline(thin_svd(A), 4)
     hits = 0
     for seed in range(20):
         res = rand_low_rank(A, 4, 0.25, seed=seed, c_override=16)
-        if res.error_fro <= 1.25 * res.baseline_fro:
+        if res.error_fro <= 1.25 * baseline:
             hits += 1
     assert hits >= 15
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rnla import (check_conditions, exact_least_squares, forward_error_bound,
-                  gen_lsq_instance, ls_sample_size, rand_least_squares,
-                  rand_least_squares_amplified, thin_svd)
+from rnla import (SketchRankError, check_conditions, exact_least_squares,
+                  forward_error_bound, gen_lsq_instance, ls_sample_size,
+                  rand_least_squares, rand_least_squares_amplified, thin_svd)
 from rnla.lsq import COND22_THRESHOLD
 
 
@@ -25,17 +25,28 @@ def test_exact_solver_minimum_norm():
         exact_least_squares(A, np.ones(3))
 
 
+def _branches(n, d, eps):
+    """The embedding and accuracy branches behind ls_sample_size's max."""
+    ln_nd = math.log(40.0 * n * d)
+    embed = 48.0 ** 2 * d * ln_nd * math.log(100.0 ** 2 * d * ln_nd)
+    return embed, 40.0 * d * ln_nd / eps
+
+
 def test_sample_size_frozen_values():
     out = ls_sample_size(1024, 5, 0.5)
-    assert out.embed_branch == pytest.approx(1877131.7814106275, rel=1e-12)
-    assert out.eps_branch == pytest.approx(4891.915668858996, rel=1e-12)
+    embed, eps_b = _branches(1024, 5, 0.5)
+    assert embed == pytest.approx(1877131.7814106275, rel=1e-12)
+    assert eps_b == pytest.approx(4891.915668858996, rel=1e-12)
+    assert out.raw == pytest.approx(embed, rel=1e-12)
     assert out.count == 1877132
 
 
 def test_sample_size_eps_branch_dominates():
     out = ls_sample_size(1024, 5, 1e-6)
-    assert out.eps_branch > out.embed_branch
-    assert out.count == math.ceil(out.eps_branch)
+    embed, eps_b = _branches(1024, 5, 1e-6)
+    assert eps_b > embed
+    assert out.raw == pytest.approx(eps_b, rel=1e-12)
+    assert out.count == math.ceil(out.raw)
 
 
 def test_sample_size_validation():
@@ -49,16 +60,14 @@ def test_sample_size_validation():
 
 def _split_instance():
     # b = (3, 4, 5) against the first two coordinate axes: bperp = 5 e_3.
-    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    b = np.array([3.0, 4.0, 5.0])
-    U_A = A.copy()
+    U_A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     bperp = np.array([0.0, 0.0, 5.0])
-    return A, b, U_A, bperp
+    return U_A, bperp, float(np.linalg.norm(bperp))
 
 
 def test_conditions_identity_sketch_passes():
-    A, b, U_A, bperp = _split_instance()
-    rep = check_conditions(A, b, U_A, bperp, eps=0.5)
+    U_A, bperp, Z = _split_instance()
+    rep = check_conditions(U_A, bperp, Z, eps=0.5)
     assert rep.sigma_min_sq == pytest.approx(1.0, abs=1e-12)
     assert rep.cross_term == pytest.approx(0.0, abs=1e-14)
     assert rep.Z == pytest.approx(5.0, abs=1e-12)
@@ -66,18 +75,18 @@ def test_conditions_identity_sketch_passes():
 
 
 def test_conditions_shrunken_basis_fails_22():
-    A, b, U_A, bperp = _split_instance()
-    rep = check_conditions(A, b, 0.5 * U_A, bperp, eps=0.5)
+    U_A, bperp, Z = _split_instance()
+    rep = check_conditions(0.5 * U_A, bperp, Z, eps=0.5)
     assert rep.sigma_min_sq == pytest.approx(0.25, abs=1e-12)
     assert not rep.cond22_pass
     assert 0.25 < COND22_THRESHOLD
 
 
 def test_conditions_cross_term_threshold():
-    A, b, U_A, _ = _split_instance()
+    U_A, _, Z = _split_instance()
     leaked = np.array([0.1, 0.2, 0.0])  # (XU)^T Xb = leaked, norm^2 = 0.05
-    assert check_conditions(A, b, U_A, leaked, eps=0.5).cond23_pass
-    assert not check_conditions(A, b, U_A, leaked, eps=1e-3).cond23_pass
+    assert check_conditions(U_A, leaked, Z, eps=0.5).cond23_pass
+    assert not check_conditions(U_A, leaked, Z, eps=1e-3).cond23_pass
 
 
 def test_randomized_deterministic_in_seed():
@@ -97,15 +106,17 @@ def test_randomized_validation():
         rand_least_squares(A, b, 0.5, seed=0, r_override=2)
     with pytest.raises(ValueError):
         rand_least_squares(A, b, 1.5, seed=0, r_override=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(SketchRankError, match=r"d = 3 at r = 8"):
         rand_least_squares(A[:, [0, 1, 0]], b, 0.5, seed=0, r_override=8)
 
 
 def test_randomized_recovers_consistent_solution():
     """b in range(A) means the sketched solve is exact for full-rank sketches."""
     A, b, x_star = gen_lsq_instance(64, 3, 2, consistent=True)
+    svd_A = thin_svd(A)
     for seed in range(5):
-        sol = rand_least_squares(A, b, 0.5, seed=seed, r_override=16)
+        sol = rand_least_squares(A, b, 0.5, seed=seed, r_override=16,
+                                 svd_A=svd_A)
         np.testing.assert_allclose(sol.x_tilde, x_star, atol=1e-8)
         assert sol.residual_norm <= 1e-8
         assert sol.diagnostics.Z == pytest.approx(0.0, abs=1e-10)
@@ -120,9 +131,9 @@ def test_ops_accounting():
     A, b, _ = gen_lsq_instance(100, 4, 4)
     n_pad, r, cols = 128, 32, 5
     per_apply = cols * 2 * n_pad * math.log2(r + 1)
-    bare = rand_least_squares(A, b, 0.5, seed=0, r_override=r,
-                              diagnostics=False)
-    full = rand_least_squares(A, b, 0.5, seed=0, r_override=r)
+    bare = rand_least_squares(A, b, 0.5, seed=0, r_override=r)
+    full = rand_least_squares(A, b, 0.5, seed=0, r_override=r,
+                              svd_A=thin_svd(A))
     assert 0 < bare.ops <= per_apply
     assert bare.ops < full.ops <= 2 * per_apply
     assert bare.diagnostics is None
@@ -138,7 +149,7 @@ def test_conditions_imply_residual_and_forward_bounds():
     del U
     passes = 0
     for seed in range(50):
-        sol = rand_least_squares(A, b, eps, seed=seed, r_override=48)
+        sol = rand_least_squares(A, b, eps, seed=seed, r_override=48, svd_A=f)
         rep = sol.diagnostics
         assert rep.Z == pytest.approx(Z, abs=1e-10)
         if rep.cond22_pass and rep.cond23_pass:
@@ -188,8 +199,11 @@ def test_forward_error_bound_validation():
 
 def test_scale_invariance_of_conditions():
     A, b, _ = gen_lsq_instance(32, 2, 7)
-    r1 = rand_least_squares(A, b, 0.5, seed=3, r_override=16).diagnostics
-    r2 = rand_least_squares(A, b * 10.0, 0.5, seed=3, r_override=16).diagnostics
+    f = thin_svd(A)
+    r1 = rand_least_squares(A, b, 0.5, seed=3, r_override=16,
+                            svd_A=f).diagnostics
+    r2 = rand_least_squares(A, b * 10.0, 0.5, seed=3, r_override=16,
+                            svd_A=f).diagnostics
     assert r1.cond22_pass == r2.cond22_pass
     assert r1.cond23_pass == r2.cond23_pass
     assert r2.Z == pytest.approx(10.0 * r1.Z, rel=1e-10)
