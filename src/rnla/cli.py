@@ -81,7 +81,9 @@ def _instance_from_args(args, seed: int) -> dict:
         inst["path"] = args.inp
         if getattr(args, "in_b", None):
             inst["path_b"] = args.in_b
-        if getattr(args, "rhs", None):
+        if "rhs" in args:  # lsq: b comes from a file too
+            if not args.rhs:
+                raise UsageError("--in requires --rhs for the right-hand side")
             inst["rhs"] = args.rhs
         return inst
     if args.m is None or args.n is None:
@@ -116,46 +118,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_matmul(args) -> int:
+def cmd_experiment(args) -> int:
+    """Run the subcommand's algorithm; args.params names the flags it copies."""
     seed = _resolve_seed(args.seed)
     config = ExperimentConfig(
-        algorithm="matmul",
+        algorithm=args.command,
         instance=_instance_from_args(args, seed),
-        params={"c": args.c, "probs": args.probs},
-        trials=args.trials,
-        base_seed=seed,
-        diagnostics=not args.no_diagnostics,
-    )
-    return _emit(config, args)
-
-
-def cmd_lsq(args) -> int:
-    seed = _resolve_seed(args.seed)
-    if args.inp and not args.rhs:
-        raise UsageError("--in requires --rhs for the right-hand side")
-    params = {"eps": args.eps}
-    if args.r is not None:
-        params["r"] = args.r
-    config = ExperimentConfig(
-        algorithm="lsq",
-        instance=_instance_from_args(args, seed),
-        params=params,
-        trials=args.trials,
-        base_seed=seed,
-        diagnostics=not args.no_diagnostics,
-    )
-    return _emit(config, args)
-
-
-def cmd_lowrank(args) -> int:
-    seed = _resolve_seed(args.seed)
-    params = {"k": args.k, "eps": args.eps}
-    if args.c is not None:
-        params["c"] = args.c
-    config = ExperimentConfig(
-        algorithm="lowrank",
-        instance=_instance_from_args(args, seed),
-        params=params,
+        params={name: getattr(args, name) for name in args.params
+                if getattr(args, name) is not None},
         trials=args.trials,
         base_seed=seed,
         diagnostics=not args.no_diagnostics,
@@ -238,7 +208,7 @@ def build_parser() -> Parser:
     p.add_argument("--probs", default="optimal",
                    choices=["optimal", "colnorm", "rownorm", "uniform"])
     _add_common(p)
-    p.set_defaults(func=cmd_matmul)
+    p.set_defaults(func=cmd_experiment, params=("c", "probs"))
 
     p = sub.add_parser("lsq", help="sketched least-squares experiment")
     p.add_argument("--in", dest="inp", default=None, help="matrix A file")
@@ -251,7 +221,7 @@ def build_parser() -> Parser:
     p.add_argument("--r", type=int, default=None,
                    help="sketch rows (default: theoretical size)")
     _add_common(p)
-    p.set_defaults(func=cmd_lsq)
+    p.set_defaults(func=cmd_experiment, params=("eps", "r"))
 
     p = sub.add_parser("lowrank", help="sketched low-rank experiment")
     p.add_argument("--in", dest="inp", default=None, help="matrix A file")
@@ -266,7 +236,7 @@ def build_parser() -> Parser:
     p.add_argument("--c", type=int, default=None,
                    help="sketch columns (default: theoretical size)")
     _add_common(p)
-    p.set_defaults(func=cmd_lowrank)
+    p.set_defaults(func=cmd_experiment, params=("k", "eps", "c"))
 
     p = sub.add_parser("check", help="run a diagnostic suite once")
     p.add_argument("suite", choices=sorted(CHECK_SUITES))

@@ -53,7 +53,7 @@ __all__ = [
 
 VERSION = "0.1.0"
 
-ALGORITHMS = ("matmul", "lsq", "lowrank", "check")
+ALGORITHMS = ("matmul", "lsq", "lowrank")
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,6 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
     fam = inst.get("family")
     iseed = int(inst.get("seed", config.base_seed))
     alg = config.algorithm
-    if alg == "check":
-        return {}
     if alg == "matmul":
         if fam == "file":
             A = read_matrix(inst["path"])
@@ -266,12 +264,8 @@ def run_trials(config: ExperimentConfig) -> list[TrialReport]:
         seed = config.base_seed + i
         start = time.perf_counter()
         try:
-            if config.algorithm == "check":
-                t = run_check_suite(config.params["suite"], config.params, seed)
-                t.seed = seed
-            else:
-                t = _TRIAL_RUNNERS[config.algorithm](ctx, config.params, seed,
-                                                     config.diagnostics)
+            t = _TRIAL_RUNNERS[config.algorithm](ctx, config.params, seed,
+                                                 config.diagnostics)
         except Exception as e:  # noqa: BLE001 - trial failures are data
             t = TrialReport(seed=seed, ok=False, error=f"{type(e).__name__}: {e}",
                             flags={"success": False})

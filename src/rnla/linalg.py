@@ -83,6 +83,12 @@ class ThinSVD:
     V: np.ndarray
     rank: int
 
+    def truncate(self, k: int) -> "ThinSVD":
+        """The leading min(k, rank) factors, as views of these."""
+        j = min(k, self.rank)
+        return ThinSVD(U=self.U[:, :j], sigma=self.sigma[:j],
+                       V=self.V[:, :j], rank=j)
+
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.sigma) @ self.V.T
 
@@ -147,9 +153,7 @@ def best_rank_k(M, k: int) -> np.ndarray:
     M = as_matrix(M)
     if not 1 <= k <= min(M.shape):
         raise ValueError(f"best_rank_k: k={k} out of range for shape {M.shape}")
-    f = thin_svd(M)
-    j = min(k, f.rank)
-    return (f.U[:, :j] * f.sigma[:j]) @ f.V[:, :j].T
+    return thin_svd(M).truncate(k).reconstruct()
 
 
 def orthonormal_basis(M) -> np.ndarray:

@@ -9,7 +9,8 @@ is the best rank-k approximation of A inside the captured range.  Diagnostics
 verify that identity, the range/tail error split, and the structural
 inequality that drives the approximation guarantee.  They take A_k and the
 tail ||A - A_k||_F^2 from the caller's exact thin SVD of A (svd_A); the
-pipeline itself never factors A.
+pipeline itself never factors A.  The solver's diagnostics reuse its own
+factorization of W and its residual, so W is factored once per run.
 """
 
 from __future__ import annotations
@@ -112,26 +113,36 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
     op = make_srht(n, c, seed, side="right")
     C = srht_apply(op, A, OpCounter())
     U_C = orthonormal_basis(C)
-    W = U_C.T @ A
-    fw = thin_svd(W)
-    if fw.rank < k:
-        raise SketchRankError(
-            f"sketch rank deficient: rank(U_C^T A) = {fw.rank} < k = {k} at c = {c}")
-    U_Wk = fw.U[:, :k]
-    U_tilde = U_C @ U_Wk
-    err = frobenius_norm(A - U_tilde @ (U_tilde.T @ A))
+    fw, U_tilde, resid = _extract(A, U_C, k, f" at c = {c}")
+    err = frobenius_norm(resid)
     diag = None
     if svd_A is not None:
-        U, sigma, V = svd_A.U, svd_A.sigma, svd_A.V
-        A_k = (U[:, :k] * sigma[:k]) @ V[:, :k].T
+        A_k = svd_A.truncate(k).reconstruct()
         diag = LowRankDiagnostics(
-            identity_gap=rayleigh_ritz_identity_check(A, U_C, k),
+            identity_gap=_identity_gap(A, U_C, fw, resid, k),
             projected_tail_sq=frobenius_norm(A_k - U_C @ (U_C.T @ A_k)) ** 2,
-            tail_sq=float(np.sum(sigma[k:] ** 2)),
+            tail_sq=float(np.sum(svd_A.sigma[k:] ** 2)),
             basis_cols=U_C.shape[1],
         )
     return LowRankResult(U_tilde_k=U_tilde, c_used=c, error_fro=err,
                          seed=int(seed), diagnostics=diag)
+
+
+def _extract(A: np.ndarray, U_C: np.ndarray, k: int, where: str = ""):
+    """(thin SVD of W = U_C^T A, Utilde_k = U_C U_{W,k}, A - Utilde_k Utilde_k^T A).
+
+    Raises SketchRankError if rank(W) < k; ``where`` ends its message.
+    """
+    fw = thin_svd(U_C.T @ A)
+    if fw.rank < k:
+        raise SketchRankError(
+            f"sketch rank deficient: rank(U_C^T A) = {fw.rank} < k = {k}{where}")
+    U_tilde = U_C @ fw.U[:, :k]
+    return fw, U_tilde, A - U_tilde @ (U_tilde.T @ A)
+
+
+def _identity_gap(A, U_C, fw: ThinSVD, resid, k: int) -> float:
+    return frobenius_norm(resid - (A - U_C @ fw.truncate(k).reconstruct()))
 
 
 def rayleigh_ritz_identity_check(A, U_C, k: int) -> float:
@@ -139,19 +150,12 @@ def rayleigh_ritz_identity_check(A, U_C, k: int) -> float:
 
     Uk here is the extracted basis U_C @ U_{W,k}; the identity says the
     extraction error equals the error of the best rank-k approximation taken
-    inside range(U_C).  Raises if rank(U_C^T A) < k.
+    inside range(U_C).  Raises if rank(U_C^T A) < k.  rand_low_rank computes
+    the same gap from its own factorization of W rather than calling this.
     """
     A, U_C = as_matrix(A), as_matrix(U_C)
-    W = U_C.T @ A
-    fw = thin_svd(W)
-    if fw.rank < k:
-        raise SketchRankError(
-            f"sketch rank deficient: rank(U_C^T A) = {fw.rank} < k = {k}")
-    U_tilde = U_C @ fw.U[:, :k]
-    lhs = A - U_tilde @ (U_tilde.T @ A)
-    W_k = (fw.U[:, :k] * fw.sigma[:k]) @ fw.V[:, :k].T
-    rhs = A - U_C @ W_k
-    return frobenius_norm(lhs - rhs)
+    fw, _, resid = _extract(A, U_C, k)
+    return _identity_gap(A, U_C, fw, resid, k)
 
 
 def structural_inequality_check(A, Z, k: int) -> tuple[float, float]:
@@ -178,7 +182,7 @@ def structural_inequality_check(A, Z, k: int) -> tuple[float, float]:
     if rank_vz < k:
         raise ValueError(f"rank(V_k^T Z) = {rank_vz} < k = {k}: "
                          "sketch misses top singular directions")
-    A_k = (fa.U[:, :k] * fa.sigma[:k]) @ fa.V[:, :k].T
+    A_k = fa.truncate(k).reconstruct()
     AZ = A @ Z
     lhs = frobenius_norm(A_k - AZ @ (pseudoinverse(AZ) @ A_k)) ** 2
     rhs = frobenius_norm((A - A_k) @ Z @ pseudoinverse(VZ)) ** 2

@@ -11,7 +11,8 @@ two conditions
 
 together force the sketched solution's residual to within sqrt(1+eps) of the
 optimum Z and bound the forward error by sqrt(eps) * Z / sigma_min(A).  The
-ConditionReport carries exactly these quantities.
+ConditionReport carries exactly these quantities; the second threshold gets
+a roundoff floor, so that exact solves of consistent systems (Z ~ 0) pass.
 
 U_A comes from the caller's exact thin SVD of A (svd_A); the solver itself
 touches A only through the sketch, and checks rank on the sketch.
@@ -50,7 +51,7 @@ class ConditionReport:
     cross_term: float       # ||(X U_A)^T (X bperp)||_2^2
     Z: float                # optimal residual ||A x_opt - b||
     cond22_pass: bool       # sigma_min_sq >= 1/sqrt(2)
-    cond23_pass: bool       # cross_term <= eps * Z^2 / 2
+    cond23_pass: bool       # cross_term <= eps * Z^2 / 2 + bperp_err^2
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,16 @@ def ls_sample_size(n: int, d: int, eps: float) -> SampleSize:
 
 
 def check_conditions(sketch_of_UA, sketch_of_bperp, Z: float,
-                     eps: float) -> ConditionReport:
+                     bperp_err: float, eps: float) -> ConditionReport:
     """Evaluate both sketch-quality conditions for a realized operator X.
 
     sketch_of_UA must be X applied to an orthonormal basis U_A of range(A),
     one column per column of A; sketch_of_bperp must be X applied to
     bperp = b - U_A U_A^T b, and Z = ||bperp|| is the optimal residual.
+    bperp_err = n * u * ||b|| (n rows of A, u the machine epsilon) is the
+    roundoff scale of the computed bperp; its square floors the cond23
+    threshold, which on a consistent system (Z ~ 0) is otherwise below the
+    roundoff of the cross term.
     """
     XU = as_matrix(sketch_of_UA)
     Xb = as_vector(sketch_of_bperp)
@@ -116,7 +121,7 @@ def check_conditions(sketch_of_UA, sketch_of_bperp, Z: float,
         cross_term=cross,
         Z=Z,
         cond22_pass=sigma_min_sq >= COND22_THRESHOLD,
-        cond23_pass=cross <= eps * Z * Z / 2.0,
+        cond23_pass=cross <= eps * Z * Z / 2.0 + bperp_err * bperp_err,
     )
 
 
@@ -170,8 +175,9 @@ def rand_least_squares(A, b, eps: float, seed: int,
             raise ValueError(f"svd_A has U of shape {U_A.shape}; A needs {(n, d)}")
         bperp = b - U_A @ (U_A.T @ b)
         skd = srht_apply(op, np.column_stack([U_A, bperp]), counter)
+        bperp_err = n * np.finfo(float).eps * float(np.linalg.norm(b))
         report = check_conditions(skd[:, :d], skd[:, d],
-                                  float(np.linalg.norm(bperp)), eps)
+                                  float(np.linalg.norm(bperp)), bperp_err, eps)
     return LsqSolution(x_tilde=x_tilde, residual_norm=residual, r_used=r,
                        diagnostics=report, ops=counter.adds_subs)
 

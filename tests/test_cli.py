@@ -85,6 +85,17 @@ def test_lsq_file_route(tmp_path):
     assert all(t["metrics"]["residual"] <= 1e-8 for t in rep["trials"])
 
 
+def test_consistent_system_passes_cond23(tmp_path):
+    """An exact solve's cross term is roundoff; the floor must admit it."""
+    out = tmp_path / "r.json"
+    assert main(["lsq", "--family", "consistent_lsq", "--m", "1024",
+                 "--n", "5", "--eps", "0.5", "--r", "200", "--trials", "20",
+                 "--seed", "3", "--out", str(out)]) == 0
+    trials = load_report(out)["trials"]
+    assert len(trials) == 20
+    assert all(t["flags"]["cond23"] for t in trials)
+
+
 def test_lsq_in_without_rhs_is_usage_error(tmp_path, capsys):
     a = tmp_path / "a.mtx"
     main(["gen", "gaussian", "--m", "8", "--n", "2", "--out", str(a)])

@@ -314,14 +314,6 @@ def test_check_suites_pass():
         run_check_suite("qr", {}, 0)
 
 
-def test_check_through_experiment_runner():
-    cfg = ExperimentConfig("check", {}, {"suite": "srht", "n": 64, "r": 4},
-                           trials=3, base_seed=5)
-    trials = run_trials(cfg)
-    assert [t.seed for t in trials] == [5, 6, 7]
-    assert all(t.flags["success"] for t in trials)
-
-
 def test_instance_seed_decouples_from_base_seed():
     a = ExperimentConfig("lsq", {"family": "gaussian", "m": 32, "n": 2,
                                  "seed": 4},

@@ -114,6 +114,11 @@ def test_penrose_properties():
 def test_best_rank_k_diagonal():
     np.testing.assert_allclose(best_rank_k(np.diag([3.0, 2.0, 1.0]), 2),
                                np.diag([3.0, 2.0, 0.0]), atol=1e-12)
+    # k above the rank keeps every factor; rank 0 reconstructs zeros.
+    np.testing.assert_allclose(best_rank_k(np.diag([3.0, 0.0, 0.0]), 2),
+                               np.diag([3.0, 0.0, 0.0]), atol=1e-12)
+    np.testing.assert_array_equal(best_rank_k(np.zeros((3, 2)), 1),
+                                  np.zeros((3, 2)))
 
 
 def test_best_rank_k_full_rank_reproduces():

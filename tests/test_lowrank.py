@@ -124,8 +124,29 @@ def test_identity_check_direct():
     U_C = orthonormal_basis(A @ make_rng(11).standard_normal((18, 6)))
     assert rayleigh_ritz_identity_check(A, U_C, 3) <= 1e-9
     rank1 = np.outer(np.ones(6), np.ones(4))
-    with pytest.raises(SketchRankError):
+    with pytest.raises(SketchRankError, match=r"= 1 < k = 2$"):
         rayleigh_ritz_identity_check(rank1, orthonormal_basis(rank1), 2)
+
+
+@pytest.mark.parametrize("diagnostics", [True, False])
+def test_one_factorization_of_W_per_call(monkeypatch, diagnostics):
+    """np.linalg.svd sees C and W = U_C^T A once each; diagnostics reuse W's."""
+    A = gen_matrix("lowrank_plus_noise", 32, 24, 2, sigma=(8.0, 6.0, 4.0),
+                   eta=0.01)
+    svd_A = thin_svd(A) if diagnostics else None
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(M, *args, **kwargs):
+        shapes.append(np.shape(M))
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    res = rand_low_rank(A, 3, 0.25, seed=0, c_override=10, svd_A=svd_A)
+    # C is 32 x 10; W has one row per column of U_C, and 24 columns.
+    assert len(shapes) == 2 and shapes[0] == (32, 10) and shapes[1][1] == 24
+    if diagnostics:
+        assert res.diagnostics.identity_gap <= 1e-9 * frobenius_norm(A)
 
 
 def test_structural_inequality_random_sketches():

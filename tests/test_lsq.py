@@ -61,13 +61,15 @@ def test_sample_size_validation():
 def _split_instance():
     # b = (3, 4, 5) against the first two coordinate axes: bperp = 5 e_3.
     U_A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    b = np.array([3.0, 4.0, 5.0])
     bperp = np.array([0.0, 0.0, 5.0])
-    return U_A, bperp, float(np.linalg.norm(bperp))
+    bperp_err = 3 * np.finfo(float).eps * float(np.linalg.norm(b))
+    return U_A, bperp, float(np.linalg.norm(bperp)), bperp_err
 
 
 def test_conditions_identity_sketch_passes():
-    U_A, bperp, Z = _split_instance()
-    rep = check_conditions(U_A, bperp, Z, eps=0.5)
+    U_A, bperp, Z, bperp_err = _split_instance()
+    rep = check_conditions(U_A, bperp, Z, bperp_err, eps=0.5)
     assert rep.sigma_min_sq == pytest.approx(1.0, abs=1e-12)
     assert rep.cross_term == pytest.approx(0.0, abs=1e-14)
     assert rep.Z == pytest.approx(5.0, abs=1e-12)
@@ -75,18 +77,19 @@ def test_conditions_identity_sketch_passes():
 
 
 def test_conditions_shrunken_basis_fails_22():
-    U_A, bperp, Z = _split_instance()
-    rep = check_conditions(0.5 * U_A, bperp, Z, eps=0.5)
+    U_A, bperp, Z, bperp_err = _split_instance()
+    rep = check_conditions(0.5 * U_A, bperp, Z, bperp_err, eps=0.5)
     assert rep.sigma_min_sq == pytest.approx(0.25, abs=1e-12)
     assert not rep.cond22_pass
     assert 0.25 < COND22_THRESHOLD
 
 
 def test_conditions_cross_term_threshold():
-    U_A, _, Z = _split_instance()
+    U_A, _, Z, bperp_err = _split_instance()
     leaked = np.array([0.1, 0.2, 0.0])  # (XU)^T Xb = leaked, norm^2 = 0.05
-    assert check_conditions(U_A, leaked, Z, eps=0.5).cond23_pass
-    assert not check_conditions(U_A, leaked, Z, eps=1e-3).cond23_pass
+    assert check_conditions(U_A, leaked, Z, bperp_err, eps=0.5).cond23_pass
+    assert not check_conditions(U_A, leaked, Z, bperp_err,
+                                eps=1e-3).cond23_pass
 
 
 def test_randomized_deterministic_in_seed():
