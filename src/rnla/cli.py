@@ -219,7 +219,8 @@ def build_parser() -> Parser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--r", type=int, default=None,
-                   help="sketch rows (default: theoretical size)")
+                   help="sketch rows (default: theoretical size, refused "
+                        "when at least n rounded up to a power of two)")
     _add_common(p)
     p.set_defaults(func=cmd_experiment, params=("eps", "r"))
 
@@ -234,7 +235,8 @@ def build_parser() -> Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--c", type=int, default=None,
-                   help="sketch columns (default: theoretical size)")
+                   help="sketch columns (default: theoretical size, refused "
+                        "when at least n rounded up to a power of two)")
     _add_common(p)
     p.set_defaults(func=cmd_experiment, params=("k", "eps", "c"))
 

@@ -2,8 +2,8 @@
 
 Every randomized routine in this package is judged against these deterministic
 kernels, so they carry the tightest tolerances in the library.  Matrices are
-plain 2-d float64 ndarrays in row-major (C) order; ``as_matrix`` is the single
-validation choke point that refuses NaN/Inf.
+plain 2-d float64 ndarrays in row-major (C) order.  Exported functions call
+``as_matrix`` once at entry; private kernels take validated arrays.
 """
 
 from __future__ import annotations
@@ -117,7 +117,11 @@ def thin_svd(M) -> ThinSVD:
         Factors (U, sigma, V) with rank = number of singular values above
         the relative cutoff.  A zero matrix yields rank 0 and empty factors.
     """
-    M = as_matrix(M)
+    return _thin_svd(as_matrix(M))
+
+
+def _thin_svd(M: np.ndarray) -> ThinSVD:
+    """thin_svd of an already validated matrix."""
     m, n = M.shape
     if m == 0 or n == 0:
         raise ValueError("thin_svd: empty matrix")
@@ -153,7 +157,7 @@ def best_rank_k(M, k: int) -> np.ndarray:
     M = as_matrix(M)
     if not 1 <= k <= min(M.shape):
         raise ValueError(f"best_rank_k: k={k} out of range for shape {M.shape}")
-    return thin_svd(M).truncate(k).reconstruct()
+    return _thin_svd(M).truncate(k).reconstruct()
 
 
 def orthonormal_basis(M) -> np.ndarray:

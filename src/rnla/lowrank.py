@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ThinSVD, as_matrix, frobenius_norm, orthonormal_basis,
+from .linalg import (ThinSVD, _thin_svd, as_matrix, orthonormal_basis,
                      pseudoinverse, thin_svd)
 from .sampling import SampleSize
-from .srht import OpCounter, SketchRankError, make_srht, srht_apply
+from .srht import (OpCounter, SketchRankError, _refuse_default_width,
+                   make_srht, srht_apply)
 
 __all__ = [
     "LowRankResult",
@@ -62,7 +63,8 @@ def lowrank_sample_size_explicit(n: int, k: int, eps: float) -> SampleSize:
     """Fully explicit sketch size (192 k ln(40nk)/eps^2) ln(192 sqrt(20) k ln(40nk)/eps^2).
 
     The only calculator with every constant spelled out; far exceeds n at
-    desk scale, which is why rand_low_rank accepts c_override.
+    desk scale, where rand_low_rank refuses it before allocating and
+    accepts c_override instead.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
@@ -91,6 +93,8 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
         Operator seed.
     c_override : int, optional
         Sketch width instead of lowrank_sample_size_explicit; must be >= k.
+        Without it, a theoretical width of at least next_pow2(n) raises
+        ValueError.
     svd_A : ThinSVD, optional
         The caller's exact thin SVD of A.  When given, also verify the
         extraction identity and error split for this run.
@@ -107,20 +111,26 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
         raise ValueError(f"k={k} out of range for shape {A.shape}")
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
-    c = int(c_override) if c_override is not None else lowrank_sample_size_explicit(n, k, eps).count
+    if c_override is None:
+        c = lowrank_sample_size_explicit(n, k, eps).count
+        _refuse_default_width("c", c, n, "c_override (--c)")
+    else:
+        c = int(c_override)
     if c < k:
         raise ValueError(f"sketch width c={c} is below the target rank k={k}")
     op = make_srht(n, c, seed, side="right")
     C = srht_apply(op, A, OpCounter())
     U_C = orthonormal_basis(C)
     fw, U_tilde, resid = _extract(A, U_C, k, f" at c = {c}")
-    err = frobenius_norm(resid)
+    err = float(np.linalg.norm(resid, "fro"))
     diag = None
     if svd_A is not None:
-        A_k = svd_A.truncate(k).reconstruct()
+        # Y = U_k Sigma_k: V_k has orthonormal columns, so no m x n A_k is needed.
+        top = svd_A.truncate(k)
+        Y = top.U * top.sigma
         diag = LowRankDiagnostics(
             identity_gap=_identity_gap(A, U_C, fw, resid, k),
-            projected_tail_sq=frobenius_norm(A_k - U_C @ (U_C.T @ A_k)) ** 2,
+            projected_tail_sq=float(np.linalg.norm(Y - U_C @ (U_C.T @ Y), "fro")) ** 2,
             tail_sq=float(np.sum(svd_A.sigma[k:] ** 2)),
             basis_cols=U_C.shape[1],
         )
@@ -142,7 +152,7 @@ def _extract(A: np.ndarray, U_C: np.ndarray, k: int, where: str = ""):
 
 
 def _identity_gap(A, U_C, fw: ThinSVD, resid, k: int) -> float:
-    return frobenius_norm(resid - (A - U_C @ fw.truncate(k).reconstruct()))
+    return float(np.linalg.norm(resid - (A - U_C @ fw.truncate(k).reconstruct()), "fro"))
 
 
 def rayleigh_ritz_identity_check(A, U_C, k: int) -> float:
@@ -169,7 +179,7 @@ def structural_inequality_check(A, Z, k: int) -> tuple[float, float]:
     A, Z = as_matrix(A), as_matrix(Z)
     if A.shape[1] != Z.shape[0]:
         raise ValueError(f"Z has {Z.shape[0]} rows, expected {A.shape[1]}")
-    fa = thin_svd(A)
+    fa = _thin_svd(A)
     if fa.rank < k:
         raise ValueError(f"A has rank {fa.rank} < k = {k}")
     V_k = fa.V[:, :k]
@@ -184,8 +194,8 @@ def structural_inequality_check(A, Z, k: int) -> tuple[float, float]:
                          "sketch misses top singular directions")
     A_k = fa.truncate(k).reconstruct()
     AZ = A @ Z
-    lhs = frobenius_norm(A_k - AZ @ (pseudoinverse(AZ) @ A_k)) ** 2
-    rhs = frobenius_norm((A - A_k) @ Z @ pseudoinverse(VZ)) ** 2
+    lhs = float(np.linalg.norm(A_k - AZ @ (pseudoinverse(AZ) @ A_k), "fro")) ** 2
+    rhs = float(np.linalg.norm((A - A_k) @ Z @ pseudoinverse(VZ), "fro")) ** 2
     return lhs, rhs
 
 

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ThinSVD, as_matrix, as_vector, pseudoinverse, thin_svd
+from .linalg import ThinSVD, _thin_svd, as_matrix, as_vector, thin_svd
 from .sampling import SampleSize
-from .srht import OpCounter, SketchRankError, make_srht, srht_apply
+from .srht import (OpCounter, SketchRankError, _refuse_default_width,
+                   make_srht, srht_apply)
 
 __all__ = [
     "LsqSolution",
@@ -73,7 +74,7 @@ def exact_least_squares(A, b) -> tuple[np.ndarray, float]:
     A, b = as_matrix(A), as_vector(b)
     if A.shape[0] != b.size:
         raise ValueError(f"A has {A.shape[0]} rows but b has length {b.size}")
-    x_opt = pseudoinverse(A) @ b
+    x_opt = _thin_svd(A).pinv() @ b
     Z = float(np.linalg.norm(A @ x_opt - b))
     return x_opt, Z
 
@@ -84,8 +85,8 @@ def ls_sample_size(n: int, d: int, eps: float) -> SampleSize:
     raw is the larger of the embedding branch
     48^2 d ln(40 n d) ln(100^2 d ln(40 n d)) and the accuracy branch
     40 d ln(40 n d) / eps.  The value routinely exceeds n at desk scale (the
-    constants are not optimized); rand_least_squares accepts r_override for
-    practical runs.
+    constants are not optimized); rand_least_squares refuses it then, before
+    allocating, and accepts r_override for practical runs.
     """
     if not 1 <= d <= n:
         raise ValueError("need n >= d >= 1")
@@ -142,20 +143,29 @@ def rand_least_squares(A, b, eps: float, seed: int,
     seed : int
         Operator seed; the solve is deterministic given it.
     r_override : int, optional
-        Sketch size to use instead of ls_sample_size (which usually exceeds
-        n at desk scale).  Must be at least d.
+        Sketch size to use instead of ls_sample_size, which usually exceeds
+        n at desk scale; without an override, a theoretical size of at least
+        next_pow2(n) raises ValueError.  Must be at least d.
     svd_A : ThinSVD, optional
         The caller's exact thin SVD of A.  When given, the ConditionReport is
         computed from its U_A (costs a second transform, of d + 1 columns);
         omit it for timing runs.
     """
-    A, b = as_matrix(A), as_vector(b)
+    return _sketch_and_solve(as_matrix(A), as_vector(b), eps, seed, r_override, svd_A)
+
+
+def _sketch_and_solve(A, b, eps, seed, r_override, svd_A) -> LsqSolution:
+    """rand_least_squares on an already validated A and b."""
     n, d = A.shape
     if A.shape[0] != b.size:
         raise ValueError(f"A has {n} rows but b has length {b.size}")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    r = int(r_override) if r_override is not None else ls_sample_size(n, d, eps).count
+    if r_override is None:
+        r = ls_sample_size(n, d, eps).count
+        _refuse_default_width("r", r, n, "r_override (--r)")
+    else:
+        r = int(r_override)
     if r < d:
         raise ValueError(f"sketch size r={r} cannot preserve rank d={d}")
     op = make_srht(n, r, seed, side="left")
@@ -194,10 +204,10 @@ def rand_least_squares_amplified(A, b, eps: float, delta: float, seed: int,
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     reps = max(1, math.ceil(math.log(1.0 / delta) / math.log(5.0)))
+    A, b = as_matrix(A), as_vector(b)
     best = None
     for t in range(reps):
-        sol = rand_least_squares(A, b, eps, seed + t,
-                                 r_override=r_override, svd_A=svd_A)
+        sol = _sketch_and_solve(A, b, eps, seed + t, r_override, svd_A)
         if best is None or sol.residual_norm < best.residual_norm:
             best = sol
     return best
@@ -212,7 +222,7 @@ def forward_error_bound(A, b, eps: float, gamma: float) -> float:
     A, b = as_matrix(A), as_vector(b)
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    f = thin_svd(A)
+    f = _thin_svd(A)
     if f.rank < A.shape[1]:
         raise ValueError("condition number undefined: A is rank deficient")
     kappa = float(f.sigma[0] / f.sigma[-1])

@@ -33,6 +33,8 @@ __all__ = [
     "enumerate_sketch_moments",
 ]
 
+MAX_TUPLES = 100_000  # cap on the plans enumerate_sketch_moments visits
+
 
 @dataclass(frozen=True)
 class MatMulSketch:
@@ -60,10 +62,6 @@ def rand_matrix_multiply(A, B, c: int, probs: ProbVector, seed: int) -> MatMulSk
     seed : int
         Plan seed; identical inputs give identical sketches.
     """
-    A, B = as_matrix(A), as_matrix(B)
-    if A.shape[1] != B.shape[0] or A.shape[1] != probs.n:
-        raise ValueError(
-            f"dimension mismatch: A {A.shape}, B {B.shape}, probs n={probs.n}")
     plan = draw_plan(probs, c, seed)
     return MatMulSketch(C=sampled_columns(A, plan), R=sampled_rows(B, plan), plan=plan)
 
@@ -160,20 +158,19 @@ class EnumeratedMoments:
     expected_fro_err_sq: float       # E ||A B - C R||_F^2
 
 
-def enumerate_sketch_moments(A, B, c: int, probs: ProbVector,
-                             max_tuples: int = 100_000) -> EnumeratedMoments:
+def enumerate_sketch_moments(A, B, c: int, probs: ProbVector) -> EnumeratedMoments:
     """Exact moments of the c-sample estimator by enumerating all index tuples.
 
     Every tuple (i_1, ..., i_c) in support^c is weighted by prod_t p_{i_t};
     tuples touching zero-probability indices have weight zero and are skipped.
-    Intended for desk-scale ground truth (n^c capped at ``max_tuples``).
+    Intended for desk-scale ground truth (n^c capped at MAX_TUPLES).
     """
     A, B = as_matrix(A), as_matrix(B)
     n = probs.n
     if A.shape[1] != B.shape[0] or A.shape[1] != n:
         raise ValueError("dimension mismatch")
     support = np.flatnonzero(probs.p > 0.0)
-    if len(support) ** c > max_tuples:
+    if len(support) ** c > MAX_TUPLES:
         raise ValueError(f"enumeration of {len(support)}^{c} tuples exceeds cap")
     exact = A @ B
     mean = np.zeros_like(exact)

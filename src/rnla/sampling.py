@@ -49,17 +49,10 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ProbVector:
-    """Sampling distribution over n indices labeled with its family.
-
-    beta records the constant for which this vector is known to be
-    beta-nearly-optimal against its own reference family (1 for the exact
-    families defined below); use ``beta_of`` to measure it against any other
-    reference.
-    """
+    """Sampling distribution over n indices labeled with its family."""
 
     p: np.ndarray
     kind: str
-    beta: float = 1.0
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.p, dtype=np.float64)
@@ -72,8 +65,6 @@ class ProbVector:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         if self.kind not in PROB_KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
 
     @property
     def n(self) -> int:

@@ -96,6 +96,14 @@ def next_pow2(n: int) -> int:
     return 1 << (n - 1).bit_length() if n > 1 else 1
 
 
+def _refuse_default_width(name: str, count: int, n: int, override: str) -> None:
+    """Raise, before anything is allocated, when a theoretical width reaches n_pad."""
+    n_pad = next_pow2(n)
+    if count >= n_pad:
+        raise ValueError(f"theoretical sketch width {name} = {count} is at least "
+                         f"n_pad = {n_pad}; pass {override} to choose one")
+
+
 def _hadamard_full(y: np.ndarray, counter: OpCounter) -> np.ndarray:
     """Unnormalized Hadamard transform down axis 0 of an (n, k) block."""
     n, k = y.shape
@@ -201,14 +209,17 @@ def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndar
 
     Zero-padding up to n_pad happens internally.  A 1-d input is treated as a
     single column (left) or single row (right) and returned 1-d with length r.
+    NaN/Inf in M raise ValueError, checked on the r-row output: H has no zero
+    entry, so one non-finite entry (or overflow) spoils its whole column (row).
     """
     if counter is None:
         counter = OpCounter()
-    arr = np.ascontiguousarray(M, dtype=np.float64)
-    vector_in = arr.ndim == 1
+    A = np.ascontiguousarray(M, dtype=np.float64)
+    vector_in = A.ndim == 1
     if vector_in:
-        arr = arr.reshape(-1, 1) if op.side == "left" else arr.reshape(1, -1)
-    A = as_matrix(arr)
+        A = A.reshape(-1, 1) if op.side == "left" else A.reshape(1, -1)
+    if A.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got ndim={A.ndim}")
     if op.side == "right":
         A = A.T
     if A.shape[0] > op.n_pad:
@@ -216,8 +227,7 @@ def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndar
             f"input dimension {A.shape[0]} exceeds operator n_pad={op.n_pad}")
     y = np.zeros((op.n_pad, A.shape[1]))
     y[: A.shape[0]] = op.signs[: A.shape[0], None] * A
-    y[A.shape[0]:] = 0.0  # padded rows carry sign * 0
-    out = _sampled_block(y, op.plan, counter)
+    out = as_matrix(_sampled_block(y, op.plan, counter))
     if op.side == "right":
         out = out.T.copy()
     return out[:, 0] if vector_in and op.side == "left" else (

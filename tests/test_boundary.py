@@ -1,0 +1,113 @@
+"""Validation happens once, at the public boundary.
+
+Each exported function scans each array its caller passes for NaN/Inf once,
+at entry; nothing of A's size is scanned again inside the call, and a
+non-finite caller array is still refused with ValueError.
+"""
+
+import numpy as np
+import pytest
+
+from rnla import (best_rank_k, draw_plan, exact_least_squares,
+                  forward_error_bound, gen_lsq_instance, gen_matrix, make_srht,
+                  rand_least_squares, rand_least_squares_amplified,
+                  rand_low_rank, rand_matrix_multiply,
+                  sampled_columns, sampled_rows, srht_apply,
+                  structural_inequality_check, thin_svd, uniform_probs)
+
+A_LSQ, B_LSQ, _ = gen_lsq_instance(256, 4, 1)
+A_LR = gen_matrix("lowrank_plus_noise", 64, 48, 2, sigma=(8.0, 6.0, 4.0), eta=0.01)
+B_MM = gen_matrix("gaussian", 64, 16, 3)
+Z_LR = gen_matrix("gaussian", 48, 12, 4)
+PROBS = uniform_probs(64)
+SVD_LSQ, SVD_LR = thin_svd(A_LSQ), thin_svd(A_LR)  # factored outside the count
+
+# name -> (call, A, scans of arrays with at least A.size entries)
+SCANS = {
+    "rand_least_squares": (lambda: rand_least_squares(
+        A_LSQ, B_LSQ, 0.5, seed=0, r_override=32, svd_A=SVD_LSQ), A_LSQ, 1),
+    "rand_least_squares_amplified": (lambda: rand_least_squares_amplified(
+        A_LSQ, B_LSQ, 0.5, 0.01, seed=0, r_override=32, svd_A=SVD_LSQ), A_LSQ, 1),
+    "rand_low_rank": (lambda: rand_low_rank(
+        A_LR, 3, 0.25, seed=0, c_override=12, svd_A=SVD_LR), A_LR, 1),
+    "rand_low_rank-no-svd": (lambda: rand_low_rank(
+        A_LR, 3, 0.25, seed=0, c_override=12), A_LR, 1),
+    "rand_matrix_multiply": (lambda: rand_matrix_multiply(
+        B_MM.T, B_MM, 8, PROBS, seed=0), B_MM, 2),
+    "exact_least_squares": (lambda: exact_least_squares(A_LSQ, B_LSQ), A_LSQ, 1),
+    "forward_error_bound": (lambda: forward_error_bound(
+        A_LSQ, B_LSQ, 0.5, 0.9), A_LSQ, 1),
+    "best_rank_k": (lambda: best_rank_k(A_LR, 3), A_LR, 1),
+    "structural_inequality_check": (lambda: structural_inequality_check(
+        A_LR, Z_LR, 3), A_LR, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(SCANS))
+def test_one_finiteness_scan_per_caller_array(monkeypatch, name):
+    """Counts np.isfinite calls on arrays at least as large as A."""
+    call, A, expected = SCANS[name]
+    sizes = []
+    isfinite = np.isfinite
+
+    def counting_isfinite(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counting_isfinite)
+    call()
+    assert sum(1 for s in sizes if s >= A.size) == expected, sizes
+
+
+def _poison(M, value):
+    M = np.array(M, dtype=float)
+    M.flat[M.size // 2] = value
+    return M
+
+
+def _left(M):
+    return make_srht(M.shape[0], 8, 0, side="left")
+
+
+def _right(M):
+    return make_srht(M.shape[1], 8, 0, side="right")
+
+
+def _plan():
+    return draw_plan(PROBS, 8, 0)
+
+
+# Each entry poisons one caller array and calls the entry point with it.
+REJECTS = {
+    "rand_least_squares-A": lambda v: rand_least_squares(
+        _poison(A_LSQ, v), B_LSQ, 0.5, seed=0, r_override=32),
+    "rand_least_squares-b": lambda v: rand_least_squares(
+        A_LSQ, _poison(B_LSQ, v), 0.5, seed=0, r_override=32),
+    "rand_least_squares_amplified": lambda v: rand_least_squares_amplified(
+        _poison(A_LSQ, v), B_LSQ, 0.5, 0.01, seed=0, r_override=32),
+    "rand_low_rank": lambda v: rand_low_rank(
+        _poison(A_LR, v), 3, 0.25, seed=0, c_override=12),
+    "rand_matrix_multiply-A": lambda v: rand_matrix_multiply(
+        _poison(B_MM.T, v), B_MM, 8, PROBS, seed=0),
+    "rand_matrix_multiply-B": lambda v: rand_matrix_multiply(
+        B_MM.T, _poison(B_MM, v), 8, PROBS, seed=0),
+    "srht_apply-left": lambda v: srht_apply(_left(A_LSQ), _poison(A_LSQ, v)),
+    "srht_apply-right": lambda v: srht_apply(_right(A_LR), _poison(A_LR, v)),
+    "srht_apply-vector": lambda v: srht_apply(_left(A_LSQ), _poison(B_LSQ, v)),
+    "sampled_columns": lambda v: sampled_columns(_poison(B_MM.T, v), _plan()),
+    "sampled_rows": lambda v: sampled_rows(_poison(B_MM, v), _plan()),
+    "exact_least_squares-A": lambda v: exact_least_squares(_poison(A_LSQ, v), B_LSQ),
+    "exact_least_squares-b": lambda v: exact_least_squares(A_LSQ, _poison(B_LSQ, v)),
+    "structural_inequality_check-A": lambda v: structural_inequality_check(
+        _poison(A_LR, v), Z_LR, 3),
+    "structural_inequality_check-Z": lambda v: structural_inequality_check(
+        A_LR, _poison(Z_LR, v), 3),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(REJECTS))
+def test_entry_points_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match="finite"):
+        REJECTS[name](value)

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import rnla.harness
+import rnla.lowrank
 from rnla import (ExperimentConfig, TrialReport, expected_frobenius_error,
                   gen_lsq_instance, load_report, lowrank_sample_size_explicit,
                   optimal_probs, rand_matrix_multiply, run_check_suite,
                   run_experiment, write_matrix, write_vector)
 from rnla.harness import (VERSION, aggregate, build_report, dumps_report,
                           report_to_csv, run_trials, write_report)
-from rnla.sampling import RNG_NAME
+from rnla.sampling import RNG_NAME, SampleSize
 
 
 def _matmul_config(trials=5, base_seed=3, probs="optimal"):
@@ -133,8 +135,13 @@ def test_lowrank_unrecoverable_trial_becomes_data():
     assert agg.metrics == {}
 
 
-def test_lowrank_retry_doubles_the_default_width():
-    """With no c, the one retry runs at twice the theoretical width, not 2k."""
+def test_lowrank_retry_doubles_the_default_width(monkeypatch):
+    """With no c, the one retry runs at twice the theoretical width, not 2k.
+
+    The real theoretical width of a 3 x 3 instance is far above n_pad = 4, so
+    the trial fails fast without a retry; a width of 3 (below n_pad, and
+    2 * 3 differs from 2k = 4) shows the doubling.
+    """
     cfg = ExperimentConfig(
         "lowrank",
         {"family": "lowrank_plus_noise", "m": 3, "n": 3, "seed": 3,
@@ -143,8 +150,18 @@ def test_lowrank_retry_doubles_the_default_width():
     (t,) = run_trials(cfg)
     first = lowrank_sample_size_explicit(3, 2, 0.49).count
     assert not t.ok
+    assert t.error.startswith("ValueError")
+    assert f"c = {first} is at least n_pad = 4" in t.error
+
+    def width_three(n, k, eps):
+        return SampleSize(3, 3.0)
+
+    monkeypatch.setattr(rnla.lowrank, "lowrank_sample_size_explicit", width_three)
+    monkeypatch.setattr(rnla.harness, "lowrank_sample_size_explicit", width_three)
+    (t,) = run_trials(cfg)
+    assert not t.ok
     assert t.error.startswith("SketchRankError")
-    assert t.error.endswith(f"at c = {2 * first}")
+    assert t.error.endswith("at c = 6")
 
 
 @pytest.mark.parametrize("diagnostics", [True, False])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import rnla.lowrank
 from rnla import (SketchRankError, column_sample_fro_check, frobenius_norm,
-                  gen_matrix, lowrank_sample_size_explicit, make_rng,
+                  gen_matrix, lowrank_sample_size_explicit, make_rng, make_srht,
                   orthonormal_basis, rand_low_rank,
-                  rayleigh_ritz_identity_check, structural_inequality_check,
-                  thin_svd)
+                  rayleigh_ritz_identity_check, srht_apply,
+                  structural_inequality_check, thin_svd)
 
 
 def test_sample_size_explicit_frozen():
@@ -65,6 +66,11 @@ def test_identity_and_split_on_random_runs():
             res = rand_low_rank(A, 4, 0.25, seed=seed, c_override=12, svd_A=f)
             d = res.diagnostics
             assert d.identity_gap <= 1e-9 * scale
+            op = make_srht(A.shape[1], 12, seed, side="right")
+            U_C = orthonormal_basis(srht_apply(op, A))
+            A_k = f.truncate(4).reconstruct()
+            dense = np.linalg.norm(A_k - U_C @ (U_C.T @ A_k), "fro") ** 2
+            assert d.projected_tail_sq == pytest.approx(dense, rel=1e-12)
             assert res.error_fro ** 2 <= d.projected_tail_sq + d.tail_sq + 1e-8
             assert res.error_fro >= _baseline(f, 4) - 1e-10
             assert 4 <= d.basis_cols <= 12
@@ -117,6 +123,18 @@ def test_parameter_validation():
         rand_low_rank(A, 2, 0.5, seed=0, c_override=4)
     with pytest.raises(ValueError):
         rand_low_rank(A, 2, 0.25, seed=0, c_override=1)
+
+
+def test_default_width_at_least_n_pad_is_refused(monkeypatch):
+    """No c_override and a theoretical width >= n_pad: refused before make_srht."""
+    def no_operator(*args, **kwargs):
+        raise AssertionError("make_srht ran")
+
+    monkeypatch.setattr(rnla.lowrank, "make_srht", no_operator)
+    count = lowrank_sample_size_explicit(3, 1, 0.25).count
+    with pytest.raises(ValueError, match=rf"c = {count} is at least n_pad = 4; "
+                                         r"pass c_override \(--c\)"):
+        rand_low_rank(np.eye(3), 1, 0.25, seed=0)
 
 
 def test_identity_check_direct():

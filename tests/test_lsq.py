@@ -126,8 +126,10 @@ def test_randomized_recovers_consistent_solution():
 
 
 def test_randomized_default_size_is_theoretical():
-    sol = rand_least_squares(*gen_lsq_instance(2, 1, 3)[:2], 0.9, seed=0)
-    assert sol.r_used == ls_sample_size(2, 1, 0.9).count
+    """The theoretical size is at least n_pad = 2 here, so it is refused."""
+    count = ls_sample_size(2, 1, 0.9).count
+    with pytest.raises(ValueError, match=rf"r = {count} is at least n_pad = 2"):
+        rand_least_squares(*gen_lsq_instance(2, 1, 3)[:2], 0.9, seed=0)
 
 
 def test_ops_accounting():

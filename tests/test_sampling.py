@@ -14,7 +14,6 @@ def test_optimal_probs_hand_case():
     p = optimal_probs(A, B)
     np.testing.assert_allclose(p.p, [0.2, 0.8], atol=1e-15)
     assert p.kind == "optimal"
-    assert p.beta == 1.0
 
 
 def test_optimal_probs_symmetry_and_point_mass():
@@ -87,8 +86,6 @@ def test_prob_vector_validation():
         ProbVector(p=np.array([-0.5, 1.5]), kind="uniform")
     with pytest.raises(ValueError):
         ProbVector(p=np.array([1.0]), kind="nonsense")
-    with pytest.raises(ValueError):
-        ProbVector(p=np.array([1.0]), kind="uniform", beta=0.0)
 
 
 def test_beta_of():
