@@ -10,11 +10,23 @@ Two formats, chosen by content on read and by extension on write:
 
 Readers reject NaN/Inf with the offending line (text) or flat index (binary)
 and report parse errors with line numbers.
+
+Both text paths work in bulk.  The writer formats one block of about 64K
+entries per write.  The reader parses the header line by line and hands the rest of the file to one ``np.loadtxt`` call, whose float
+parser accepts a subset of what ``float()`` accepts and gives the same bits.
+The bulk result is kept only when it holds exactly rows x cols finite
+entries, one per line.  Anything else -- a comment line or an inline comment
+in the body, ``1_0``, a NaN or an Inf, two numbers on one line, too few or
+too many entries, a header that is not plain -- sends the whole file to the
+line scanner, which decides what the file holds or which error to raise.
+The binary reader reads the payload straight into the returned array.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +45,10 @@ __all__ = [
 BINARY_MAGIC = b"RNLADNS1"
 
 _BANNER = "%%MatrixMarket matrix array real general"
+
+# Entries formatted per write by the text writer; memory is bounded by one
+# block of Python floats and their text.
+_WRITE_BLOCK = 65536
 
 
 class MatrixFileError(ValueError):
@@ -77,65 +93,112 @@ def read_vector(path) -> np.ndarray:
 
 def _write_text(path, M: np.ndarray) -> None:
     m, n = M.shape
+    cols = max(1, _WRITE_BLOCK // m)
     with open(path, "w") as fh:
         fh.write(_BANNER + "\n")
         fh.write(f"{m} {n}\n")
-        # MatrixMarket array entries run down columns.
-        for j in range(n):
-            for i in range(m):
-                fh.write(format(M[i, j], ".17g") + "\n")
+        # MatrixMarket array entries run down columns.  "%.17g" prints the
+        # same digits as format(x, ".17g").
+        for j in range(0, n, cols):
+            block = M[:, j:j + cols].T.ravel().tolist()
+            fh.write(("%.17g\n" * len(block)) % tuple(block))
 
 
 def _read_text(path) -> np.ndarray:
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    try:
+        with open(path, "r") as fh:
+            m, n, _ = _read_size(path, _plain_lines(fh))
+            values = _bulk_values(fh, m * n)
+    except ValueError:
+        # A header error, an undecodable byte or a body loadtxt refuses:
+        # the scanner raises exactly what a full read reports.
+        values = None
+    if values is None:
+        m, n, values = _scan_text(path)
+    return values.reshape((n, m)).T.copy()  # stored column-major
+
+
+def _plain_lines(fh):
+    """Lines of fh up to the first one that holds a line break other than
+    "\n" (form feed, "\x1c", U+2028, ...): there readline and splitlines()
+    disagree on line numbers, so the header is left to the scanner."""
+    for raw in fh:
+        lines = raw.splitlines()
+        if len(lines) != 1:
+            return
+        yield lines[0]
+
+
+def _read_size(path, lines) -> tuple[int, int, int]:
+    """Check the banner, skip comment lines and parse the size line.
+
+    Returns rows, cols and the 1-based number of the size line.
+    """
+    banner = next(lines, None)
+    if banner is None:
         raise MatrixFileError(f"{path}: empty file")
-    banner = lines[0].split()
-    want = _BANNER.split()
-    if [w.lower() for w in banner] != [w.lower() for w in want]:
+    if [w.lower() for w in banner.split()] != [w.lower() for w in _BANNER.split()]:
         raise MatrixFileError(
-            f"{path}: line 1: expected banner {_BANNER!r}, got {lines[0]!r}")
-    # Skip comment lines between banner and the size line.
-    pos = 1
-    while pos < len(lines) and lines[pos].lstrip().startswith("%"):
-        pos += 1
-    if pos >= len(lines):
+            f"{path}: line 1: expected banner {_BANNER!r}, got {banner!r}")
+    for ln, line in enumerate(lines, start=2):
+        if not line.lstrip().startswith("%"):
+            break
+    else:
         raise MatrixFileError(f"{path}: missing size line")
-    parts = lines[pos].split()
+    parts = line.split()
     if len(parts) != 2:
         raise MatrixFileError(
-            f"{path}: line {pos + 1}: size line must be 'rows cols', got {lines[pos]!r}")
+            f"{path}: line {ln}: size line must be 'rows cols', got {line!r}")
     try:
         m, n = int(parts[0]), int(parts[1])
     except ValueError:
         raise MatrixFileError(
-            f"{path}: line {pos + 1}: non-integer dimensions {lines[pos]!r}") from None
+            f"{path}: line {ln}: non-integer dimensions {line!r}") from None
     if m < 1 or n < 1:
-        raise MatrixFileError(f"{path}: line {pos + 1}: dimensions must be positive")
+        raise MatrixFileError(f"{path}: line {ln}: dimensions must be positive")
+    return m, n, ln
+
+
+def _bulk_values(fh, count: int) -> np.ndarray | None:
+    """The rest of fh as `count` finite floats, one per line, or None."""
+    with warnings.catch_warnings():
+        # An empty body is the scanner's to report, not a warning.
+        warnings.simplefilter("ignore", UserWarning)
+        # ndmin=2 keeps a lone line "1 2" as one row of two, not two entries.
+        values = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
+    if values.shape != (count, 1) or not np.isfinite(values).all():
+        return None
+    return values.reshape(count)
+
+
+def _scan_text(path) -> tuple[int, int, np.ndarray]:
+    """Read the file line by line; report the first bad line by number."""
+    with open(path, "r") as fh:
+        lines = fh.read().splitlines()
+    m, n, size_ln = _read_size(path, iter(lines))
     values = np.empty(m * n)
     count = 0
-    for ln in range(pos + 1, len(lines)):
-        text = lines[ln].strip()
+    for ln in range(size_ln + 1, len(lines) + 1):
+        text = lines[ln - 1].strip()
         if not text or text.startswith("%"):
             continue
         if count >= m * n:
             raise MatrixFileError(
-                f"{path}: line {ln + 1}: more than {m * n} entries")
+                f"{path}: line {ln}: more than {m * n} entries")
         try:
             x = float(text)
         except ValueError:
             raise MatrixFileError(
-                f"{path}: line {ln + 1}: not a number: {text!r}") from None
+                f"{path}: line {ln}: not a number: {text!r}") from None
         if not np.isfinite(x):
             raise MatrixFileError(
-                f"{path}: line {ln + 1}: non-finite entry {text!r}")
+                f"{path}: line {ln}: non-finite entry {text!r}")
         values[count] = x
         count += 1
     if count != m * n:
         raise MatrixFileError(
             f"{path}: expected {m * n} entries for a {m} x {n} matrix, found {count}")
-    return values.reshape((n, m)).T.copy()  # stored column-major
+    return m, n, values
 
 
 def _write_binary(path, M: np.ndarray) -> None:
@@ -147,20 +210,23 @@ def _write_binary(path, M: np.ndarray) -> None:
 
 
 def _read_binary(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
     header = len(BINARY_MAGIC) + 16
-    if len(raw) < header:
-        raise MatrixFileError(f"{path}: truncated header")
-    m, n = struct.unpack("<QQ", raw[len(BINARY_MAGIC):header])
-    if m < 1 or n < 1:
-        raise MatrixFileError(f"{path}: dimensions must be positive, got {m} x {n}")
-    expect = header + 8 * m * n
-    if len(raw) != expect:
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+        if len(head) < header:
+            raise MatrixFileError(f"{path}: truncated header")
+        m, n = struct.unpack("<QQ", head[len(BINARY_MAGIC):])
+        if m < 1 or n < 1:
+            raise MatrixFileError(f"{path}: dimensions must be positive, got {m} x {n}")
+        payload = os.fstat(fh.fileno()).st_size - header
+        if payload != 8 * m * n:
+            raise MatrixFileError(
+                f"{path}: payload is {payload} bytes, expected {8 * m * n}")
+        # One read into the returned array; astype copies only on a
+        # big-endian host.
+        data = np.fromfile(fh, dtype="<f8", count=m * n).astype(np.float64, copy=False)
+    finite = np.isfinite(data)
+    if not finite.all():
         raise MatrixFileError(
-            f"{path}: payload is {len(raw) - header} bytes, expected {8 * m * n}")
-    data = np.frombuffer(raw[header:], dtype="<f8").astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(data))
-    if bad.size:
-        raise MatrixFileError(
-            f"{path}: non-finite value at flat index {int(bad[0])}")
+            f"{path}: non-finite value at flat index {int(finite.argmin())}")
     return data.reshape((int(m), int(n)))

@@ -1,12 +1,16 @@
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rnla import (MatrixFileError, make_rng, read_matrix, read_vector,
                   write_matrix, write_vector)
+from rnla import matio
 from rnla.matio import BINARY_MAGIC
+
+HEAD = "%%MatrixMarket matrix array real general\n"
 
 
 def test_text_round_trip_exact(tmp_path):
@@ -25,7 +29,9 @@ def test_binary_round_trip_exact(tmp_path):
         p = tmp_path / name
         write_matrix(p, M)
         assert p.read_bytes()[:8] == BINARY_MAGIC
-        np.testing.assert_array_equal(read_matrix(p), M)
+        A = read_matrix(p)
+        np.testing.assert_array_equal(A, M)
+        assert A.dtype == np.float64 and A.flags.writeable
 
 
 def test_read_sniffs_content_not_extension(tmp_path):
@@ -136,3 +142,122 @@ def test_error_messages_carry_path(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_matrix(tmp_path / "absent.mtx")
+
+
+# Odd but legal files, and whether the bulk parse keeps its result (True) or
+# hands the file to the line scanner.  Either way the scanner's bits come back.
+LEGAL = {
+    "comment_mid_body": ("2 2\n1\n% note\n2\n  % indented\n3\n4\n", False),
+    "crlf": ("2 2\r\n1\r\n2\r\n3\r\n4\r\n", True),
+    "blank_and_space_lines": ("2 2\n\n1\n   \n2\n\t\n3\n4\n\n", True),
+    "signs_and_underflow": ("2 2\n+1.5\n-0\n1e-400\n-2.5e-3\n", True),
+    "underscore": ("2 2\n1_0\n2\n3\n4\n", False),
+    "padded_entries": ("2 1\n  0.1  \n\t-7\t\n", True),
+    "no_final_newline": ("1 2\n5\n6", True),
+    "form_feed_in_size_line": ("2 1\x0c\n1\n2\n", False),
+}
+
+# Malformed files and the scanner's error text, which read_matrix must raise.
+MALFORMED = {
+    "overflow": ("2 2\n1\n1e500\n3\n4\n", "line 4: non-finite entry '1e500'"),
+    "nan_line_7": ("2 2\n1\n2\n\n3\nnan\n",
+                   "line 7: non-finite entry 'nan'"),
+    "two_tokens": ("2 2\n1\n2 3\n4\n", "line 4: not a number: '2 3'"),
+    "two_tokens_only_line": ("2 1\n1 2\n", "line 3: not a number: '1 2'"),
+    "inline_comment": ("2 1\n1.5 % x\n2\n", "line 3: not a number: '1.5 % x'"),
+    "empty_body": ("2 2\n", "expected 4 entries for a 2 x 2 matrix, found 0"),
+    "too_few": ("2 2\n1\n2\n3\n", "expected 4 entries for a 2 x 2 matrix, found 3"),
+    "too_many": ("2 2\n1\n2\n3\n4\n5\n", "line 7: more than 4 entries"),
+}
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Count the reads that fell back to the line scanner."""
+    calls = []
+    scan = matio._scan_text
+
+    def counted(path):
+        calls.append(path)
+        return scan(path)
+
+    monkeypatch.setattr(matio, "_scan_text", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(LEGAL))
+def test_bulk_read_agrees_with_scanner_on_legal_files(tmp_path, scans, name):
+    body, bulk = LEGAL[name]
+    p = tmp_path / f"{name}.mtx"
+    p.write_bytes((HEAD + body).encode())
+    A = read_matrix(p)
+    assert (len(scans) == 0) == bulk
+    m, n, values = matio._scan_text(p)
+    assert A.shape == (m, n)
+    assert A.tobytes() == values.reshape((n, m)).T.tobytes()
+    assert A.flags.c_contiguous
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_bulk_read_raises_scanner_errors_on_malformed_files(tmp_path, name):
+    body, message = MALFORMED[name]
+    p = tmp_path / f"{name}.mtx"
+    p.write_bytes((HEAD + body).encode())
+    with pytest.raises(MatrixFileError) as bulk:
+        read_matrix(p)
+    with pytest.raises(MatrixFileError) as scan:
+        matio._scan_text(p)
+    assert str(bulk.value) == str(scan.value) == f"{p}: {message}"
+
+
+def test_undecodable_body_raises_as_a_full_read_does(tmp_path):
+    p = tmp_path / "bytes.mtx"
+    p.write_bytes(HEAD.encode() + b"1 2\n1\n\xff\n")
+    with pytest.raises(UnicodeDecodeError) as bulk:
+        read_matrix(p)
+    with pytest.raises(UnicodeDecodeError) as scan:
+        matio._scan_text(p)
+    assert str(bulk.value) == str(scan.value)
+
+
+AWKWARD = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e16, float(2**53 + 1),
+           1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _golden(M):
+    m, n = M.shape
+    return (HEAD + f"{m} {n}\n"
+            + "".join(format(x, ".17g") + "\n" for x in M.T.ravel())).encode()
+
+
+@pytest.mark.parametrize("block", [1, 3, 5, 65536])
+def test_text_writer_golden_bytes(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(matio, "_WRITE_BLOCK", block)
+    M = np.array(AWKWARD).reshape(2, 4)
+    v = np.array(AWKWARD[::-1])
+    pm, pv = tmp_path / "m.mtx", tmp_path / "v.mtx"
+    write_matrix(pm, M)
+    write_vector(pv, v)
+    assert pm.read_bytes() == _golden(M)
+    assert pv.read_bytes() == _golden(v.reshape(-1, 1))
+    assert read_matrix(pm).tobytes() == M.tobytes()
+    assert read_vector(pv).tobytes() == v.tobytes()
+
+
+def _read_peak(path) -> int:
+    tracemalloc.start()
+    try:
+        read_matrix(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name,bound", [("m.mtx", 4.0), ("m.bin", 1.5)])
+def test_read_peak_memory_is_bounded(tmp_path, name, bound):
+    M = make_rng(2).standard_normal((256, 1024))
+    p = tmp_path / name
+    write_matrix(p, M)
+    assert _read_peak(p) <= bound * M.nbytes
