@@ -241,12 +241,16 @@ def _trial_lowrank(ctx: dict, params: dict, seed: int, diagnostics: bool) -> Tri
     t.bounds = {"error_bound": bound}
     t.flags = {"success": res.error_fro <= bound, "retried": retried}
     if res.diagnostics is not None:
-        d = res.diagnostics
-        t.flags["identity_ok"] = d.identity_gap <= 1e-9 * max(1.0, norm_A)
-        t.flags["split_ok"] = (res.error_fro ** 2
-                               <= d.projected_tail_sq + d.tail_sq + 1e-8)
-        t.metrics["identity_gap"] = d.identity_gap
+        t.flags["identity_ok"], t.flags["split_ok"] = _lowrank_flags(res, norm_A)
+        t.metrics["identity_gap"] = res.diagnostics.identity_gap
     return t
+
+
+def _lowrank_flags(res, norm_A: float) -> tuple[bool, bool]:
+    """(identity_ok, split_ok) of a low-rank result that carries diagnostics."""
+    d = res.diagnostics
+    return (d.identity_gap <= 1e-9 * max(1.0, norm_A),
+            res.error_fro ** 2 <= d.projected_tail_sq + d.tail_sq + 1e-8)
 
 
 _TRIAL_RUNNERS = {
@@ -378,8 +382,7 @@ def _check_lowrank(params: dict, seed: int) -> TrialReport:
     A = gen_matrix("lowrank_plus_noise", m, n, seed, sigma=sigma)
     res, _ = _low_rank_with_retry(A, k, 0.4, seed, c, thin_svd(A))
     d = res.diagnostics
-    identity_ok = d.identity_gap <= 1e-9 * max(1.0, frobenius_norm(A))
-    split_ok = res.error_fro ** 2 <= d.projected_tail_sq + d.tail_sq + 1e-8
+    identity_ok, split_ok = _lowrank_flags(res, frobenius_norm(A))
     Zmat = make_rng(seed + 1).standard_normal((n, c))
     lhs, rhs = structural_inequality_check(A, Zmat, k)
     t = TrialReport(seed=seed)

@@ -39,7 +39,7 @@ RNG_NAME = "philox4x32-10"
 
 PROB_KINDS = ("optimal", "colnorm-A", "rownorm-B", "leverage", "uniform")
 
-ORTHO_TOL = 1e-8  # max |U^T U - I| accepted by leverage_probs
+ORTHO_TOL = 1e-8  # max |U^T U - I| accepted by leverage_probs and coherence_check
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -143,11 +143,15 @@ def leverage_probs(U) -> ProbVector:
     of such a U sum to d exactly, so no renormalization is hidden here.
     """
     U = as_matrix(U)
-    d = U.shape[1]
-    gram_err = np.max(np.abs(U.T @ U - np.eye(d)))
+    _require_orthonormal(U, "leverage_probs")
+    return ProbVector(p=np.sum(U * U, axis=1) / U.shape[1], kind="leverage")
+
+
+def _require_orthonormal(U: np.ndarray, caller: str) -> None:
+    """Raise ValueError naming caller unless max |U^T U - I| <= ORTHO_TOL."""
+    gram_err = np.max(np.abs(U.T @ U - np.eye(U.shape[1])))
     if gram_err > ORTHO_TOL:
-        raise ValueError(f"leverage_probs: columns not orthonormal (|U^T U - I| = {gram_err:.3e})")
-    return ProbVector(p=np.sum(U * U, axis=1) / d, kind="leverage")
+        raise ValueError(f"{caller}: columns not orthonormal (|U^T U - I| = {gram_err:.3e})")
 
 
 def uniform_probs(n: int) -> ProbVector:

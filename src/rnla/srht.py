@@ -6,11 +6,15 @@ H = (1/sqrt(n)) Htilde, and uniform row sampling S with rescale sqrt(n/r).
 Non-power-of-two inputs are zero-padded up to n_pad internally; callers never
 see the padded dimension except through the operator itself.
 
-Only r of the n transformed entries are ever needed, so the subsampled
-transform recurses on the sampled index set: Htilde_n x = [Htilde_{n/2}(x1+x2);
-Htilde_{n/2}(x1-x2)], and each half is entered only if it contains requested
-indices.  Each computed half-combination charges n/2 adds to the counter,
-which keeps the total at or below 2 n log2(r+1) for r draws.
+Only r of the n transformed entries are ever needed, so one kernel,
+_hadamard_rows, works top down on the sampled index set, in place inside the
+caller's zero-padded buffer: Htilde_n x = [Htilde_{n/2}(x1+x2);
+Htilde_{n/2}(x1-x2)], and each half is combined and entered only if it
+contains requested indices.  Each computed half-combination charges n/2 adds
+to the counter, which keeps the total at or below 2 n log2(r+1) for r draws.
+The full transform (fwht, coherence_check) is the case where every index is
+requested.  The kernel reshapes row slices of its buffer, so the buffer must
+be C-contiguous for those reshapes to stay views.
 
 Reproducibility contract: one Philox stream per operator seed, sign draws
 consumed first, index draws second.
@@ -24,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-from .sampling import SamplingPlan, _draw_indices, make_rng, uniform_probs
+from .sampling import (SamplingPlan, _draw_indices, _require_orthonormal, make_rng,
+                       uniform_probs)
 
 __all__ = [
     "SketchRankError",
@@ -104,18 +109,44 @@ def _refuse_default_width(name: str, count: int, n: int, override: str) -> None:
                          f"n_pad = {n_pad}; pass {override} to choose one")
 
 
-def _hadamard_full(y: np.ndarray, counter: OpCounter) -> np.ndarray:
-    """Unnormalized Hadamard transform down axis 0 of an (n, k) block."""
+def _butterfly(top: np.ndarray, bot: np.ndarray, want_top: bool, want_bot: bool) -> None:
+    """In place: top <- top + bot if want_top, bot <- top - bot if want_bot."""
+    if want_top and want_bot:
+        diff = top - bot
+        top += bot
+        bot[...] = diff
+    elif want_top:
+        top += bot
+    else:
+        np.subtract(top, bot, out=bot)
+
+
+def _hadamard_rows(y: np.ndarray, idx: np.ndarray, counter: OpCounter) -> None:
+    """Leave rows idx (sorted, distinct, 0-based) of Htilde_n @ y in y, in place.
+
+    y is an (n, k) block of row slices of a C-contiguous buffer, so every
+    reshape below is a view.  Top down: the halves are combined and a half is
+    entered only when it holds requested rows, at n/2 adds per combined half.
+    A block whose rows are all requested is finished level by level, largest
+    stride first, which is the same order of stages.  Rows not in idx are left
+    holding partial sums.
+    """
     n, k = y.shape
-    out = y.copy()
-    h = 1
-    while h < n:
-        blk = out.reshape(n // (2 * h), 2, h, k)
-        top, bot = blk[:, 0], blk[:, 1]
-        out = np.stack((top + bot, top - bot), axis=1).reshape(n, k)
-        counter.add(n * k)
-        h *= 2
-    return out
+    if idx.size == n:
+        for s in range(1, n.bit_length()):  # strides n/2, n/4, ..., 1
+            blk = y.reshape(1 << (s - 1), 2, n >> s, k)
+            _butterfly(blk[:, 0], blk[:, 1], True, True)
+            counter.add(n * k)
+        return
+    half = n // 2
+    split = int(np.searchsorted(idx, half))
+    want_top, want_bot = split > 0, split < idx.size
+    _butterfly(y[:half], y[half:], want_top, want_bot)
+    counter.add(half * k * (want_top + want_bot))
+    if want_top:
+        _hadamard_rows(y[:half], idx[:split], counter)
+    if want_bot:
+        _hadamard_rows(y[half:], idx[split:] - half, counter)
 
 
 def fwht(x, counter: OpCounter | None = None) -> np.ndarray:
@@ -123,47 +154,28 @@ def fwht(x, counter: OpCounter | None = None) -> np.ndarray:
 
     x must have power-of-two length.  The counter gains exactly n log2(n)
     additions/subtractions; the final 1/sqrt(n) normalization multiplies are
-    not counted.
+    not counted.  The stages run in place on a copy of x, top down (largest
+    stride first); earlier versions ran them bottom up, so values may differ
+    from theirs in the last bits.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64, ndmin=1)
     if x.ndim != 1 or not _is_pow2(x.size):
         raise ValueError("fwht requires a 1-d vector of power-of-two length")
     if counter is None:
         counter = OpCounter()
     n = x.size
-    return _hadamard_full(x.reshape(n, 1), counter)[:, 0] / math.sqrt(n)
-
-
-def _hadamard_sampled(y: np.ndarray, idx: np.ndarray, counter: OpCounter) -> np.ndarray:
-    """Rows idx (sorted, distinct, 0-based) of Htilde_n @ y, y an (n, k) block.
-
-    Split recursion on the sampled index set: a half is combined and entered
-    only when it holds requested indices, at n/2 adds per computed half.
-    """
-    n = y.shape[0]
-    if n == 1:
-        return y[0:1].copy()
-    half = n // 2
-    split = int(np.searchsorted(idx, half))
-    parts = []
-    if split > 0:
-        u = y[:half] + y[half:]
-        counter.add(half * y.shape[1])
-        parts.append(_hadamard_sampled(u, idx[:split], counter))
-    if split < idx.size:
-        v = y[:half] - y[half:]
-        counter.add(half * y.shape[1])
-        parts.append(_hadamard_sampled(v, idx[split:] - half, counter))
-    return np.concatenate(parts, axis=0)
+    _hadamard_rows(x.reshape(n, 1), np.arange(n), counter)
+    return x / math.sqrt(n)
 
 
 def _sampled_block(y: np.ndarray, plan: SamplingPlan, counter: OpCounter) -> np.ndarray:
-    """Sampled rescaled rows of H @ y for an (n, k) block: (r, k)."""
-    n = y.shape[0]
+    """Sampled rescaled rows of H @ y for a C-contiguous (n, k) block: (r, k).
+
+    Overwrites y.
+    """
     idx0 = plan.indices - 1
-    distinct = np.unique(idx0)
-    vals = _hadamard_sampled(y, distinct, counter) / math.sqrt(n)
-    return vals[np.searchsorted(distinct, idx0)] * plan.scales[:, None]
+    _hadamard_rows(y, np.unique(idx0), counter)
+    return y[idx0] / math.sqrt(y.shape[0]) * plan.scales[:, None]
 
 
 def subsampled_fwht(x, plan: SamplingPlan, counter: OpCounter | None = None) -> np.ndarray:
@@ -173,7 +185,7 @@ def subsampled_fwht(x, plan: SamplingPlan, counter: OpCounter | None = None) -> 
     Duplicate draws are computed once and emitted once per draw; the counter
     stays at or below 2 n log2(r+1) either way.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.array(x, dtype=np.float64, ndmin=1)
     if x.ndim != 1:
         raise ValueError("subsampled_fwht expects a 1-d vector")
     if x.size != plan.n:
@@ -226,7 +238,7 @@ def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndar
         raise ValueError(
             f"input dimension {A.shape[0]} exceeds operator n_pad={op.n_pad}")
     y = np.zeros((op.n_pad, A.shape[1]))
-    y[: A.shape[0]] = op.signs[: A.shape[0], None] * A
+    np.multiply(op.signs[: A.shape[0], None], A, out=y[: A.shape[0]])
     out = as_matrix(_sampled_block(y, op.plan, counter))
     if op.side == "right":
         out = out.T.copy()
@@ -246,10 +258,10 @@ def coherence_check(U, op: SrhtOperator) -> tuple[float, float]:
     n, d = U.shape
     if n != op.n_pad:
         raise ValueError(f"U has {n} rows, operator expects {op.n_pad}")
-    gram_err = np.max(np.abs(U.T @ U - np.eye(d)))
-    if gram_err > 1e-8:
-        raise ValueError(f"coherence_check: columns not orthonormal (|U^T U - I| = {gram_err:.3e})")
-    hdu = _hadamard_full(op.signs[:, None] * U, OpCounter()) / math.sqrt(n)
+    _require_orthonormal(U, "coherence_check")
+    hdu = op.signs[:, None] * U
+    _hadamard_rows(hdu, np.arange(n), OpCounter())
+    hdu /= math.sqrt(n)
     max_row = float(np.max(np.sum(hdu * hdu, axis=1)))
     threshold = 2.0 * d * math.log(40.0 * n * d) / n
     return max_row, threshold

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,8 @@ def test_subsampled_matches_oracle_on_grid():
             out = subsampled_fwht(x, plan, counter)
             want = full[plan.indices - 1] * plan.scales
             np.testing.assert_allclose(out, want, atol=1e-12)
+            closed = (_hadamard(n) @ x)[plan.indices - 1] * plan.scales
+            np.testing.assert_allclose(out, closed, atol=1e-12)
             assert counter.adds_subs <= 2 * n * math.log2(r + 1)
 
 
@@ -188,6 +191,40 @@ def test_isometry_in_expectation_by_enumeration():
                 total += float(np.sum(srht_apply(op, x) ** 2))
                 count += 1
         assert total / count == pytest.approx(float(np.sum(x * x)), abs=1e-12)
+
+
+@pytest.mark.parametrize("side, n, k, r", [("left", 12000, 9, 300),
+                                           ("right", 1024, 300, 32)])
+def test_apply_peak_memory_is_bounded(side, n, k, r):
+    """One srht_apply call allocates at most twice its (n_pad, k) padded buffer."""
+    op = make_srht(n, r, 3, side=side)
+    M = make_rng(11).standard_normal((n, k) if side == "left" else (k, n))
+    srht_apply(op, M)  # the first call in a process also pays one-time lazy imports
+    tracemalloc.start()
+    try:
+        srht_apply(op, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * op.n_pad * k * 8
+
+
+def test_transforms_leave_caller_arrays_unchanged():
+    rng = make_rng(12)
+    x = rng.standard_normal(64)
+    plan = draw_plan(uniform_probs(64), 64, 1)
+    op = make_srht(64, 8, 2)
+    M = rng.standard_normal((64, 3))
+    U, _ = np.linalg.qr(rng.standard_normal((64, 3)))
+    U = np.ascontiguousarray(U)
+    saved = [a.copy() for a in (x, M, U)]
+    fwht(x)
+    subsampled_fwht(x, plan)
+    srht_apply(op, M)
+    srht_apply(op, x)
+    coherence_check(U, op)
+    for a, b in zip((x, M, U), saved):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_coherence_identity_embedded_rows():
