@@ -176,7 +176,8 @@ def _scan_text(path) -> tuple[int, int, np.ndarray]:
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
     m, n, size_ln = _read_size(path, iter(lines))
-    values = np.empty(m * n)
+    # No more entries than body lines: a header alone never sizes the buffer.
+    values = np.empty(min(m * n, len(lines) - size_ln))
     count = 0
     for ln in range(size_ln + 1, len(lines) + 1):
         text = lines[ln - 1].strip()

@@ -37,8 +37,6 @@ __all__ = [
 
 RNG_NAME = "philox4x32-10"
 
-PROB_KINDS = ("optimal", "colnorm-A", "rownorm-B", "leverage", "uniform")
-
 ORTHO_TOL = 1e-8  # max |U^T U - I| accepted by leverage_probs and coherence_check
 
 
@@ -49,10 +47,9 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ProbVector:
-    """Sampling distribution over n indices labeled with its family."""
+    """Sampling distribution over n indices."""
 
     p: np.ndarray
-    kind: str
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.p, dtype=np.float64)
@@ -63,8 +60,6 @@ class ProbVector:
             raise ValueError("probabilities must be finite and nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
-        if self.kind not in PROB_KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
 
     @property
     def n(self) -> int:
@@ -75,26 +70,22 @@ class ProbVector:
 class SamplingPlan:
     """c categorical draws (with replacement) plus their rescale factors.
 
-    indices are 1-based, each in [1, n]; scales[t] = 1/sqrt(c * p_{i_t}).
+    0-based indices in [0, n); scales[t] = 1/sqrt(c * p_{i_t}) with c = indices.size.
     """
 
     indices: np.ndarray
     scales: np.ndarray
-    c: int
     n: int
-    seed: int
 
     def __post_init__(self):
         idx = np.ascontiguousarray(self.indices, dtype=np.int64)
         sc = np.ascontiguousarray(self.scales, dtype=np.float64)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "scales", sc)
-        if idx.shape != (self.c,) or sc.shape != (self.c,):
-            raise ValueError("indices/scales must both have length c")
-        if self.c < 1:
-            raise ValueError("c must be >= 1")
-        if np.any(idx < 1) or np.any(idx > self.n):
-            raise ValueError("plan indices out of [1, n]")
+        if idx.ndim != 1 or idx.size < 1 or sc.shape != idx.shape:
+            raise ValueError("indices and scales must be equal-length nonempty vectors")
+        if np.any(idx < 0) or np.any(idx >= self.n):
+            raise ValueError("plan indices out of [0, n)")
 
 
 class SampleSize(NamedTuple):
@@ -104,11 +95,11 @@ class SampleSize(NamedTuple):
     raw: float
 
 
-def _probs(raw: np.ndarray, kind: str) -> ProbVector:
+def _probs(raw: np.ndarray) -> ProbVector:
     total = float(raw.sum())
     if total <= 0.0:
         raise ValueError("degenerate distribution: all sampling weights are zero")
-    return ProbVector(p=raw / total, kind=kind)
+    return ProbVector(p=raw / total)
 
 
 def optimal_probs(A, B) -> ProbVector:
@@ -121,19 +112,19 @@ def optimal_probs(A, B) -> ProbVector:
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
     w = np.linalg.norm(A, axis=0) * np.linalg.norm(B, axis=1)
-    return _probs(w, "optimal")
+    return _probs(w)
 
 
 def colnorm_probs(A) -> ProbVector:
     """p_k = ||A_{*k}||_2^2 / ||A||_F^2; requires a nonzero matrix."""
     A = as_matrix(A)
-    return _probs(np.sum(A * A, axis=0), "colnorm-A")
+    return _probs(np.sum(A * A, axis=0))
 
 
 def rownorm_probs(B) -> ProbVector:
     """p_k = ||B_{k*}||_2^2 / ||B||_F^2; requires a nonzero matrix."""
     B = as_matrix(B)
-    return _probs(np.sum(B * B, axis=1), "rownorm-B")
+    return _probs(np.sum(B * B, axis=1))
 
 
 def leverage_probs(U) -> ProbVector:
@@ -144,7 +135,7 @@ def leverage_probs(U) -> ProbVector:
     """
     U = as_matrix(U)
     _require_orthonormal(U, "leverage_probs")
-    return ProbVector(p=np.sum(U * U, axis=1) / U.shape[1], kind="leverage")
+    return ProbVector(p=np.sum(U * U, axis=1) / U.shape[1])
 
 
 def _require_orthonormal(U: np.ndarray, caller: str) -> None:
@@ -157,7 +148,7 @@ def _require_orthonormal(U: np.ndarray, caller: str) -> None:
 def uniform_probs(n: int) -> ProbVector:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return ProbVector(p=np.full(n, 1.0 / n), kind="uniform")
+    return ProbVector(p=np.full(n, 1.0 / n))
 
 
 def beta_of(probs: ProbVector, reference: ProbVector) -> float:
@@ -191,9 +182,8 @@ def draw_plan(probs: ProbVector, c: int, seed: int) -> SamplingPlan:
     """
     if c < 1:
         raise ValueError("c must be >= 1")
-    idx0 = _draw_indices(make_rng(seed), probs.p, c)
-    scales = 1.0 / np.sqrt(c * probs.p[idx0])
-    return SamplingPlan(indices=idx0 + 1, scales=scales, c=c, n=probs.n, seed=int(seed))
+    idx = _draw_indices(make_rng(seed), probs.p, c)
+    return SamplingPlan(indices=idx, scales=1.0 / np.sqrt(c * probs.p[idx]), n=probs.n)
 
 
 def sampled_columns(A, plan: SamplingPlan) -> np.ndarray:
@@ -201,7 +191,7 @@ def sampled_columns(A, plan: SamplingPlan) -> np.ndarray:
     A = as_matrix(A)
     if A.shape[1] != plan.n:
         raise ValueError(f"plan over n={plan.n} cannot sample {A.shape[1]} columns")
-    return A[:, plan.indices - 1] * plan.scales
+    return A[:, plan.indices] * plan.scales
 
 
 def sampled_rows(B, plan: SamplingPlan) -> np.ndarray:
@@ -209,4 +199,4 @@ def sampled_rows(B, plan: SamplingPlan) -> np.ndarray:
     B = as_matrix(B)
     if B.shape[0] != plan.n:
         raise ValueError(f"plan over n={plan.n} cannot sample {B.shape[0]} rows")
-    return B[plan.indices - 1, :] * plan.scales[:, None]
+    return B[plan.indices, :] * plan.scales[:, None]

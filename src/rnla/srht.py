@@ -88,7 +88,7 @@ class SrhtOperator:
 
     @property
     def r(self) -> int:
-        return self.plan.c
+        return self.plan.indices.size
 
 
 def _is_pow2(n: int) -> bool:
@@ -173,15 +173,14 @@ def _sampled_block(y: np.ndarray, plan: SamplingPlan, counter: OpCounter) -> np.
 
     Overwrites y.
     """
-    idx0 = plan.indices - 1
-    _hadamard_rows(y, np.unique(idx0), counter)
-    return y[idx0] / math.sqrt(y.shape[0]) * plan.scales[:, None]
+    _hadamard_rows(y, np.unique(plan.indices), counter)
+    return y[plan.indices] / math.sqrt(y.shape[0]) * plan.scales[:, None]
 
 
 def subsampled_fwht(x, plan: SamplingPlan, counter: OpCounter | None = None) -> np.ndarray:
     """The plan's r sampled entries of H_n x, each rescaled by sqrt(n/r).
 
-    Output entry t equals fwht(x)[plan.indices[t] - 1] * plan.scales[t].
+    Output entry t equals fwht(x)[plan.indices[t]] * plan.scales[t].
     Duplicate draws are computed once and emitted once per draw; the counter
     stays at or below 2 n log2(r+1) either way.
     """
@@ -209,10 +208,8 @@ def make_srht(n: int, r: int, seed: int, side: str = "left") -> SrhtOperator:
     n_pad = next_pow2(n)
     rng = make_rng(seed)
     signs = np.where(rng.random(n_pad) < 0.5, 1.0, -1.0)
-    p = uniform_probs(n_pad).p
-    idx0 = _draw_indices(rng, p, r)
-    scales = np.full(r, math.sqrt(n_pad / r))
-    plan = SamplingPlan(indices=idx0 + 1, scales=scales, c=r, n=n_pad, seed=int(seed))
+    idx = _draw_indices(rng, uniform_probs(n_pad).p, r)
+    plan = SamplingPlan(indices=idx, scales=np.full(r, math.sqrt(n_pad / r)), n=n_pad)
     return SrhtOperator(n_pad=n_pad, signs=signs, plan=plan, side=side)
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from rnla import (ProbVector, best_rank_k, coherence_check, draw_plan,
                   enumerate_sketch_moments, entry_variance_bound,
-                  exact_least_squares, expected_frobenius_error, fwht,
+                  exact_least_squares, expected_frobenius_error,
                   frobenius_norm, gen_lsq_instance, gen_matrix,
                   gram_sketch_error, leverage_probs, make_rng, make_srht,
                   optimal_probs, pseudoinverse, rand_least_squares,
@@ -31,7 +31,7 @@ from rnla.srht import OpCounter
 
 def _random_probs(rng, n):
     p = np.abs(rng.standard_normal(n)) + 0.05
-    return ProbVector(p=p / p.sum(), kind="uniform")
+    return ProbVector(p=p / p.sum())
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,7 @@ def test_c03_optimal_probabilities_minimize_error():
             t = rng.uniform(0.05, 0.95)
             u = np.abs(rng.standard_normal(5)) + 0.05
             q = (1.0 - t) * p_opt.p + t * (u / u.sum())
-            f_q = expected_frobenius_error(A, B, 1,
-                                           ProbVector(p=q / q.sum(),
-                                                      kind="uniform"))
+            f_q = expected_frobenius_error(A, B, 1, ProbVector(p=q / q.sum()))
             assert f_opt <= f_q + 1e-12
     assert time.perf_counter() - start < 5.0
 
@@ -133,19 +131,29 @@ def test_c04_gram_sketch_expectation():
     assert time.perf_counter() - start < 60.0
 
 
+def _closed_form_hadamard(n):
+    """Normalized H_n from Htilde[i, j] = (-1)^popcount(i & j), no transform kernel."""
+    bits = np.arange(n)[:, None] & np.arange(n)
+    parity = np.zeros_like(bits)
+    while bits.any():
+        parity ^= bits & 1
+        bits >>= 1
+    return (1.0 - 2.0 * parity) / math.sqrt(n)
+
+
 def test_c05_srht_matches_oracle_within_op_budget():
     start = time.perf_counter()
     for exp in range(1, 11):
         n = 2 ** exp
         x = make_rng(300 + n).standard_normal(n)
-        full = fwht(x)
+        full = _closed_form_hadamard(n) @ x
         for r in sorted({1, 2, n // 2, n}):
             for seed in (0, 1):
                 plan = draw_plan(uniform_probs(n), r, 1000 * n + 10 * r + seed)
                 counter = OpCounter()
                 sub = subsampled_fwht(x, plan, counter)
                 np.testing.assert_allclose(
-                    sub, full[plan.indices - 1] * plan.scales,
+                    sub, full[plan.indices] * plan.scales,
                     rtol=0.0, atol=1e-12)
                 assert counter.adds_subs <= 2 * n * math.log2(r + 1)
     assert time.perf_counter() - start < 30.0

@@ -110,6 +110,17 @@ def test_missing_file_exit_and_message(capsys):
     assert "cannot open /nonexistent/a.mtx" in capsys.readouterr().err
 
 
+def test_oversized_header_exits_one(tmp_path, capsys):
+    """A dimension product past numpy's largest array is a malformed file (exit 1),
+    not a numerical failure (exit 2)."""
+    p = tmp_path / "huge.mtx"
+    p.write_text("%%MatrixMarket matrix array real general\n"
+                 "100000000000 100000000000\n1.0\n2.0\n")
+    assert main(["matmul", "--in", str(p), "--c", "2"]) == 1
+    assert ("for a 100000000000 x 100000000000 matrix, found 2"
+            in capsys.readouterr().err)
+
+
 def test_generator_route_requires_dims(capsys):
     assert main(["matmul", "--c", "2"]) == 1
     assert "--m and --n" in capsys.readouterr().err

@@ -114,6 +114,17 @@ def test_text_errors(tmp_path):
         read_matrix(bad("long.mtx", head + "1 1\n1\n2\n"))
 
 
+def test_oversized_header_is_a_count_error_not_an_allocation(tmp_path):
+    """A header far larger than the body is reported by count, before any
+    header-sized buffer (7.28 TiB for 10^6 x 10^6) is asked for."""
+    p = tmp_path / "huge.mtx"
+    p.write_text(HEAD + "1000000 1000000\n1.0\n2.0\n")
+    with pytest.raises(MatrixFileError,
+                       match="expected 1000000000000 entries for a "
+                             "1000000 x 1000000 matrix, found 2"):
+        read_matrix(p)
+
+
 def test_binary_errors(tmp_path):
     def bad(name, payload):
         p = tmp_path / name

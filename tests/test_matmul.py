@@ -13,12 +13,13 @@ from rnla.sampling import SamplingPlan
 
 def _random_probs(rng, n):
     w = np.abs(rng.standard_normal(n)) + 0.05
-    return ProbVector(p=w / w.sum(), kind="uniform")
+    return ProbVector(p=w / w.sum())
 
 
 def _dense_S(plan):
-    S = np.zeros((plan.n, plan.c))
-    S[plan.indices - 1, np.arange(plan.c)] = plan.scales
+    c = plan.indices.size
+    S = np.zeros((plan.n, c))
+    S[plan.indices, np.arange(c)] = plan.scales
     return S
 
 
@@ -29,7 +30,7 @@ def test_sketch_columns_match_plan():
     probs = optimal_probs(A, B)
     sk = rand_matrix_multiply(A, B, 4, probs, 17)
     for t in range(4):
-        i = sk.plan.indices[t] - 1
+        i = sk.plan.indices[t]
         np.testing.assert_allclose(sk.C[:, t], A[:, i] * sk.plan.scales[t],
                                    atol=1e-15)
         np.testing.assert_allclose(sk.R[t, :], B[i, :] * sk.plan.scales[t],
@@ -143,7 +144,7 @@ def test_variance_bound_scaling_and_zeros():
 def test_zero_probability_on_live_term_rejected():
     A = np.ones((2, 2))
     B = np.ones((2, 2))
-    bad = ProbVector(p=np.array([1.0, 0.0]), kind="uniform")
+    bad = ProbVector(p=np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="zero sampling probability"):
         expected_frobenius_error(A, B, 1, bad)
     with pytest.raises(ValueError, match="zero sampling probability"):
@@ -176,8 +177,7 @@ def test_sample_size_spectral_values():
 
 def test_gram_sketch_error_full_sample():
     Q, _ = np.linalg.qr(make_rng(9).standard_normal((6, 3)))
-    plan = SamplingPlan(indices=np.arange(1, 7), scales=np.ones(6),
-                        c=6, n=6, seed=0)
+    plan = SamplingPlan(indices=np.arange(6), scales=np.ones(6), n=6)
     spec, fro = gram_sketch_error(Q, sampled_rows(Q, plan))
     assert spec <= 1e-12 and fro <= 1e-12
 
@@ -187,7 +187,7 @@ def test_gram_sketch_error_scalar_case():
     u[2, 0] = 1.0
     plan = draw_plan(uniform_probs(5), 3, 1)
     R = sampled_rows(u, plan)
-    want = abs(1.0 - float(np.sum(plan.scales ** 2 * u[plan.indices - 1, 0] ** 2)))
+    want = abs(1.0 - float(np.sum(plan.scales ** 2 * u[plan.indices, 0] ** 2)))
     spec, fro = gram_sketch_error(u, R)
     assert spec == pytest.approx(want, abs=1e-12)
     assert fro == pytest.approx(want, abs=1e-12)

@@ -13,7 +13,6 @@ def test_optimal_probs_hand_case():
     B = np.diag([1.0, 2.0])
     p = optimal_probs(A, B)
     np.testing.assert_allclose(p.p, [0.2, 0.8], atol=1e-15)
-    assert p.kind == "optimal"
 
 
 def test_optimal_probs_symmetry_and_point_mass():
@@ -81,34 +80,31 @@ def test_uniform_probs():
 
 def test_prob_vector_validation():
     with pytest.raises(ValueError):
-        ProbVector(p=np.array([0.5, 0.6]), kind="uniform")
+        ProbVector(p=np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
-        ProbVector(p=np.array([-0.5, 1.5]), kind="uniform")
-    with pytest.raises(ValueError):
-        ProbVector(p=np.array([1.0]), kind="nonsense")
+        ProbVector(p=np.array([-0.5, 1.5]))
 
 
 def test_beta_of():
     u = uniform_probs(4)
     assert beta_of(u, u) == 1.0
-    point = ProbVector(p=np.array([1.0, 0.0, 0.0, 0.0]), kind="uniform")
+    point = ProbVector(p=np.array([1.0, 0.0, 0.0, 0.0]))
     assert beta_of(u, point) == pytest.approx(0.25, abs=1e-15)
-    assert beta_of(point, ProbVector(p=np.array([0.0, 1.0, 0.0, 0.0]),
-                                     kind="uniform")) == 0.0
+    assert beta_of(point, ProbVector(p=np.array([0.0, 1.0, 0.0, 0.0]))) == 0.0
     A = make_rng(3).standard_normal((3, 5))
     assert beta_of(colnorm_probs(A), colnorm_probs(A)) == 1.0
 
 
 def test_draw_plan_point_mass():
-    point = ProbVector(p=np.array([0.0, 1.0, 0.0]), kind="uniform")
+    point = ProbVector(p=np.array([0.0, 1.0, 0.0]))
     plan = draw_plan(point, 5, 123)
-    assert np.all(plan.indices == 2)
+    assert np.all(plan.indices == 1)
     np.testing.assert_allclose(plan.scales, 1.0 / np.sqrt(5.0), atol=1e-15)
 
 
 def test_draw_plan_n1():
     plan = draw_plan(uniform_probs(1), 4, 9)
-    assert np.all(plan.indices == 1)
+    assert np.all(plan.indices == 0)
     np.testing.assert_allclose(plan.scales, 0.5, atol=1e-15)
 
 
@@ -125,14 +121,14 @@ def test_draw_plan_deterministic():
 def test_draw_plan_scale_invariant():
     p = colnorm_probs(make_rng(4).standard_normal((3, 5)))
     plan = draw_plan(p, 20, 7)
-    recon = plan.scales * np.sqrt(plan.c * p.p[plan.indices - 1])
+    recon = plan.scales * np.sqrt(plan.indices.size * p.p[plan.indices])
     np.testing.assert_allclose(recon, 1.0, atol=1e-12)
 
 
 def test_draw_plan_never_picks_zero_probability():
-    p = ProbVector(p=np.array([0.5, 0.0, 0.5, 0.0]), kind="uniform")
+    p = ProbVector(p=np.array([0.5, 0.0, 0.5, 0.0]))
     plan = draw_plan(p, 2000, 11)
-    assert set(np.unique(plan.indices)) <= {1, 3}
+    assert set(np.unique(plan.indices)) <= {0, 2}
     assert np.all(np.isfinite(plan.scales))
 
 
@@ -141,7 +137,7 @@ def test_draw_plan_frequencies_binomial():
     c = 100_000
     plan = draw_plan(uniform_probs(4), c, 2024)
     sigma = np.sqrt(0.25 * 0.75 / c)
-    for k in range(1, 5):
+    for k in range(4):
         freq = float(np.sum(plan.indices == k)) / c
         assert abs(freq - 0.25) <= 4.0 * sigma
 
@@ -151,19 +147,22 @@ def test_draw_plan_chi_square_gof():
     n, c = 8, 100_000
     p = colnorm_probs(make_rng(5).standard_normal((4, n)))
     plan = draw_plan(p, c, 77)
-    observed = np.bincount(plan.indices - 1, minlength=n).astype(float)
+    observed = np.bincount(plan.indices, minlength=n).astype(float)
     expected = c * p.p
     stat = float(np.sum((observed - expected) ** 2 / expected))
     assert stat <= scipy.stats.chi2.isf(1e-6, n - 1)
 
 
 def test_sampling_plan_validation():
+    plan = SamplingPlan(indices=np.array([0, 2]), scales=np.ones(2), n=3)
+    assert plan.indices.tolist() == [0, 2]
+    for bad in (-1, 3):  # 0-based: valid indices are [0, n)
+        with pytest.raises(ValueError, match="out of"):
+            SamplingPlan(indices=np.array([bad]), scales=np.array([1.0]), n=3)
     with pytest.raises(ValueError):
-        SamplingPlan(indices=np.array([0]), scales=np.array([1.0]),
-                     c=1, n=3, seed=0)
+        SamplingPlan(indices=np.array([1, 2]), scales=np.array([1.0]), n=3)
     with pytest.raises(ValueError):
-        SamplingPlan(indices=np.array([1, 2]), scales=np.array([1.0]),
-                     c=2, n=3, seed=0)
+        SamplingPlan(indices=np.array([], dtype=np.int64), scales=np.array([]), n=3)
     with pytest.raises(ValueError):
         draw_plan(uniform_probs(3), 0, 0)
 
@@ -176,7 +175,7 @@ def test_plan_application_helpers():
     C = sampled_columns(A, plan)
     R = sampled_rows(B, plan)
     for t in range(5):
-        i = plan.indices[t] - 1
+        i = plan.indices[t]
         np.testing.assert_allclose(C[:, t], A[:, i] * plan.scales[t],
                                    atol=1e-15)
         np.testing.assert_allclose(R[t, :], B[i, :] * plan.scales[t],

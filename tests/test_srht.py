@@ -18,8 +18,7 @@ def _hadamard(n):
 
 
 def _inorder_plan(n):
-    return SamplingPlan(indices=np.arange(1, n + 1), scales=np.ones(n),
-                        c=n, n=n, seed=0)
+    return SamplingPlan(indices=np.arange(n), scales=np.ones(n), n=n)
 
 
 def test_fwht_two_point_values():
@@ -72,17 +71,17 @@ def test_subsampled_matches_oracle_on_grid():
             plan = draw_plan(uniform_probs(n), r, 100 * n + r)
             counter = OpCounter()
             out = subsampled_fwht(x, plan, counter)
-            want = full[plan.indices - 1] * plan.scales
+            want = full[plan.indices] * plan.scales
             np.testing.assert_allclose(out, want, atol=1e-12)
-            closed = (_hadamard(n) @ x)[plan.indices - 1] * plan.scales
+            closed = (_hadamard(n) @ x)[plan.indices] * plan.scales
             np.testing.assert_allclose(out, closed, atol=1e-12)
             assert counter.adds_subs <= 2 * n * math.log2(r + 1)
 
 
 def test_subsampled_duplicate_draws():
     x = make_rng(4).standard_normal(8)
-    plan = SamplingPlan(indices=np.array([3, 3, 3, 5]),
-                        scales=np.full(4, math.sqrt(8 / 4)), c=4, n=8, seed=0)
+    plan = SamplingPlan(indices=np.array([2, 2, 2, 4]),
+                        scales=np.full(4, math.sqrt(8 / 4)), n=8)
     counter = OpCounter()
     out = subsampled_fwht(x, plan, counter)
     full = fwht(x)
@@ -94,8 +93,7 @@ def test_subsampled_duplicate_draws():
 def test_subsampled_validation():
     with pytest.raises(ValueError):
         subsampled_fwht(np.zeros(8), _inorder_plan(4))
-    plan6 = SamplingPlan(indices=np.array([1]), scales=np.array([math.sqrt(6.0)]),
-                         c=1, n=6, seed=0)
+    plan6 = SamplingPlan(indices=np.array([0]), scales=np.array([math.sqrt(6.0)]), n=6)
     with pytest.raises(ValueError):
         subsampled_fwht(np.zeros(6), plan6)
 
@@ -114,6 +112,7 @@ def test_make_srht_deterministic():
     b = make_srht(16, 4, 9)
     assert a.signs.tobytes() == b.signs.tobytes()
     assert a.plan.indices.tobytes() == b.plan.indices.tobytes()
+    assert a.r == a.plan.indices.size == 4
     assert np.all(np.abs(a.signs) == 1.0)
     np.testing.assert_allclose(a.plan.scales, math.sqrt(16 / 4), atol=1e-15)
 
@@ -146,7 +145,7 @@ def test_apply_basis_vector_closed_form():
     e[j] = 1.0
     out = srht_apply(op, e)
     H = _hadamard(n)
-    want = op.plan.scales * op.signs[j] * H[op.plan.indices - 1, j]
+    want = op.plan.scales * op.signs[j] * H[op.plan.indices, j]
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
@@ -184,9 +183,8 @@ def test_isometry_in_expectation_by_enumeration():
             signs = np.array([1.0 if sign_bits >> i & 1 else -1.0
                               for i in range(n)])
             for draw in np.ndindex(*([n] * r)):
-                plan = SamplingPlan(indices=np.array(draw) + 1,
-                                    scales=np.full(r, math.sqrt(n / r)),
-                                    c=r, n=n, seed=0)
+                plan = SamplingPlan(indices=np.array(draw),
+                                    scales=np.full(r, math.sqrt(n / r)), n=n)
                 op = SrhtOperator(n_pad=n, signs=signs, plan=plan, side="left")
                 total += float(np.sum(srht_apply(op, x) ** 2))
                 count += 1
