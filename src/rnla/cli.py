@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 import numpy as np
 
 from .generators import MATRIX_FAMILIES, gen_lsq_instance, gen_matrix
-from .harness import (CHECK_SUITES, ExperimentConfig, aggregate, build_report,
-                      dumps_report, load_report, report_to_csv,
-                      run_check_suite, run_trials, write_report)
+from .harness import (CHECK_SUITES, ExperimentConfig, dumps_report,
+                      load_report, report_to_csv, run_check_suite,
+                      run_experiment, write_report)
 from .matio import MatrixFileError, write_matrix, write_vector
 
 __all__ = ["main"]
@@ -35,16 +34,21 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(value: int, name: str) -> int:
+    if value < 0:
+        raise UsageError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("RNLA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"RNLA_SEED must be an integer, got {env!r}")
-    return 0
+        return _seed(flag_value, "--seed")
+    env = os.environ.get("RNLA_SEED", "0")
+    try:
+        value = int(env)
+    except ValueError:
+        raise UsageError(f"RNLA_SEED must be an integer, got {env!r}")
+    return _seed(value, "RNLA_SEED")
 
 
 def _parse_sigma(text):
@@ -56,26 +60,33 @@ def _parse_sigma(text):
         raise UsageError(f"--sigma expects comma-separated reals, got {text!r}")
 
 
-def _emit(config: ExperimentConfig, args) -> int:
-    start = time.perf_counter()
-    trials = run_trials(config)
-    agg = aggregate(config, trials)
-    report = build_report(config, trials, agg, time.perf_counter() - start)
-    if args.out:
-        write_report(args.out, report)
-    else:
-        sys.stdout.write(dumps_report(report))
-    if getattr(args, "csv", None):
-        with open(args.csv, "w") as fh:
-            fh.write(report_to_csv(report))
-    print(f"trials {agg.trials_total}  ok {agg.trials_ok}  "
-          f"success_rate {agg.success_rate:.4f}", file=sys.stderr)
-    return 0
+def _write_aggregate(report: dict, path, stdout: bool) -> None:
+    """Aggregate CSV to path (else to stdout if asked), summary line to stderr.
+
+    Both are rendered before anything is written, so a malformed aggregate
+    block raises with no partial output.
+    """
+    text = report_to_csv(report)
+    agg = report["aggregate"]
+    summary = (f"trials {agg['trials_total']}  ok {agg['trials_ok']}  "
+               f"success_rate {agg['success_rate']:.4f}")
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    elif stdout:
+        sys.stdout.write(text)
+    print(summary, file=sys.stderr)
+
+
+def _params(args) -> dict:
+    """The flags named in args.params that were given."""
+    return {name: getattr(args, name) for name in args.params
+            if getattr(args, name) is not None}
 
 
 def _instance_from_args(args, seed: int) -> dict:
-    inst: dict = {"seed": args.instance_seed if args.instance_seed is not None
-                  else seed}
+    inst: dict = {"seed": seed if args.instance_seed is None
+                  else _seed(args.instance_seed, "--instance-seed")}
     if getattr(args, "inp", None):
         inst["family"] = "file"
         inst["path"] = args.inp
@@ -121,24 +132,27 @@ def cmd_gen(args) -> int:
 def cmd_experiment(args) -> int:
     """Run the subcommand's algorithm; args.params names the flags it copies."""
     seed = _resolve_seed(args.seed)
-    config = ExperimentConfig(
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    report = run_experiment(ExperimentConfig(
         algorithm=args.command,
         instance=_instance_from_args(args, seed),
-        params={name: getattr(args, name) for name in args.params
-                if getattr(args, name) is not None},
+        params=_params(args),
         trials=args.trials,
         base_seed=seed,
         diagnostics=not args.no_diagnostics,
-    )
-    return _emit(config, args)
+    ))
+    if args.out:
+        write_report(args.out, report)
+    else:
+        sys.stdout.write(dumps_report(report))
+    _write_aggregate(report, args.csv, stdout=False)
+    return 0
 
 
 def cmd_check(args) -> int:
     seed = _resolve_seed(args.seed)
-    params = {k: v for k, v in (("n", args.n), ("r", args.r), ("m", args.m),
-                                ("d", args.d), ("k", args.k), ("c", args.c),
-                                ("eps", args.eps)) if v is not None}
-    t = run_check_suite(args.suite, params, seed)
+    t = run_check_suite(args.suite, _params(args), seed)
     status = "PASS" if t.flags.get("success") else "FAIL"
     detail = "  ".join(f"{k}={v:.6g}" for k, v in sorted(t.metrics.items()))
     print(f"check {args.suite} seed {seed}: {status}  {detail}")
@@ -150,18 +164,10 @@ def cmd_check(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        report = load_report(args.path)
-    except (ValueError, KeyError, TypeError) as e:
+        _write_aggregate(load_report(args.path), args.csv, stdout=True)
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
         # Malformed report files are input errors, not numerical failures.
         raise UsageError(str(e))
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report_to_csv(report))
-    else:
-        sys.stdout.write(report_to_csv(report))
-    agg = report["aggregate"]
-    print(f"trials {agg['trials_total']}  ok {agg['trials_ok']}  "
-          f"success_rate {agg['success_rate']:.4f}", file=sys.stderr)
     return 0
 
 
@@ -242,11 +248,12 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("check", help="run a diagnostic suite once")
     p.add_argument("suite", choices=sorted(CHECK_SUITES))
-    for flag in ("--n", "--r", "--m", "--d", "--k", "--c"):
-        p.add_argument(flag, type=int, default=None)
+    sizes = ("n", "r", "m", "d", "k", "c")
+    for name in sizes:
+        p.add_argument(f"--{name}", type=int, default=None)
     p.add_argument("--eps", type=float, default=None)
     _add_common(p, with_out=False)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, params=sizes + ("eps",))
 
     p = sub.add_parser("report", help="re-render a saved report")
     p.add_argument("path")

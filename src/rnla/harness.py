@@ -8,6 +8,13 @@ the trial (and count against the success rate), never abort the run.
 Aggregation is a deterministic fold in trial order, so a rerun with the same
 config produces a byte-identical report except for wall-time fields.
 
+`run_experiment` is the one way to run an experiment; the CLI writes the
+dict it returns.  The record types are the report schema: the `config`,
+`trials` and `aggregate` blocks hold exactly the fields of ExperimentConfig,
+TrialReport and AggregateReport, and `meta` holds `_meta`'s keys.
+`build_report` writes those and `load_report` checks against the same
+definitions, so a new report field is one field added to one of them.
+
 Reports are serialized by a local writer that prints every float with 17
 significant digits and fixed key order; stdlib json cannot control float
 formatting.
@@ -18,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -53,8 +60,6 @@ __all__ = [
 
 VERSION = "0.1.0"
 
-ALGORITHMS = ("matmul", "lsq", "lowrank")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -66,7 +71,7 @@ class ExperimentConfig:
     diagnostics: bool = True
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in _TRIAL_RUNNERS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -90,51 +95,24 @@ class AggregateReport:
     trials_ok: int
     trials_total: int
     metrics: dict            # name -> {mean, se, min, max}
-    config: dict
-    version: str = VERSION
-    rng: str = RNG_NAME
-
-
-def _config_echo(config: ExperimentConfig) -> dict:
-    return {
-        "algorithm": config.algorithm,
-        "instance": dict(config.instance),
-        "params": dict(config.params),
-        "trials": config.trials,
-        "base_seed": config.base_seed,
-        "diagnostics": config.diagnostics,
-    }
 
 
 # ---------------------------------------------------------------- instances
+
+def _matrix(inst: dict, iseed: int) -> np.ndarray:
+    """A read from the instance's file, or generated from its family."""
+    if inst.get("family") == "file":
+        return read_matrix(inst["path"])
+    return gen_matrix(inst.get("family"), int(inst["m"]), int(inst["n"]), iseed,
+                      sigma=inst.get("sigma"), eta=float(inst.get("eta", 0.0)))
+
 
 def _resolve_instance(config: ExperimentConfig) -> dict:
     """Build the problem data once; trials reuse it with fresh seeds."""
     inst = config.instance
     fam = inst.get("family")
     iseed = int(inst.get("seed", config.base_seed))
-    alg = config.algorithm
-    if alg == "matmul":
-        if fam == "file":
-            A = read_matrix(inst["path"])
-            B = read_matrix(inst["path_b"]) if "path_b" in inst else A.T.copy()
-        else:
-            m, n = int(inst["m"]), int(inst["n"])
-            p = int(inst.get("p", m))
-            A = gen_matrix(fam, m, n, iseed, sigma=inst.get("sigma"),
-                           eta=float(inst.get("eta", 0.0)))
-            B = gen_matrix("gaussian", n, p, iseed + 1)
-        kind = config.params.get("probs", "optimal")
-        probs = {
-            "optimal": lambda: optimal_probs(A, B),
-            "colnorm": lambda: colnorm_probs(A),
-            "rownorm": lambda: rownorm_probs(B),
-            "uniform": lambda: uniform_probs(A.shape[1]),
-        }.get(kind)
-        if probs is None:
-            raise ValueError(f"unknown probability family {kind!r}")
-        return {"A": A, "B": B, "probs": probs()}
-    if alg == "lsq":
+    if config.algorithm == "lsq":
         if fam == "file":
             A = read_matrix(inst["path"])
             b = read_vector(inst["rhs"])
@@ -145,14 +123,24 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
             A, b, _ = gen_lsq_instance(int(inst["m"]), int(inst["n"]),
                                        iseed, consistent=consistent)
         return {"A": A, "b": b}
-    if alg == "lowrank":
-        if fam == "file":
-            A = read_matrix(inst["path"])
-        else:
-            A = gen_matrix(fam, int(inst["m"]), int(inst["n"]), iseed,
-                           sigma=inst.get("sigma"), eta=float(inst.get("eta", 0.0)))
+    A = _matrix(inst, iseed)
+    if config.algorithm == "lowrank":
         return {"A": A}
-    raise ValueError(f"unknown algorithm {alg!r}")
+    if fam == "file":
+        B = read_matrix(inst["path_b"]) if "path_b" in inst else A.T.copy()
+    else:
+        B = gen_matrix("gaussian", A.shape[1], int(inst.get("p", A.shape[0])),
+                       iseed + 1)
+    kind = config.params.get("probs", "optimal")
+    probs = {
+        "optimal": lambda: optimal_probs(A, B),
+        "colnorm": lambda: colnorm_probs(A),
+        "rownorm": lambda: rownorm_probs(B),
+        "uniform": lambda: uniform_probs(A.shape[1]),
+    }.get(kind)
+    if probs is None:
+        raise ValueError(f"unknown probability family {kind!r}")
+    return {"A": A, "B": B, "probs": probs()}
 
 
 # ------------------------------------------------------------------- trials
@@ -279,7 +267,7 @@ def run_trials(config: ExperimentConfig) -> list[TrialReport]:
 
 
 def aggregate(config: ExperimentConfig, trials: list[TrialReport]) -> AggregateReport:
-    """Deterministic fold over trials in index order."""
+    """Deterministic fold over trials in index order (config is not read)."""
     succ = sum(1 for t in trials if t.ok and t.flags.get("success", False))
     ok_trials = [t for t in trials if t.ok]
     names = sorted({k for t in ok_trials for k in t.metrics})
@@ -299,12 +287,15 @@ def aggregate(config: ExperimentConfig, trials: list[TrialReport]) -> AggregateR
         trials_ok=len(ok_trials),
         trials_total=len(trials),
         metrics=stats,
-        config=_config_echo(config),
     )
 
 
-def run_experiment(config: ExperimentConfig) -> AggregateReport:
-    return aggregate(config, run_trials(config))
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Run every trial and return the report dict, timed in meta.wall_time."""
+    start = time.perf_counter()
+    trials = run_trials(config)
+    agg = aggregate(config, trials)
+    return build_report(config, trials, agg, time.perf_counter() - start)
 
 
 # ------------------------------------------------------------- check suites
@@ -421,31 +412,17 @@ def run_check_suite(suite: str, params: dict, seed: int) -> TrialReport:
 
 # ------------------------------------------------------------------ reports
 
+def _meta(wall_time: float) -> dict:
+    return {"rng": RNG_NAME, "version": VERSION, "wall_time": wall_time}
+
+
 def build_report(config: ExperimentConfig, trials: list[TrialReport],
                  agg: AggregateReport, total_wall_time: float = 0.0) -> dict:
     return {
-        "config": _config_echo(config),
-        "trials": [
-            {
-                "seed": t.seed,
-                "ok": t.ok,
-                "error": t.error,
-                "metrics": dict(t.metrics),
-                "bounds": dict(t.bounds),
-                "flags": dict(t.flags),
-                "ops": dict(t.ops),
-                "wall_time": t.wall_time,
-            }
-            for t in trials
-        ],
-        "aggregate": {
-            "success_rate": agg.success_rate,
-            "trials_ok": agg.trials_ok,
-            "trials_total": agg.trials_total,
-            "metrics": {k: dict(v) for k, v in agg.metrics.items()},
-        },
-        "meta": {"rng": agg.rng, "version": agg.version,
-                 "wall_time": total_wall_time},
+        "config": asdict(config),
+        "trials": [asdict(t) for t in trials],
+        "aggregate": asdict(agg),
+        "meta": _meta(total_wall_time),
     }
 
 
@@ -505,13 +482,14 @@ def write_report(path, report: dict) -> None:
 
 
 _TOP_KEYS = {"config", "trials", "aggregate", "meta"}
-_META_KEYS = {"rng", "version", "wall_time"}
-_TRIAL_KEYS = {"seed", "ok", "error", "metrics", "bounds", "flags", "ops",
-               "wall_time"}
+
+
+def _field_names(record) -> set:
+    return {f.name for f in fields(record)}
 
 
 def load_report(path) -> dict:
-    """Read a report back, rejecting unknown schema fields."""
+    """Read a report back, rejecting fields the record types do not define."""
     with open(path, "r") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -522,15 +500,19 @@ def load_report(path) -> dict:
     missing = _TOP_KEYS - set(data)
     if missing:
         raise ValueError(f"{path}: missing report fields {sorted(missing)}")
-    extra = set(data["meta"]) - _META_KEYS
+    extra = set(data["meta"]) - set(_meta(0.0))
     if extra:
         raise ValueError(f"{path}: unknown meta fields {sorted(extra)}")
     if "version" not in data["meta"]:
         raise ValueError(f"{path}: meta.version missing")
     for i, t in enumerate(data["trials"]):
-        extra = set(t) - _TRIAL_KEYS
+        extra = set(t) - _field_names(TrialReport)
         if extra:
             raise ValueError(f"{path}: trial {i}: unknown fields {sorted(extra)}")
+    want = _field_names(AggregateReport)
+    if set(data["aggregate"]) != want:
+        raise ValueError(f"{path}: aggregate fields {sorted(data['aggregate'])}, "
+                         f"expected {sorted(want)}")
     return data
 
 

@@ -66,6 +66,14 @@ def rand_matrix_multiply(A, B, c: int, probs: ProbVector, seed: int) -> MatMulSk
     return MatMulSketch(C=sampled_columns(A, plan), R=sampled_rows(B, plan), plan=plan)
 
 
+def _factors(A, B, probs: ProbVector) -> tuple[np.ndarray, np.ndarray]:
+    """A and B checked, with inner dimension probs.n."""
+    A, B = as_matrix(A), as_matrix(B)
+    if A.shape[1] != B.shape[0] or A.shape[1] != probs.n:
+        raise ValueError("dimension mismatch")
+    return A, B
+
+
 def _zero_prob_guard(term: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Mask for nonzero summands, raising if any sits on a zero probability."""
     live = term > 0.0
@@ -80,9 +88,7 @@ def expected_frobenius_error(A, B, c: int, probs: ProbVector) -> float:
     Returns (1/c) * sum_k ||A_{*k}||^2 ||B_{k*}||^2 / p_k.  At the optimal
     probabilities this collapses to (1/c) * (sum_k ||A_{*k}|| ||B_{k*}||)^2.
     """
-    A, B = as_matrix(A), as_matrix(B)
-    if A.shape[1] != B.shape[0] or A.shape[1] != probs.n:
-        raise ValueError("dimension mismatch")
+    A, B = _factors(A, B, probs)
     term = np.sum(A * A, axis=0) * np.sum(B * B, axis=1)
     live = _zero_prob_guard(term, probs.p)
     return float(np.sum(term[live] / probs.p[live]) / c)
@@ -93,7 +99,7 @@ def entry_variance_bound(A, B, probs: ProbVector, c: int, i: int, j: int) -> flo
 
     i and j are 0-based.
     """
-    A, B = as_matrix(A), as_matrix(B)
+    A, B = _factors(A, B, probs)
     if not (0 <= i < A.shape[0] and 0 <= j < B.shape[1]):
         raise ValueError(f"entry ({i}, {j}) out of range")
     term = A[i, :] ** 2 * B[:, j] ** 2
@@ -165,10 +171,7 @@ def enumerate_sketch_moments(A, B, c: int, probs: ProbVector) -> EnumeratedMomen
     tuples touching zero-probability indices have weight zero and are skipped.
     Intended for desk-scale ground truth (n^c capped at MAX_TUPLES).
     """
-    A, B = as_matrix(A), as_matrix(B)
-    n = probs.n
-    if A.shape[1] != B.shape[0] or A.shape[1] != n:
-        raise ValueError("dimension mismatch")
+    A, B = _factors(A, B, probs)
     support = np.flatnonzero(probs.p > 0.0)
     if len(support) ** c > MAX_TUPLES:
         raise ValueError(f"enumeration of {len(support)}^{c} tuples exceeds cap")

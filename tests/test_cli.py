@@ -215,3 +215,57 @@ def test_instance_seed_flag_fixes_problem_data(tmp_path):
     m0 = reports[0]["trials"][0]["metrics"]["fro_error_sq"]
     m9 = reports[1]["trials"][0]["metrics"]["fro_error_sq"]
     assert m0 != m9
+
+
+def test_malformed_aggregate_is_usage_error(tmp_path, capsys):
+    """A broken aggregate block is a file error (exit 1), not a traceback or 2."""
+    out = tmp_path / "r.json"
+    main(["matmul", "--m", "3", "--n", "4", "--c", "2", "--trials", "2",
+          "--seed", "0", "--out", str(out)])
+    rep = json.loads(out.read_text())
+    capsys.readouterr()
+
+    no_metrics = tmp_path / "no_metrics.json"
+    del rep["aggregate"]["metrics"]
+    no_metrics.write_text(json.dumps(rep))
+    assert main(["report", str(no_metrics)]) == 1
+    assert "aggregate fields" in capsys.readouterr().err
+
+    bad_mean = tmp_path / "bad_mean.json"
+    rep["aggregate"]["metrics"] = {"a": {"mean": "x", "se": 0.0, "min": 1.0,
+                                         "max": 1.0}}
+    bad_mean.write_text(json.dumps(rep))
+    assert main(["report", str(bad_mean)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("rnla: error:")
+
+
+def test_zero_trials_is_usage_error(capsys):
+    assert main(["lsq", "--m", "64", "--n", "3", "--eps", "0.5",
+                 "--trials", "0"]) == 1
+    assert "--trials must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "gaussian", "--m", "4", "--n", "3", "--out", "a.mtx"],
+    ["lsq", "--m", "64", "--n", "3", "--eps", "0.5", "--r", "32",
+     "--trials", "1"],
+    ["check", "srht", "--n", "64", "--r", "4"],
+], ids=["gen", "lsq", "check"])
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, argv, how):
+    monkeypatch.chdir(tmp_path)
+    if how == "flag":
+        argv = argv + ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("RNLA_SEED", "-1")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "must be >= 0, got -1" in err
+    assert not (tmp_path / "a.mtx").exists()
+
+
+def test_negative_instance_seed_is_usage_error(capsys):
+    assert main(["matmul", "--m", "4", "--n", "6", "--c", "3", "--trials", "1",
+                 "--instance-seed", "-3"]) == 1
+    assert "--instance-seed must be >= 0, got -3" in capsys.readouterr().err

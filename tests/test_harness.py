@@ -1,14 +1,20 @@
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rnla
 import rnla.harness
 import rnla.lowrank
-from rnla import (ExperimentConfig, TrialReport, expected_frobenius_error,
-                  gen_lsq_instance, load_report, lowrank_sample_size_explicit,
-                  optimal_probs, rand_matrix_multiply, run_check_suite,
-                  run_experiment, write_matrix, write_vector)
+from rnla import (AggregateReport, ExperimentConfig, TrialReport,
+                  expected_frobenius_error, gen_lsq_instance, load_report,
+                  lowrank_sample_size_explicit, optimal_probs,
+                  rand_matrix_multiply, run_check_suite, run_experiment,
+                  write_matrix, write_vector)
+from rnla.cli import main as cli_main
 from rnla.harness import (VERSION, aggregate, build_report, dumps_report,
                           report_to_csv, run_trials, write_report)
 from rnla.sampling import RNG_NAME, SampleSize
@@ -208,7 +214,8 @@ def test_aggregate_hand_values():
     assert s["mean"] == pytest.approx(2.5, abs=1e-15)
     assert s["se"] == pytest.approx(math.sqrt(5.0 / 3.0 / 4.0), rel=1e-12)
     assert (s["min"], s["max"]) == (1.0, 4.0)
-    assert agg.version == VERSION and agg.rng == RNG_NAME
+    meta = build_report(cfg, trials, agg)["meta"]
+    assert meta["version"] == VERSION and meta["rng"] == RNG_NAME
 
 
 def test_aggregate_edge_cases():
@@ -302,6 +309,18 @@ def test_load_report_schema_rejections(tmp_path):
         load_report(arr)
 
 
+def test_load_report_aggregate_keys_are_the_record_fields(tmp_path):
+    rep = run_experiment(_matmul_config(trials=1))
+    missing = {**rep, "aggregate": {k: v for k, v in rep["aggregate"].items()
+                                    if k != "metrics"}}
+    extra = {**rep, "aggregate": {**rep["aggregate"], "config": {}}}
+    for i, bad in enumerate((missing, extra)):
+        p = tmp_path / f"bad{i}.json"
+        write_report(p, bad)
+        with pytest.raises(ValueError, match="aggregate fields"):
+            load_report(p)
+
+
 def test_report_to_csv_exact():
     rep = {"aggregate": {"success_rate": 0.75,
                          "metrics": {"a": {"mean": 1.5, "se": 0.25,
@@ -313,11 +332,40 @@ def test_report_to_csv_exact():
 
 def test_run_experiment_echoes_config():
     cfg = _matmul_config(trials=3)
-    agg = run_experiment(cfg)
-    assert agg.config["algorithm"] == "matmul"
-    assert agg.config["trials"] == 3
-    assert agg.config["base_seed"] == 3
-    assert agg.trials_total == 3
+    rep = run_experiment(cfg)
+    assert rep["config"]["algorithm"] == "matmul"
+    assert rep["config"]["trials"] == 3
+    assert rep["config"]["base_seed"] == 3
+    assert rep["aggregate"]["trials_total"] == 3
+
+
+def test_report_blocks_are_the_record_fields():
+    """Each report block holds exactly its record type's fields, in order."""
+    rep = run_experiment(_matmul_config(trials=2))
+    assert list(rep["config"]) == [f.name for f in fields(ExperimentConfig)]
+    for t in rep["trials"]:
+        assert list(t) == [f.name for f in fields(TrialReport)]
+    assert list(rep["aggregate"]) == [f.name for f in fields(AggregateReport)]
+    assert list(rep["aggregate"]) == ["success_rate", "trials_ok",
+                                      "trials_total", "metrics"]
+    assert rep["meta"]["version"] == VERSION and rep["meta"]["rng"] == RNG_NAME
+
+
+def test_run_experiment_matches_cli_bytes(tmp_path):
+    """The library and the CLI run one path: same report once wall_time is out."""
+    def strip(text):
+        return re.sub(r'"wall_time": [0-9eE+.\-]+', '"wall_time": 0', text)
+
+    cfg = ExperimentConfig(
+        "lowrank",
+        {"seed": 5, "family": "lowrank_plus_noise", "m": 32, "n": 24,
+         "sigma": [8.0, 6.0, 4.0]},
+        {"k": 3, "eps": 0.25, "c": 10}, trials=3, base_seed=5)
+    out = tmp_path / "r.json"
+    assert cli_main(["lowrank", "--m", "32", "--n", "24", "--sigma", "8,6,4",
+                     "--k", "3", "--eps", "0.25", "--c", "10", "--trials", "3",
+                     "--seed", "5", "--out", str(out)]) == 0
+    assert strip(dumps_report(run_experiment(cfg))) == strip(out.read_text())
 
 
 def test_check_suites_pass():
@@ -341,3 +389,12 @@ def test_instance_seed_decouples_from_base_seed():
     za = run_trials(a)[0].bounds["Z"]
     zb = run_trials(b)[0].bounds["Z"]
     assert za == zb  # same instance, different algorithm seeds
+
+
+def test_package_version_is_the_report_version():
+    """meta.version is rnla.__version__, which must match pyproject's version."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == rnla.__version__
+    assert rnla.__version__ == VERSION

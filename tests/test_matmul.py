@@ -141,6 +141,20 @@ def test_variance_bound_scaling_and_zeros():
         entry_variance_bound(A, B, probs, 1, 2, 0)
 
 
+def test_variance_bound_dimension_mismatch():
+    """Mismatched factors or probabilities raise, as in expected_frobenius_error."""
+    A = np.ones((3, 1))
+    B = np.arange(8.0).reshape(4, 2) + 1
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        expected_frobenius_error(A, B, 1, uniform_probs(4))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        entry_variance_bound(A, B, uniform_probs(4), 1, 0, 0)
+    A = np.ones((3, 4))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        entry_variance_bound(A, B, uniform_probs(3), 1, 0, 0)
+    assert entry_variance_bound(A, B, uniform_probs(4), 1, 0, 0) > 0.0
+
+
 def test_zero_probability_on_live_term_rejected():
     A = np.ones((2, 2))
     B = np.ones((2, 2))
