@@ -18,6 +18,7 @@ from .harness import (CHECK_SUITES, ExperimentConfig, dumps_report,
                       load_report, report_to_csv, run_check_suite,
                       run_experiment, write_report)
 from .matio import MatrixFileError, write_matrix, write_vector
+from .sampling import _KEY_LIMIT
 
 __all__ = ["main"]
 
@@ -34,21 +35,24 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _seed(value: int, name: str) -> int:
+def _seed(value: int, name: str, reach: int = 0) -> int:
+    """value, refused unless every derived seed value .. value + reach is a Philox key."""
     if value < 0:
         raise UsageError(f"{name} must be >= 0, got {value}")
+    if value + reach >= _KEY_LIMIT:
+        raise UsageError(f"{name} must be <= 2**128 - {reach + 1}, got {value}")
     return value
 
 
-def _resolve_seed(flag_value) -> int:
+def _resolve_seed(flag_value, reach: int = 0) -> int:
     if flag_value is not None:
-        return _seed(flag_value, "--seed")
+        return _seed(flag_value, "--seed", reach)
     env = os.environ.get("RNLA_SEED", "0")
     try:
         value = int(env)
     except ValueError:
         raise UsageError(f"RNLA_SEED must be an integer, got {env!r}")
-    return _seed(value, "RNLA_SEED")
+    return _seed(value, "RNLA_SEED", reach)
 
 
 def _parse_sigma(text):
@@ -85,8 +89,11 @@ def _params(args) -> dict:
 
 
 def _instance_from_args(args, seed: int) -> dict:
-    inst: dict = {"seed": seed if args.instance_seed is None
-                  else _seed(args.instance_seed, "--instance-seed")}
+    # The instance seed defaults to the base seed; a generated matmul B uses it + 1.
+    iseed, name = ((seed, "the base seed") if args.instance_seed is None
+                   else (args.instance_seed, "--instance-seed"))
+    generated_b = args.command == "matmul" and not args.inp
+    inst: dict = {"seed": _seed(iseed, name, int(generated_b))}
     if getattr(args, "inp", None):
         inst["family"] = "file"
         inst["path"] = args.inp
@@ -131,9 +138,9 @@ def cmd_gen(args) -> int:
 
 def cmd_experiment(args) -> int:
     """Run the subcommand's algorithm; args.params names the flags it copies."""
-    seed = _resolve_seed(args.seed)
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    seed = _resolve_seed(args.seed, reach=args.trials - 1)
     report = run_experiment(ExperimentConfig(
         algorithm=args.command,
         instance=_instance_from_args(args, seed),
@@ -151,7 +158,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_check(args) -> int:
-    seed = _resolve_seed(args.seed)
+    # The lsq and lowrank suites also draw from seed + 1.
+    seed = _resolve_seed(args.seed, reach=int(args.suite in ("lsq", "lowrank")))
     t = run_check_suite(args.suite, _params(args), seed)
     status = "PASS" if t.flags.get("success") else "FAIL"
     detail = "  ".join(f"{k}={v:.6g}" for k, v in sorted(t.metrics.items()))

@@ -37,7 +37,7 @@ from .lsq import rand_least_squares
 from .matio import read_matrix, read_vector
 from .matmul import (enumerate_sketch_moments, entry_variance_bound,
                      expected_frobenius_error, rand_matrix_multiply)
-from .sampling import (RNG_NAME, colnorm_probs, draw_plan, make_rng,
+from .sampling import (_KEY_LIMIT, RNG_NAME, colnorm_probs, draw_plan, make_rng,
                        optimal_probs, rownorm_probs, uniform_probs)
 from .srht import OpCounter, SketchRankError, next_pow2, subsampled_fwht
 
@@ -75,6 +75,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.base_seed <= _KEY_LIMIT - self.trials:
+            raise ValueError(f"trial seeds base_seed .. base_seed + trials - 1 must lie "
+                             f"in [0, 2**128), got base_seed = {self.base_seed}")
 
 
 @dataclass
@@ -266,8 +269,8 @@ def run_trials(config: ExperimentConfig) -> list[TrialReport]:
     return out
 
 
-def aggregate(config: ExperimentConfig, trials: list[TrialReport]) -> AggregateReport:
-    """Deterministic fold over trials in index order (config is not read)."""
+def aggregate(trials: list[TrialReport]) -> AggregateReport:
+    """Deterministic fold over trials in index order."""
     succ = sum(1 for t in trials if t.ok and t.flags.get("success", False))
     ok_trials = [t for t in trials if t.ok]
     names = sorted({k for t in ok_trials for k in t.metrics})
@@ -294,7 +297,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Run every trial and return the report dict, timed in meta.wall_time."""
     start = time.perf_counter()
     trials = run_trials(config)
-    agg = aggregate(config, trials)
+    agg = aggregate(trials)
     return build_report(config, trials, agg, time.perf_counter() - start)
 
 

@@ -24,8 +24,7 @@ import numpy as np
 from .linalg import (ThinSVD, _thin_svd, as_matrix, orthonormal_basis,
                      pseudoinverse, thin_svd)
 from .sampling import SampleSize
-from .srht import (OpCounter, SketchRankError, _refuse_default_width,
-                   make_srht, srht_apply)
+from .srht import SketchRankError, _refuse_default_width, make_srht, srht_apply
 
 __all__ = [
     "LowRankResult",
@@ -119,7 +118,7 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
     if c < k:
         raise ValueError(f"sketch width c={c} is below the target rank k={k}")
     op = make_srht(n, c, seed, side="right")
-    C = srht_apply(op, A, OpCounter())
+    C = srht_apply(op, A)
     U_C = orthonormal_basis(C)
     fw, U_tilde, resid = _extract(A, U_C, k, f" at c = {c}")
     err = float(np.linalg.norm(resid, "fro"))

@@ -38,10 +38,11 @@ __all__ = [
 RNG_NAME = "philox4x32-10"
 
 ORTHO_TOL = 1e-8  # max |U^T U - I| accepted by leverage_probs and coherence_check
+_KEY_LIMIT = 2 ** 128  # Philox keys lie in [0, 2**128)
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Philox4x32-10 generator keyed on the 64-bit seed."""
+    """Philox4x32-10 generator keyed on the seed, an integer in [0, 2**128)."""
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 

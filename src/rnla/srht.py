@@ -6,15 +6,21 @@ H = (1/sqrt(n)) Htilde, and uniform row sampling S with rescale sqrt(n/r).
 Non-power-of-two inputs are zero-padded up to n_pad internally; callers never
 see the padded dimension except through the operator itself.
 
+One application path: srht_apply is the only function that pads, applies
+the signs, runs the kernel, samples, rescales and checks the output for
+NaN/Inf.  The other transforms are operators it applies: subsampled_fwht is
+all +1 signs over the caller's plan, fwht adds the in-order plan at scale 1,
+and coherence_check rotates with op's signs and that full plan.
+
 Only r of the n transformed entries are ever needed, so one kernel,
-_hadamard_rows, works top down on the sampled index set, in place inside the
-caller's zero-padded buffer: Htilde_n x = [Htilde_{n/2}(x1+x2);
+_hadamard_rows, works top down on the sampled index set, in place inside
+srht_apply's zero-padded buffer: Htilde_n x = [Htilde_{n/2}(x1+x2);
 Htilde_{n/2}(x1-x2)], and each half is combined and entered only if it
 contains requested indices.  Each computed half-combination charges n/2 adds
 to the counter, which keeps the total at or below 2 n log2(r+1) for r draws.
-The full transform (fwht, coherence_check) is the case where every index is
-requested.  The kernel reshapes row slices of its buffer, so the buffer must
-be C-contiguous for those reshapes to stay views.
+The full transform is the case where every index is requested.  The kernel
+reshapes row slices of its buffer, so the buffer must be C-contiguous for
+those reshapes to stay views.
 
 Reproducibility contract: one Philox stream per operator seed, sign draws
 consumed first, index draws second.
@@ -98,7 +104,7 @@ def _is_pow2(n: int) -> bool:
 def next_pow2(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
-    return 1 << (n - 1).bit_length() if n > 1 else 1
+    return 1 << (n - 1).bit_length()
 
 
 def _refuse_default_width(name: str, count: int, n: int, override: str) -> None:
@@ -149,32 +155,22 @@ def _hadamard_rows(y: np.ndarray, idx: np.ndarray, counter: OpCounter) -> None:
         _hadamard_rows(y[half:], idx[split:] - half, counter)
 
 
+def _full_plan(n: int) -> SamplingPlan:
+    """Every index of [0, n) once, in order, at scale 1."""
+    return SamplingPlan(indices=np.arange(n), scales=np.ones(n), n=n)
+
+
 def fwht(x, counter: OpCounter | None = None) -> np.ndarray:
     """Normalized fast Walsh-Hadamard transform H_n x.
 
     x must have power-of-two length.  The counter gains exactly n log2(n)
     additions/subtractions; the final 1/sqrt(n) normalization multiplies are
-    not counted.  The stages run in place on a copy of x, top down (largest
-    stride first); earlier versions ran them bottom up, so values may differ
-    from theirs in the last bits.
+    not counted.
     """
-    x = np.array(x, dtype=np.float64, ndmin=1)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 1 or not _is_pow2(x.size):
         raise ValueError("fwht requires a 1-d vector of power-of-two length")
-    if counter is None:
-        counter = OpCounter()
-    n = x.size
-    _hadamard_rows(x.reshape(n, 1), np.arange(n), counter)
-    return x / math.sqrt(n)
-
-
-def _sampled_block(y: np.ndarray, plan: SamplingPlan, counter: OpCounter) -> np.ndarray:
-    """Sampled rescaled rows of H @ y for a C-contiguous (n, k) block: (r, k).
-
-    Overwrites y.
-    """
-    _hadamard_rows(y, np.unique(plan.indices), counter)
-    return y[plan.indices] / math.sqrt(y.shape[0]) * plan.scales[:, None]
+    return subsampled_fwht(x, _full_plan(x.size), counter)
 
 
 def subsampled_fwht(x, plan: SamplingPlan, counter: OpCounter | None = None) -> np.ndarray:
@@ -184,16 +180,11 @@ def subsampled_fwht(x, plan: SamplingPlan, counter: OpCounter | None = None) -> 
     Duplicate draws are computed once and emitted once per draw; the counter
     stays at or below 2 n log2(r+1) either way.
     """
-    x = np.array(x, dtype=np.float64, ndmin=1)
-    if x.ndim != 1:
-        raise ValueError("subsampled_fwht expects a 1-d vector")
-    if x.size != plan.n:
-        raise ValueError(f"plan over n={plan.n} does not match vector length {x.size}")
-    if not _is_pow2(x.size):
-        raise ValueError("vector length must be a power of two")
-    if counter is None:
-        counter = OpCounter()
-    return _sampled_block(x.reshape(-1, 1), plan, counter)[:, 0]
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape != (plan.n,):
+        raise ValueError(f"expected shape ({plan.n},) from plan.n, got {x.shape}")
+    op = SrhtOperator(n_pad=plan.n, signs=np.ones(plan.n), plan=plan, side="left")
+    return srht_apply(op, x, counter)
 
 
 def make_srht(n: int, r: int, seed: int, side: str = "left") -> SrhtOperator:
@@ -217,30 +208,25 @@ def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndar
     """Apply the operator: S^T H D [M; 0] (left) or [M, 0] D H S (right).
 
     Zero-padding up to n_pad happens internally.  A 1-d input is treated as a
-    single column (left) or single row (right) and returned 1-d with length r.
-    NaN/Inf in M raise ValueError, checked on the r-row output: H has no zero
-    entry, so one non-finite entry (or overflow) spoils its whole column (row).
+    single column (left) or single row (right) and returned 1-d with length r;
+    both give the same values.  NaN/Inf in M raise ValueError, checked on the
+    r-row output: H has no zero entry, so one non-finite entry (or overflow)
+    spoils its whole column (row).
     """
+    A = np.ascontiguousarray(M, dtype=np.float64)
+    # X holds the vectors the operator mixes as columns; a 1-d A is one column.
+    X = np.atleast_2d(A if op.side == "right" else A.T).T
+    if X.ndim != 2 or len(X) > op.n_pad:
+        raise ValueError(f"expected a vector or matrix with at most n_pad={op.n_pad} "
+                         f"rows (left) or columns (right), got shape {A.shape}")
+    y = np.zeros((op.n_pad, X.shape[1]))
+    np.multiply(op.signs[:len(X), None], X, out=y[:len(X)])
     if counter is None:
         counter = OpCounter()
-    A = np.ascontiguousarray(M, dtype=np.float64)
-    vector_in = A.ndim == 1
-    if vector_in:
-        A = A.reshape(-1, 1) if op.side == "left" else A.reshape(1, -1)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={A.ndim}")
-    if op.side == "right":
-        A = A.T
-    if A.shape[0] > op.n_pad:
-        raise ValueError(
-            f"input dimension {A.shape[0]} exceeds operator n_pad={op.n_pad}")
-    y = np.zeros((op.n_pad, A.shape[1]))
-    np.multiply(op.signs[: A.shape[0], None], A, out=y[: A.shape[0]])
-    out = as_matrix(_sampled_block(y, op.plan, counter))
-    if op.side == "right":
-        out = out.T.copy()
-    return out[:, 0] if vector_in and op.side == "left" else (
-        out[0, :] if vector_in else out)
+    _hadamard_rows(y, np.unique(op.plan.indices), counter)
+    out = y[op.plan.indices] / math.sqrt(op.n_pad) * op.plan.scales[:, None]
+    out = as_matrix(out.T if op.side == "right" else out)
+    return out.reshape(-1) if A.ndim == 1 else out
 
 
 def coherence_check(U, op: SrhtOperator) -> tuple[float, float]:
@@ -251,14 +237,15 @@ def coherence_check(U, op: SrhtOperator) -> tuple[float, float]:
     randomized rotation the first should fall below the second for most sign
     draws.
     """
-    U = as_matrix(U)
+    U = np.ascontiguousarray(U, dtype=np.float64)
+    if U.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got ndim={U.ndim}")
     n, d = U.shape
     if n != op.n_pad:
         raise ValueError(f"U has {n} rows, operator expects {op.n_pad}")
+    rotate = SrhtOperator(n_pad=n, signs=op.signs, plan=_full_plan(n), side="left")
+    hdu = srht_apply(rotate, U)  # the one NaN/Inf check, before the Gram matrix
     _require_orthonormal(U, "coherence_check")
-    hdu = op.signs[:, None] * U
-    _hadamard_rows(hdu, np.arange(n), OpCounter())
-    hdu /= math.sqrt(n)
     max_row = float(np.max(np.sum(hdu * hdu, axis=1)))
     threshold = 2.0 * d * math.log(40.0 * n * d) / n
     return max_row, threshold

@@ -8,12 +8,13 @@ non-finite caller array is still refused with ValueError.
 import numpy as np
 import pytest
 
-from rnla import (best_rank_k, draw_plan, exact_least_squares,
-                  forward_error_bound, gen_lsq_instance, gen_matrix, make_srht,
-                  rand_least_squares, rand_least_squares_amplified,
+from rnla import (best_rank_k, coherence_check, draw_plan, exact_least_squares,
+                  forward_error_bound, fwht, gen_lsq_instance, gen_matrix,
+                  make_srht, rand_least_squares, rand_least_squares_amplified,
                   rand_low_rank, rand_matrix_multiply,
                   sampled_columns, sampled_rows, srht_apply,
-                  structural_inequality_check, thin_svd, uniform_probs)
+                  structural_inequality_check, subsampled_fwht, thin_svd,
+                  uniform_probs)
 
 A_LSQ, B_LSQ, _ = gen_lsq_instance(256, 4, 1)
 A_LR = gen_matrix("lowrank_plus_noise", 64, 48, 2, sigma=(8.0, 6.0, 4.0), eta=0.01)
@@ -21,6 +22,8 @@ B_MM = gen_matrix("gaussian", 64, 16, 3)
 Z_LR = gen_matrix("gaussian", 48, 12, 4)
 PROBS = uniform_probs(64)
 SVD_LSQ, SVD_LR = thin_svd(A_LSQ), thin_svd(A_LR)  # factored outside the count
+X_FWHT = B_LSQ.copy()  # 256 entries, a power of two
+U_COH = np.linalg.qr(gen_matrix("gaussian", 64, 3, 5))[0]
 
 # name -> (call, A, scans of arrays with at least A.size entries)
 SCANS = {
@@ -40,6 +43,8 @@ SCANS = {
     "best_rank_k": (lambda: best_rank_k(A_LR, 3), A_LR, 1),
     "structural_inequality_check": (lambda: structural_inequality_check(
         A_LR, Z_LR, 3), A_LR, 1),
+    "fwht": (lambda: fwht(X_FWHT), X_FWHT, 1),
+    "coherence_check": (lambda: coherence_check(U_COH, make_srht(64, 8, 0)), U_COH, 1),
 }
 
 
@@ -102,6 +107,11 @@ REJECTS = {
         _poison(A_LR, v), Z_LR, 3),
     "structural_inequality_check-Z": lambda v: structural_inequality_check(
         A_LR, _poison(Z_LR, v), 3),
+    "fwht": lambda v: fwht(_poison(X_FWHT, v)),
+    "subsampled_fwht": lambda v: subsampled_fwht(
+        _poison(X_FWHT, v), draw_plan(uniform_probs(X_FWHT.size), 8, 0)),
+    "coherence_check": lambda v: coherence_check(
+        _poison(U_COH, v), make_srht(64, 8, 0)),
 }
 
 

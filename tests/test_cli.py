@@ -269,3 +269,19 @@ def test_negative_instance_seed_is_usage_error(capsys):
     assert main(["matmul", "--m", "4", "--n", "6", "--c", "3", "--trials", "1",
                  "--instance-seed", "-3"]) == 1
     assert "--instance-seed must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["check", "srht", "--n", "64", "--r", "4", "--seed", str(2**128)], 1),
+    (["check", "lsq", "--seed", str(2**128 - 1)], 2),
+    (["lsq", "--m", "64", "--n", "3", "--eps", "0.5", "--r", "32",
+      "--trials", "2", "--seed", str(2**128 - 1), "--instance-seed", "1"], 2),
+    (["matmul", "--m", "4", "--n", "6", "--c", "3", "--trials", "1",
+      "--seed", "0", "--instance-seed", str(2**128 - 1)], 2),
+], ids=["check-srht", "check-lsq", "lsq-trials", "matmul-instance"])
+def test_seed_past_philox_key_range_is_usage_error(capsys, argv, limit):
+    """Every key derived from a seed must stay below 2**128, or nothing runs."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"must be <= 2**128 - {limit}, got " in captured.err

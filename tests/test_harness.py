@@ -35,6 +35,11 @@ def test_config_validation():
         ExperimentConfig("qr", {}, {}, trials=1, base_seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig("matmul", {}, {}, trials=0, base_seed=0)
+    with pytest.raises(ValueError, match="base_seed = -1"):
+        ExperimentConfig("lsq", {}, {}, trials=2, base_seed=-1)
+    with pytest.raises(ValueError, match="2\\*\\*128"):
+        ExperimentConfig("lsq", {}, {}, trials=2, base_seed=2**128 - 1)
+    ExperimentConfig("lsq", {}, {}, trials=2, base_seed=2**128 - 2)
 
 
 def test_matmul_trials_structure():
@@ -134,7 +139,7 @@ def test_lowrank_unrecoverable_trial_becomes_data():
     trials = run_trials(cfg)
     assert all(not t.ok for t in trials)
     assert all(t.error.startswith("SketchRankError") for t in trials)
-    agg = aggregate(cfg, trials)
+    agg = aggregate(trials)
     assert agg.success_rate == 0.0
     assert agg.trials_ok == 0
     assert agg.trials_total == 3
@@ -208,7 +213,7 @@ def test_aggregate_hand_values():
         TrialReport(seed=2, metrics={"m": 3.0}, flags={"success": True}),
         TrialReport(seed=3, metrics={"m": 4.0}, flags={"success": False}),
     ]
-    agg = aggregate(cfg, trials)
+    agg = aggregate(trials)
     assert agg.success_rate == 0.5
     s = agg.metrics["m"]
     assert s["mean"] == pytest.approx(2.5, abs=1e-15)
@@ -219,7 +224,6 @@ def test_aggregate_hand_values():
 
 
 def test_aggregate_edge_cases():
-    cfg = _matmul_config(trials=3)
     trials = [
         TrialReport(seed=0, metrics={"m": 2.0, "extra": 7.0},
                     flags={"success": True}),
@@ -227,7 +231,7 @@ def test_aggregate_edge_cases():
                     flags={"success": False}),
         TrialReport(seed=2, metrics={"m": 2.0}, flags={"success": True}),
     ]
-    agg = aggregate(cfg, trials)
+    agg = aggregate(trials)
     # The failed trial is excluded from metric folds but not from the rate.
     assert agg.success_rate == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert agg.trials_ok == 2
@@ -239,7 +243,7 @@ def test_aggregate_edge_cases():
 def test_report_round_trip_exact(tmp_path):
     cfg = _matmul_config()
     trials = run_trials(cfg)
-    rep = build_report(cfg, trials, aggregate(cfg, trials),
+    rep = build_report(cfg, trials, aggregate(trials),
                        total_wall_time=0.125)
     path = tmp_path / "r.json"
     write_report(path, rep)
@@ -250,7 +254,7 @@ def test_reruns_identical_modulo_wall_time():
     def render():
         cfg = _matmul_config()
         trials = run_trials(cfg)
-        rep = build_report(cfg, trials, aggregate(cfg, trials), 0.0)
+        rep = build_report(cfg, trials, aggregate(trials), 0.0)
         for t in rep["trials"]:
             t["wall_time"] = 0.0
         return dumps_report(rep)
@@ -285,7 +289,7 @@ def test_dumps_report_rejects_bad_values():
 def test_load_report_schema_rejections(tmp_path):
     cfg = _matmul_config(trials=1)
     trials = run_trials(cfg)
-    rep = build_report(cfg, trials, aggregate(cfg, trials), 0.0)
+    rep = build_report(cfg, trials, aggregate(trials), 0.0)
 
     def dump(mutate):
         import copy
