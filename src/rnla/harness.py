@@ -78,6 +78,12 @@ class ExperimentConfig:
         if not 0 <= self.base_seed <= _KEY_LIMIT - self.trials:
             raise ValueError(f"trial seeds base_seed .. base_seed + trials - 1 must lie "
                              f"in [0, 2**128), got base_seed = {self.base_seed}")
+        # The instance seed defaults to base_seed; a generated matmul B uses it + 1.
+        iseed = int(self.instance.get("seed", self.base_seed))
+        reach = int(self.algorithm == "matmul" and self.instance.get("family") != "file")
+        if not 0 <= iseed < _KEY_LIMIT - reach:
+            bound = "2**128 - 1), since a generated B uses seed + 1" if reach else "2**128)"
+            raise ValueError(f"instance seed must lie in [0, {bound}; got seed = {iseed}")
 
 
 @dataclass

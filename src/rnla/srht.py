@@ -16,11 +16,17 @@ Only r of the n transformed entries are ever needed, so one kernel,
 _hadamard_rows, works top down on the sampled index set, in place inside
 srht_apply's zero-padded buffer: Htilde_n x = [Htilde_{n/2}(x1+x2);
 Htilde_{n/2}(x1-x2)], and each half is combined and entered only if it
-contains requested indices.  Each computed half-combination charges n/2 adds
-to the counter, which keeps the total at or below 2 n log2(r+1) for r draws.
-The full transform is the case where every index is requested.  The kernel
-reshapes row slices of its buffer, so the buffer must be C-contiguous for
-those reshapes to stay views.
+contains requested indices.  Each computed half-combination costs n/2 adds,
+which keeps the total at or below 2 n log2(r+1) for r draws.  The full
+transform is the case where every index is requested.
+
+The walk's bookkeeping is integer work, so the butterflies are most of its
+time: the requested rows become one sorted Python list, a node is an
+integer offset and size into the one buffer plus the bounds of its rows in
+that list, bisect splits the rows between the halves, and the adds are
+summed as the walk returns and charged to the counter once per call.  The
+kernel slices and reshapes row ranges of its buffer, so the buffer must be
+C-contiguous for those to stay views.
 
 Reproducibility contract: one Philox stream per operator seed, sign draws
 consumed first, index draws second.
@@ -29,6 +35,7 @@ consumed first, index draws second.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,29 +137,42 @@ def _butterfly(top: np.ndarray, bot: np.ndarray, want_top: bool, want_bot: bool)
 def _hadamard_rows(y: np.ndarray, idx: np.ndarray, counter: OpCounter) -> None:
     """Leave rows idx (sorted, distinct, 0-based) of Htilde_n @ y in y, in place.
 
-    y is an (n, k) block of row slices of a C-contiguous buffer, so every
-    reshape below is a view.  Top down: the halves are combined and a half is
-    entered only when it holds requested rows, at n/2 adds per combined half.
-    A block whose rows are all requested is finished level by level, largest
-    stride first, which is the same order of stages.  Rows not in idx are left
-    holding partial sums.
+    y is an (n, k) C-contiguous buffer, so a row slice of it is a view and
+    reshapes without a copy.  The tree walk is integer work: idx becomes a
+    sorted Python list once, each node is (offset, size, lo, hi) with
+    rows[lo:hi] inside y[offset:offset+size], and bisect finds where the
+    halves split.  Rows not in idx are left holding partial sums.  The
+    counter is charged once, with the adds summed over the walk.
     """
-    n, k = y.shape
-    if idx.size == n:
-        for s in range(1, n.bit_length()):  # strides n/2, n/4, ..., 1
-            blk = y.reshape(1 << (s - 1), 2, n >> s, k)
-            _butterfly(blk[:, 0], blk[:, 1], True, True)
-            counter.add(n * k)
-        return
-    half = n // 2
-    split = int(np.searchsorted(idx, half))
-    want_top, want_bot = split > 0, split < idx.size
-    _butterfly(y[:half], y[half:], want_top, want_bot)
-    counter.add(half * k * (want_top + want_bot))
+    counter.add(_rows_node(y, 0, len(y), idx.tolist(), 0, idx.size) * y.shape[1])
+
+
+def _rows_node(y: np.ndarray, offset: int, size: int, rows: list, lo: int, hi: int) -> int:
+    """Rows rows[lo:hi] of Htilde_size @ y[offset:offset+size], in place; adds per column.
+
+    Top down: the halves are combined and a half is entered only when it
+    holds requested rows, at size/2 adds per combined half.  A block whose
+    rows are all requested is finished level by level, largest stride first,
+    which is the same order of stages.  A module-level function, not a
+    closure, so one call leaves no reference cycle holding y.
+    """
+    if hi - lo == size:
+        blk = y[offset:offset + size]
+        for s in range(1, size.bit_length()):  # strides size/2, size/4, ..., 1
+            lvl = blk.reshape(1 << (s - 1), 2, size >> s, y.shape[1])
+            _butterfly(lvl[:, 0], lvl[:, 1], True, True)
+        return size * (size.bit_length() - 1)
+    half = size >> 1
+    mid = offset + half
+    split = bisect_left(rows, mid, lo, hi)
+    want_top, want_bot = split > lo, split < hi
+    _butterfly(y[offset:mid], y[mid:offset + size], want_top, want_bot)
+    adds = half * (want_top + want_bot)
     if want_top:
-        _hadamard_rows(y[:half], idx[:split], counter)
+        adds += _rows_node(y, offset, half, rows, lo, split)
     if want_bot:
-        _hadamard_rows(y[half:], idx[split:] - half, counter)
+        adds += _rows_node(y, mid, half, rows, split, hi)
+    return adds
 
 
 def _full_plan(n: int) -> SamplingPlan:

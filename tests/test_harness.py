@@ -40,6 +40,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="2\\*\\*128"):
         ExperimentConfig("lsq", {}, {}, trials=2, base_seed=2**128 - 1)
     ExperimentConfig("lsq", {}, {}, trials=2, base_seed=2**128 - 2)
+    big = {"family": "gaussian", "m": 4, "n": 6, "seed": 2**128 - 1}
+    with pytest.raises(ValueError, match="B uses seed \\+ 1"):
+        ExperimentConfig("matmul", big, {"c": 3}, trials=1, base_seed=0)
+    ExperimentConfig("lowrank", big, {"k": 1}, trials=1, base_seed=0)
+    with pytest.raises(ValueError, match="seed = -1"):
+        ExperimentConfig("lsq", {"family": "gaussian", "m": 64, "n": 3, "seed": -1},
+                         {"eps": 0.5, "r": 32}, trials=2, base_seed=1)
 
 
 def test_matmul_trials_structure():

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from rnla import (OpCounter, SrhtOperator, coherence_check, draw_plan, fwht,
                   make_rng, make_srht, next_pow2, srht_apply, subsampled_fwht,
                   uniform_probs)
+from rnla import srht as srht_module
 from rnla.sampling import SamplingPlan
 
 
@@ -19,6 +21,36 @@ def _hadamard(n):
 
 def _inorder_plan(n):
     return SamplingPlan(indices=np.arange(n), scales=np.ones(n), n=n)
+
+
+def _reference_hadamard_rows(y, idx, counter):
+    """Per-node reference kernel: array bookkeeping, the same butterflies."""
+    n, k = y.shape
+    if idx.size == n:
+        for s in range(1, n.bit_length()):
+            blk = y.reshape(1 << (s - 1), 2, n >> s, k)
+            srht_module._butterfly(blk[:, 0], blk[:, 1], True, True)
+            counter.add(n * k)
+        return
+    half = n // 2
+    split = int(np.searchsorted(idx, half))
+    want_top, want_bot = split > 0, split < idx.size
+    srht_module._butterfly(y[:half], y[half:], want_top, want_bot)
+    counter.add(half * k * (want_top + want_bot))
+    if want_top:
+        _reference_hadamard_rows(y[:half], idx[:split], counter)
+    if want_bot:
+        _reference_hadamard_rows(y[half:], idx[split:] - half, counter)
+
+
+def _assert_matches_reference(op, M, monkeypatch):
+    ops, ref_ops = OpCounter(), OpCounter()
+    out = srht_apply(op, M, ops)
+    with monkeypatch.context() as m:
+        m.setattr(srht_module, "_hadamard_rows", _reference_hadamard_rows)
+        want = srht_apply(op, M, ref_ops)
+    assert out.tobytes() == want.tobytes()
+    assert ops.adds_subs == ref_ops.adds_subs
 
 
 def test_fwht_two_point_values():
@@ -76,6 +108,51 @@ def test_subsampled_matches_oracle_on_grid():
             closed = (_hadamard(n) @ x)[plan.indices] * plan.scales
             np.testing.assert_allclose(out, closed, atol=1e-12)
             assert counter.adds_subs <= 2 * n * math.log2(r + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 100, 1024, 4096, 12000])
+def test_apply_matches_reference_kernel(n, monkeypatch):
+    """Byte-equal outputs and equal add counts; r = 2n forces duplicate draws."""
+    rng = make_rng(n)
+    for r in sorted({1, 2, 3, n // 2, n, 2 * n} - {0}):
+        for side, shape in (("left", (n, 3)), ("right", (4, n)), ("left", (n,))):
+            op = make_srht(n, r, 10 * n + r, side=side)
+            _assert_matches_reference(op, rng.standard_normal(shape), monkeypatch)
+
+
+def test_apply_matches_reference_kernel_tall(monkeypatch):
+    op = make_srht(131072, 1024, 1)
+    _assert_matches_reference(op, make_rng(1).standard_normal((131072, 17)),
+                              monkeypatch)
+
+
+def test_add_count_level_formula():
+    """Adds = sum over levels of (n_pad >> (s+1)) k |unique(idx >> (L-s-1))|."""
+    rng = make_rng(13)
+    for n, r, k in ((1, 1, 2), (2, 1, 1), (8, 3, 2), (100, 7, 3), (1024, 64, 2),
+                    (1024, 2048, 1), (5000, 300, 4)):
+        op = make_srht(n, r, int(rng.integers(1 << 30)))
+        n_pad, L = op.n_pad, op.n_pad.bit_length() - 1
+        want = sum((n_pad >> (s + 1)) * k * np.unique(op.plan.indices >> (L - s - 1)).size
+                   for s in range(L))
+        counter = OpCounter()
+        srht_apply(op, rng.standard_normal((n, k)), counter)
+        assert counter.adds_subs == want
+
+
+def test_apply_leaves_no_reference_cycle():
+    """The transform's buffer is freed on return, not left to the cyclic GC."""
+    left = make_srht(1000, 30, 1)
+    right = make_srht(1000, 30, 2, side="right")
+    M = make_rng(14).standard_normal((1000, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        srht_apply(left, M)
+        srht_apply(right, M.T)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_subsampled_duplicate_draws():
