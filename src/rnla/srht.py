@@ -28,6 +28,13 @@ summed as the walk returns and charged to the counter once per call.  The
 kernel slices and reshapes row ranges of its buffer, so the buffer must be
 C-contiguous for those to stay views.
 
+A butterfly that keeps both halves needs their difference while it adds
+them; that goes through a temporary of at most _CHUNK elements (128 KiB),
+piece by piece, never one as large as the half.  So the kernel's only large
+allocation is srht_apply's padded buffer, and no butterfly maps and faults
+in fresh pages.  Each element still gets the same subtraction and addition
+of the same operands, so outputs are bit-identical to one whole-half pass.
+
 Reproducibility contract: one Philox stream per operator seed, sign draws
 consumed first, index draws second.
 """
@@ -122,16 +129,37 @@ def _refuse_default_width(name: str, count: int, n: int, override: str) -> None:
                          f"n_pad = {n_pad}; pass {override} to choose one")
 
 
+# Most elements a butterfly's temporary holds: 128 KiB, below any malloc mmap
+# threshold, so the temporary comes from the heap instead of fresh pages.
+_CHUNK = 2 ** 14
+
+
 def _butterfly(top: np.ndarray, bot: np.ndarray, want_top: bool, want_bot: bool) -> None:
-    """In place: top <- top + bot if want_top, bot <- top - bot if want_bot."""
-    if want_top and want_bot:
+    """In place: top <- top + bot if want_top, bot <- top - bot if want_bot.
+
+    top and bot are equal-shape views: row ranges (rows, k) or level views
+    (groups, half, k).  Only when both halves are wanted is a temporary
+    needed, and it holds at most _CHUNK elements: a larger pair is split
+    along its leading axis into pieces of at most _CHUNK elements, and a
+    leading entry larger than that (a group, or a row wider than the chunk)
+    is split the same way in turn.  A pair that fits takes one pass.  Every
+    element gets the same subtraction and addition of the same operands
+    either way, so the results are bit-identical to one whole-array pass.
+    """
+    if not want_top:
+        np.subtract(top, bot, out=bot)
+    elif not want_bot:
+        top += bot
+    elif top.size > _CHUNK:
+        step = _CHUNK // (top.size // len(top))  # leading entries per piece
+        pieces = zip(top, bot) if step == 0 else (
+            (top[i:i + step], bot[i:i + step]) for i in range(0, len(top), step))
+        for t, b in pieces:
+            _butterfly(t, b, True, True)
+    else:
         diff = top - bot
         top += bot
         bot[...] = diff
-    elif want_top:
-        top += bot
-    else:
-        np.subtract(top, bot, out=bot)
 
 
 def _hadamard_rows(y: np.ndarray, idx: np.ndarray, counter: OpCounter) -> None:

@@ -52,6 +52,21 @@ def test_matmul_report_file(tmp_path, capsys):
     assert rep["meta"]["wall_time"] >= 0.0
 
 
+def test_matmul_no_diagnostics_drops_only_the_spectral_error(tmp_path):
+    reports = {}
+    for flags in ([], ["--no-diagnostics"]):
+        out = tmp_path / f"r{len(flags)}.json"
+        assert main(["matmul", "--m", "4", "--n", "8", "--c", "3", "--trials", "2",
+                     "--seed", "0", "--out", str(out), *flags]) == 0
+        reports[bool(flags)] = load_report(out)
+    on, off = reports[False], reports[True]
+    assert "spectral_error" in on["aggregate"]["metrics"]
+    assert "spectral_error" not in off["aggregate"]["metrics"]
+    for t_on, t_off in zip(on["trials"], off["trials"], strict=True):
+        del t_on["metrics"]["spectral_error"], t_on["wall_time"], t_off["wall_time"]
+        assert t_on == t_off
+
+
 def test_report_goes_to_stdout_without_out_flag(capsys):
     rc = main(["matmul", "--m", "3", "--n", "4", "--c", "2", "--trials", "2",
                "--seed", "0"])

@@ -23,19 +23,31 @@ def _inorder_plan(n):
     return SamplingPlan(indices=np.arange(n), scales=np.ones(n), n=n)
 
 
+def _reference_butterfly(top, bot, want_top, want_bot):
+    """The butterfly as one whole-array pass, with a half-sized temporary."""
+    if want_top and want_bot:
+        diff = top - bot
+        top += bot
+        bot[...] = diff
+    elif want_top:
+        top += bot
+    else:
+        np.subtract(top, bot, out=bot)
+
+
 def _reference_hadamard_rows(y, idx, counter):
-    """Per-node reference kernel: array bookkeeping, the same butterflies."""
+    """Per-node reference kernel: array bookkeeping, one-pass butterflies."""
     n, k = y.shape
     if idx.size == n:
         for s in range(1, n.bit_length()):
             blk = y.reshape(1 << (s - 1), 2, n >> s, k)
-            srht_module._butterfly(blk[:, 0], blk[:, 1], True, True)
+            _reference_butterfly(blk[:, 0], blk[:, 1], True, True)
             counter.add(n * k)
         return
     half = n // 2
     split = int(np.searchsorted(idx, half))
     want_top, want_bot = split > 0, split < idx.size
-    srht_module._butterfly(y[:half], y[half:], want_top, want_bot)
+    _reference_butterfly(y[:half], y[half:], want_top, want_bot)
     counter.add(half * k * (want_top + want_bot))
     if want_top:
         _reference_hadamard_rows(y[:half], idx[:split], counter)
@@ -124,6 +136,48 @@ def test_apply_matches_reference_kernel_tall(monkeypatch):
     op = make_srht(131072, 1024, 1)
     _assert_matches_reference(op, make_rng(1).standard_normal((131072, 17)),
                               monkeypatch)
+
+
+@pytest.mark.parametrize("k", [1, 4, 17, 300, 20000])
+def test_butterfly_matches_one_pass_across_the_chunk(k):
+    """Halves one row below, at and one above _CHUNK // k rows, and a row
+    wider than the chunk: the one-pass bytes, through a temporary of at most
+    _CHUNK elements."""
+    chunk_rows = srht_module._CHUNK // k
+    rng = make_rng(k)
+    for rows in sorted({chunk_rows - 1, chunk_rows, chunk_rows + 1} - {-1, 0}):
+        for want in ((True, True), (True, False), (False, True)):
+            y = rng.standard_normal((2 * rows, k))
+            ref = y.copy()
+            _reference_butterfly(ref[:rows], ref[rows:], *want)
+            tracemalloc.start()
+            try:
+                srht_module._butterfly(y[:rows], y[rows:], *want)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert y.tobytes() == ref.tobytes()
+            assert peak <= 8 * srht_module._CHUNK + 4096
+
+
+@pytest.mark.parametrize("side, shape, r", [
+    ("left", (8192, 4), 64),     # top half exactly _CHUNK // k rows
+    ("left", (8193, 4), 64),     # top half twice that
+    ("right", (20000, 64), 8),   # each mixed row wider than the chunk
+])
+def test_apply_matches_reference_kernel_across_the_chunk(side, shape, r, monkeypatch):
+    n = shape[0] if side == "left" else shape[1]
+    op = make_srht(n, r, 5, side=side)
+    _assert_matches_reference(op, make_rng(5).standard_normal(shape), monkeypatch)
+
+
+def test_full_plan_matches_reference_kernel_past_the_chunk(monkeypatch):
+    """The full-block path at n = 2**16, k = 4: level views from one group
+    larger than the chunk to many groups smaller than it."""
+    n = 1 << 16
+    op = SrhtOperator(n_pad=n, signs=make_srht(n, 1, 6).signs,
+                      plan=_inorder_plan(n), side="left")
+    _assert_matches_reference(op, make_rng(6).standard_normal((n, 4)), monkeypatch)
 
 
 def test_add_count_level_formula():
@@ -282,6 +336,24 @@ def test_apply_peak_memory_is_bounded(side, n, k, r):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * op.n_pad * k * 8
+
+
+@pytest.mark.parametrize("side, n, k, r", [("left", 12000, 9, 300),
+                                           ("right", 1024, 300, 32),
+                                           ("left", 131072, 17, 1024)])
+def test_apply_peak_memory_is_the_buffer_and_a_chunk(side, n, k, r):
+    """A second srht_apply call peaks at 1.25x its (n_pad, k) padded buffer:
+    the butterflies add a fixed-size temporary, not a half-buffer one."""
+    op = make_srht(n, r, 3, side=side)
+    M = make_rng(11).standard_normal((n, k) if side == "left" else (k, n))
+    srht_apply(op, M)
+    tracemalloc.start()
+    try:
+        srht_apply(op, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * op.n_pad * k * 8
 
 
 def test_transforms_leave_caller_arrays_unchanged():
