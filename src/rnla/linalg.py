@@ -19,9 +19,7 @@ __all__ = [
     "spectral_norm",
     "ThinSVD",
     "thin_svd",
-    "numerical_rank",
     "pseudoinverse",
-    "best_rank_k",
     "orthonormal_basis",
 ]
 
@@ -131,10 +129,6 @@ def _thin_svd(M: np.ndarray) -> ThinSVD:
                    V=Vt[:rho, :].T.copy(), rank=rho)
 
 
-def numerical_rank(M) -> int:
-    return thin_svd(M).rank
-
-
 def pseudoinverse(M) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the thin SVD.
 
@@ -142,22 +136,6 @@ def pseudoinverse(M) -> np.ndarray:
     of transposed shape.
     """
     return thin_svd(M).pinv()
-
-
-def best_rank_k(M, k: int) -> np.ndarray:
-    """Best rank-k approximation A_k = U_k diag(sigma_k) V_k^T.
-
-    Parameters
-    ----------
-    M : array_like, shape (m, n)
-    k : int
-        Target rank, 1 <= k <= min(m, n).  If k exceeds the numerical rank
-        the result equals M up to the SVD reconstruction tolerance.
-    """
-    M = as_matrix(M)
-    if not 1 <= k <= min(M.shape):
-        raise ValueError(f"best_rank_k: k={k} out of range for shape {M.shape}")
-    return _thin_svd(M).truncate(k).reconstruct()
 
 
 def orthonormal_basis(M) -> np.ndarray:

@@ -5,17 +5,17 @@ takes an orthonormal basis U_C of the sketched range, and extracts the top-k
 directions of the projected matrix W = U_C^T A.  The returned basis
 Utilde_k = U_C @ U_{W,k} satisfies an exact identity: projecting A onto it is
 the same as keeping the best rank-k part of the projection U_C U_C^T A, which
-is the best rank-k approximation of A inside the captured range.  Diagnostics
-verify that identity, the range/tail error split, and the structural
-inequality that drives the approximation guarantee.  They take A_k and the
-tail ||A - A_k||_F^2 from the caller's exact thin SVD of A (svd_A); the
-pipeline itself never factors A.  The solver's diagnostics reuse its own
-factorization of W and its residual, so W is factored once per run.
+is the best rank-k approximation of A inside the captured range.  The
+solver's diagnostics measure that identity and the range/tail error split.
+They take A_k and the tail ||A - A_k||_F^2 from the caller's exact thin SVD
+of A (svd_A); the pipeline itself never factors A.  The identity is measured
+on the solver's own factorization of W and its residual, so W is factored
+once per run.  structural_inequality_check evaluates both sides of the
+structural inequality that drives the approximation guarantee.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +31,7 @@ __all__ = [
     "LowRankDiagnostics",
     "lowrank_sample_size_explicit",
     "rand_low_rank",
-    "rayleigh_ritz_identity_check",
     "structural_inequality_check",
-    "column_sample_fro_check",
 ]
 
 
@@ -54,7 +52,6 @@ class LowRankResult:
     U_tilde_k: np.ndarray
     c_used: int
     error_fro: float        # ||A - Utilde_k Utilde_k^T A||_F
-    seed: int
     diagnostics: LowRankDiagnostics | None = None
 
 
@@ -120,7 +117,12 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
     op = make_srht(n, c, seed, side="right")
     C = srht_apply(op, A)
     U_C = orthonormal_basis(C)
-    fw, U_tilde, resid = _extract(A, U_C, k, f" at c = {c}")
+    fw = thin_svd(U_C.T @ A)
+    if fw.rank < k:
+        raise SketchRankError(
+            f"sketch rank deficient: rank(U_C^T A) = {fw.rank} < k = {k} at c = {c}")
+    U_tilde = U_C @ fw.U[:, :k]
+    resid = A - U_tilde @ (U_tilde.T @ A)
     err = float(np.linalg.norm(resid, "fro"))
     diag = None
     if svd_A is not None:
@@ -128,43 +130,14 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
         top = svd_A.truncate(k)
         Y = top.U * top.sigma
         diag = LowRankDiagnostics(
-            identity_gap=_identity_gap(A, U_C, fw, resid, k),
+            identity_gap=float(np.linalg.norm(
+                resid - (A - U_C @ fw.truncate(k).reconstruct()), "fro")),
             projected_tail_sq=float(np.linalg.norm(Y - U_C @ (U_C.T @ Y), "fro")) ** 2,
             tail_sq=float(np.sum(svd_A.sigma[k:] ** 2)),
             basis_cols=U_C.shape[1],
         )
     return LowRankResult(U_tilde_k=U_tilde, c_used=c, error_fro=err,
-                         seed=int(seed), diagnostics=diag)
-
-
-def _extract(A: np.ndarray, U_C: np.ndarray, k: int, where: str = ""):
-    """(thin SVD of W = U_C^T A, Utilde_k = U_C U_{W,k}, A - Utilde_k Utilde_k^T A).
-
-    Raises SketchRankError if rank(W) < k; ``where`` ends its message.
-    """
-    fw = thin_svd(U_C.T @ A)
-    if fw.rank < k:
-        raise SketchRankError(
-            f"sketch rank deficient: rank(U_C^T A) = {fw.rank} < k = {k}{where}")
-    U_tilde = U_C @ fw.U[:, :k]
-    return fw, U_tilde, A - U_tilde @ (U_tilde.T @ A)
-
-
-def _identity_gap(A, U_C, fw: ThinSVD, resid, k: int) -> float:
-    return float(np.linalg.norm(resid - (A - U_C @ fw.truncate(k).reconstruct()), "fro"))
-
-
-def rayleigh_ritz_identity_check(A, U_C, k: int) -> float:
-    """Gap || (A - Uk Uk^T A) - (A - U_C (U_C^T A)_k) ||_F, ideally ~0.
-
-    Uk here is the extracted basis U_C @ U_{W,k}; the identity says the
-    extraction error equals the error of the best rank-k approximation taken
-    inside range(U_C).  Raises if rank(U_C^T A) < k.  rand_low_rank computes
-    the same gap from its own factorization of W rather than calling this.
-    """
-    A, U_C = as_matrix(A), as_matrix(U_C)
-    fw, _, resid = _extract(A, U_C, k)
-    return _identity_gap(A, U_C, fw, resid, k)
+                         diagnostics=diag)
 
 
 def structural_inequality_check(A, Z, k: int) -> tuple[float, float]:
@@ -196,25 +169,3 @@ def structural_inequality_check(A, Z, k: int) -> tuple[float, float]:
     lhs = float(np.linalg.norm(A_k - AZ @ (pseudoinverse(AZ) @ A_k), "fro")) ** 2
     rhs = float(np.linalg.norm((A - A_k) @ Z @ pseudoinverse(VZ), "fro")) ** 2
     return lhs, rhs
-
-
-def column_sample_fro_check(X, c: int) -> tuple[float, float]:
-    """Enumerated E ||X S||_F^2 under uniform c-column sampling vs ||X||_F^2.
-
-    Exhausts all n^c equally likely index tuples (capped at n <= 6, c <= 3)
-    with the 1/sqrt(c p) rescaling; the two returned values agree to roundoff
-    because the rescaled sampler is unbiased for the squared Frobenius norm.
-    """
-    X = as_matrix(X)
-    n = X.shape[1]
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    if n > 6 or c > 3:
-        raise ValueError(f"enumeration cap exceeded: n={n} > 6 or c={c} > 3")
-    col_sq = np.sum(X * X, axis=0)
-    p = 1.0 / n
-    weight = p ** c
-    expected = 0.0
-    for tup in itertools.product(range(n), repeat=c):
-        expected += weight * float(sum(col_sq[i] / (c * p) for i in tup))
-    return expected, float(np.sum(col_sq))

@@ -60,8 +60,15 @@ def _is_binary_path(path) -> bool:
 
 
 def write_matrix(path, M) -> None:
-    """Write M to path; ".bin"/".rnla" selects the binary format."""
+    """Write M to path; ".bin"/".rnla" selects the binary format.
+
+    Raises ValueError, before the file is opened, on an empty matrix:
+    neither format reads one back.
+    """
     M = as_matrix(M)
+    if M.size == 0:
+        raise ValueError(f"{path}: dimensions must be positive, got "
+                         f"{M.shape[0]} x {M.shape[1]}")
     if _is_binary_path(path):
         _write_binary(path, M)
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, spectral_norm
+from .linalg import as_matrix
 from .sampling import (ProbVector, SampleSize, SamplingPlan, draw_plan,
                        sampled_columns, sampled_rows)
 
@@ -28,7 +28,6 @@ __all__ = [
     "entry_variance_bound",
     "sample_size_frobenius",
     "sample_size_spectral",
-    "gram_sketch_error",
     "EnumeratedMoments",
     "enumerate_sketch_moments",
 ]
@@ -43,9 +42,6 @@ class MatMulSketch:
     C: np.ndarray
     R: np.ndarray
     plan: SamplingPlan
-
-    def product(self) -> np.ndarray:
-        return self.C @ self.R
 
 
 def rand_matrix_multiply(A, B, c: int, probs: ProbVector, seed: int) -> MatMulSketch:
@@ -139,20 +135,6 @@ def sample_size_spectral(d: int, beta: float, eps: float, delta: float) -> Sampl
     lead = 96.0 * d / (beta * eps * eps)
     raw = lead * math.log(lead / math.sqrt(delta))
     return SampleSize(count=math.ceil(raw), raw=raw)
-
-
-def gram_sketch_error(U, R) -> tuple[float, float]:
-    """Spectral and Frobenius norms of I_d - R^T R for a row sketch R of U.
-
-    U must have orthonormal columns (so U^T U = I_d) and R must be a
-    rescaled row sample of U, e.g. ``sampled_rows(U, plan)``.
-    """
-    U, R = as_matrix(U), as_matrix(R)
-    d = U.shape[1]
-    if R.shape[1] != d:
-        raise ValueError(f"R has {R.shape[1]} columns, expected {d}")
-    G = np.eye(d) - R.T @ R
-    return spectral_norm(G), frobenius_norm(G)
 
 
 @dataclass(frozen=True)

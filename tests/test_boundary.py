@@ -8,7 +8,7 @@ non-finite caller array is still refused with ValueError.
 import numpy as np
 import pytest
 
-from rnla import (best_rank_k, coherence_check, draw_plan, exact_least_squares,
+from rnla import (coherence_check, draw_plan, exact_least_squares,
                   forward_error_bound, fwht, gen_lsq_instance, gen_matrix,
                   make_srht, rand_least_squares, rand_least_squares_amplified,
                   rand_low_rank, rand_matrix_multiply,
@@ -40,7 +40,8 @@ SCANS = {
     "exact_least_squares": (lambda: exact_least_squares(A_LSQ, B_LSQ), A_LSQ, 1),
     "forward_error_bound": (lambda: forward_error_bound(
         A_LSQ, B_LSQ, 0.5, 0.9), A_LSQ, 1),
-    "best_rank_k": (lambda: best_rank_k(A_LR, 3), A_LR, 1),
+    "thin_svd-truncate": (lambda: thin_svd(A_LR).truncate(3).reconstruct(),
+                          A_LR, 1),
     "structural_inequality_check": (lambda: structural_inequality_check(
         A_LR, Z_LR, 3), A_LR, 1),
     "fwht": (lambda: fwht(X_FWHT), X_FWHT, 1),

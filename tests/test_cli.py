@@ -1,8 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rnla
 from rnla import load_report, read_matrix, read_vector
 from rnla.cli import main
 from rnla.matio import BINARY_MAGIC
@@ -134,6 +140,15 @@ def test_oversized_header_exits_one(tmp_path, capsys):
     assert main(["matmul", "--in", str(p), "--c", "2"]) == 1
     assert ("for a 100000000000 x 100000000000 matrix, found 2"
             in capsys.readouterr().err)
+
+
+def test_undecodable_file_exits_one(tmp_path, capsys):
+    """A body byte that is not UTF-8 is a malformed file (exit 1), not a
+    numerical failure (exit 2)."""
+    p = tmp_path / "bytes.mtx"
+    p.write_bytes(b"%%MatrixMarket matrix array real general\n1 2\n1\n\xff\n")
+    assert main(["matmul", "--in", str(p), "--c", "2"]) == 1
+    assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
 def test_generator_route_requires_dims(capsys):
@@ -300,3 +315,32 @@ def test_seed_past_philox_key_range_is_usage_error(capsys, argv, limit):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"must be <= 2**128 - {limit}, got " in captured.err
+
+
+def test_reports_are_byte_identical_across_processes(tmp_path):
+    """Fresh interpreters with different hash seeds write the same report
+    bytes (wall_time aside) and CSV bytes at one BLAS thread."""
+    commands = {
+        "lowrank": ["lowrank", "--sigma", "8,6,4", "--m", "32", "--n", "24",
+                    "--k", "3", "--eps", "0.25", "--c", "10", "--trials", "3",
+                    "--seed", "5"],
+        "matmul": ["matmul", "--m", "16", "--n", "12", "--c", "4",
+                   "--trials", "3", "--seed", "5"],
+    }
+    src = str(Path(rnla.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for name, argv in commands.items():
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed,
+                       OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                       MKL_NUM_THREADS="1")
+            out = tmp_path / f"{name}-{hash_seed}.json"
+            csv = tmp_path / f"{name}-{hash_seed}.csv"
+            subprocess.run([sys.executable, "-m", "rnla.cli", *argv,
+                            "--out", str(out), "--csv", str(csv)],
+                           env=env, check=True, capture_output=True)
+            report = re.sub(r'"wall_time": [0-9eE+.\-]+', '"wall_time": 0',
+                            out.read_text())
+            outputs.append((report, csv.read_bytes()))
+        assert outputs[0] == outputs[1], name

@@ -150,6 +150,17 @@ def test_error_messages_carry_path(tmp_path):
         read_matrix(p)
 
 
+@pytest.mark.parametrize("suffix", [".mtx", ".bin"])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)], ids=["0x3", "3x0", "vector"])
+def test_empty_write_is_refused_before_the_file_opens(tmp_path, suffix, shape):
+    """Neither format reads an empty matrix back, so none is written."""
+    p = tmp_path / f"empty{suffix}"
+    write = write_vector if len(shape) == 1 else write_matrix
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        write(p, np.zeros(shape))
+    assert not p.exists()
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_matrix(tmp_path / "absent.mtx")

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rnla import (as_matrix, as_vector, best_rank_k, frobenius_norm, make_rng,
-                  numerical_rank, orthonormal_basis, pseudoinverse,
-                  spectral_norm, thin_svd)
+from rnla import (as_matrix, as_vector, frobenius_norm, make_rng,
+                  orthonormal_basis, pseudoinverse, spectral_norm, thin_svd)
 
 
 def test_frobenius_norm_values():
@@ -76,8 +75,8 @@ def test_thin_svd_rejects_bad_input():
 
 def test_numerical_rank_cutoff():
     base = np.diag([1.0, 1e-6, 1e-13])
-    assert numerical_rank(base) == 2
-    assert numerical_rank(np.diag([1.0, 1e-6, 1e-3])) == 3
+    assert thin_svd(base).rank == 2
+    assert thin_svd(np.diag([1.0, 1e-6, 1e-3])).rank == 3
 
 
 def test_pseudoinverse_invertible():
@@ -112,35 +111,32 @@ def test_penrose_properties():
 
 
 def test_best_rank_k_diagonal():
-    np.testing.assert_allclose(best_rank_k(np.diag([3.0, 2.0, 1.0]), 2),
+    """A_k is the truncated thin SVD, thin_svd(M).truncate(k).reconstruct()."""
+    def best(M, k):
+        return thin_svd(M).truncate(k).reconstruct()
+
+    np.testing.assert_allclose(best(np.diag([3.0, 2.0, 1.0]), 2),
                                np.diag([3.0, 2.0, 0.0]), atol=1e-12)
     # k above the rank keeps every factor; rank 0 reconstructs zeros.
-    np.testing.assert_allclose(best_rank_k(np.diag([3.0, 0.0, 0.0]), 2),
+    np.testing.assert_allclose(best(np.diag([3.0, 0.0, 0.0]), 2),
                                np.diag([3.0, 0.0, 0.0]), atol=1e-12)
-    np.testing.assert_array_equal(best_rank_k(np.zeros((3, 2)), 1),
-                                  np.zeros((3, 2)))
+    np.testing.assert_array_equal(best(np.zeros((3, 2)), 1), np.zeros((3, 2)))
 
 
 def test_best_rank_k_full_rank_reproduces():
     rng = make_rng(5)
     M = rng.standard_normal((4, 3))
-    assert frobenius_norm(M - best_rank_k(M, 3)) <= 1e-10 * frobenius_norm(M)
+    M_3 = thin_svd(M).truncate(3).reconstruct()
+    assert frobenius_norm(M - M_3) <= 1e-10 * frobenius_norm(M)
 
 
 def test_best_rank_k_error_matches_tail():
     rng = make_rng(6)
     M = rng.standard_normal((6, 4))
     f = thin_svd(M)
-    err_sq = frobenius_norm(M - best_rank_k(M, 2)) ** 2
+    err_sq = frobenius_norm(M - f.truncate(2).reconstruct()) ** 2
     tail_sq = float(np.sum(f.sigma[2:] ** 2))
     assert abs(err_sq - tail_sq) <= 1e-9 * max(1.0, tail_sq)
-
-
-def test_best_rank_k_range_check():
-    with pytest.raises(ValueError):
-        best_rank_k(np.eye(3), 0)
-    with pytest.raises(ValueError):
-        best_rank_k(np.eye(3), 4)
 
 
 def test_orthonormal_basis_projector():
@@ -171,7 +167,7 @@ def test_norm_chain():
         M = rng.standard_normal((5, 4))
         fro, spec = frobenius_norm(M), spectral_norm(M)
         assert fro + 1e-12 >= spec
-        assert spec + 1e-12 >= fro / math.sqrt(numerical_rank(M))
+        assert spec + 1e-12 >= fro / math.sqrt(thin_svd(M).rank)
 
 
 def test_matrix_pythagoras():

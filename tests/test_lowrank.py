@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import rnla.lowrank
-from rnla import (SketchRankError, column_sample_fro_check, frobenius_norm,
+from rnla import (SketchRankError, enumerate_sketch_moments, frobenius_norm,
                   gen_matrix, lowrank_sample_size_explicit, make_rng, make_srht,
-                  orthonormal_basis, rand_low_rank,
-                  rayleigh_ritz_identity_check, srht_apply,
-                  structural_inequality_check, thin_svd)
+                  orthonormal_basis, rand_low_rank, srht_apply,
+                  structural_inequality_check, thin_svd, uniform_probs)
 
 
 def test_sample_size_explicit_frozen():
@@ -138,12 +137,14 @@ def test_default_width_at_least_n_pad_is_refused(monkeypatch):
 
 
 def test_identity_check_direct():
+    """For any orthonormal U_C: A - Uk Uk^T A = A - U_C (U_C^T A)_k, Uk = U_C U_{W,k}."""
     A = gen_matrix("gaussian", 24, 18, 10)
     U_C = orthonormal_basis(A @ make_rng(11).standard_normal((18, 6)))
-    assert rayleigh_ritz_identity_check(A, U_C, 3) <= 1e-9
-    rank1 = np.outer(np.ones(6), np.ones(4))
-    with pytest.raises(SketchRankError, match=r"= 1 < k = 2$"):
-        rayleigh_ritz_identity_check(rank1, orthonormal_basis(rank1), 2)
+    fw = thin_svd(U_C.T @ A)
+    U_k = U_C @ fw.U[:, :3]
+    gap = frobenius_norm((A - U_k @ (U_k.T @ A))
+                         - (A - U_C @ fw.truncate(3).reconstruct()))
+    assert gap <= 1e-9
 
 
 @pytest.mark.parametrize("diagnostics", [True, False])
@@ -195,22 +196,19 @@ def test_structural_inequality_validation():
                                     np.eye(4), 2)
 
 
+def _column_sample_fro(X, c):
+    """Enumerated E ||X S||_F^2 under uniform c-column sampling, and ||X||_F^2."""
+    mom = enumerate_sketch_moments(X, X.T, c, uniform_probs(X.shape[1]))
+    return float(np.trace(mom.mean)), float(np.sum(X * X))
+
+
 def test_column_sampling_unbiased_for_fro_norm():
     X = np.array([[1.0, 2.0]])
-    expected, actual = column_sample_fro_check(X, 1)
+    expected, actual = _column_sample_fro(X, 1)
     assert actual == pytest.approx(5.0, abs=1e-14)
     assert expected == pytest.approx(actual, rel=1e-12)
     Y = make_rng(16).standard_normal((4, 5))
     for c in (1, 2, 3):
-        expected, actual = column_sample_fro_check(Y, c)
+        expected, actual = _column_sample_fro(Y, c)
         assert expected == pytest.approx(actual, rel=1e-12)
-    assert column_sample_fro_check(np.zeros((3, 3)), 2) == (0.0, 0.0)
-
-
-def test_column_sampling_caps():
-    with pytest.raises(ValueError, match="cap"):
-        column_sample_fro_check(np.ones((2, 7)), 2)
-    with pytest.raises(ValueError, match="cap"):
-        column_sample_fro_check(np.ones((2, 3)), 4)
-    with pytest.raises(ValueError):
-        column_sample_fro_check(np.ones((2, 3)), 0)
+    assert _column_sample_fro(np.zeros((3, 3)), 2) == (0.0, 0.0)

@@ -5,9 +5,10 @@ import pytest
 
 from rnla import (ProbVector, draw_plan, entry_variance_bound,
                   enumerate_sketch_moments, expected_frobenius_error,
-                  frobenius_norm, gram_sketch_error, make_rng, optimal_probs,
+                  frobenius_norm, make_rng, optimal_probs,
                   rand_matrix_multiply, sample_size_frobenius,
-                  sample_size_spectral, sampled_rows, uniform_probs)
+                  sample_size_spectral, sampled_rows, spectral_norm,
+                  uniform_probs)
 from rnla.sampling import SamplingPlan
 
 
@@ -47,7 +48,7 @@ def test_sketch_equals_dense_sampling_matrix():
     S = _dense_S(sk.plan)
     assert np.max(np.abs(A @ S - sk.C)) <= 1e-12
     assert np.max(np.abs(S.T @ B - sk.R)) <= 1e-12
-    assert np.max(np.abs(A @ S @ S.T @ B - sk.product())) <= 1e-12
+    assert np.max(np.abs(A @ S @ S.T @ B - sk.C @ sk.R)) <= 1e-12
 
 
 def test_single_column_support_is_exact():
@@ -57,14 +58,14 @@ def test_single_column_support_is_exact():
     probs = optimal_probs(A, B)
     for c in (1, 3):
         sk = rand_matrix_multiply(A, B, c, probs, c)
-        assert np.max(np.abs(sk.product() - A @ B)) <= 1e-14
+        assert np.max(np.abs(sk.C @ sk.R - A @ B)) <= 1e-14
 
 
 def test_inner_dimension_one_is_exact():
     A = np.array([[2.0], [3.0]])
     B = np.array([[4.0, -1.0]])
     sk = rand_matrix_multiply(A, B, 2, uniform_probs(1), 0)
-    assert np.max(np.abs(sk.product() - A @ B)) <= 1e-14
+    assert np.max(np.abs(sk.C @ sk.R - A @ B)) <= 1e-14
 
 
 def test_dimension_mismatch():
@@ -192,7 +193,9 @@ def test_sample_size_spectral_values():
 def test_gram_sketch_error_full_sample():
     Q, _ = np.linalg.qr(make_rng(9).standard_normal((6, 3)))
     plan = SamplingPlan(indices=np.arange(6), scales=np.ones(6), n=6)
-    spec, fro = gram_sketch_error(Q, sampled_rows(Q, plan))
+    R = sampled_rows(Q, plan)
+    G = np.eye(3) - R.T @ R
+    spec, fro = spectral_norm(G), frobenius_norm(G)
     assert spec <= 1e-12 and fro <= 1e-12
 
 
@@ -202,11 +205,10 @@ def test_gram_sketch_error_scalar_case():
     plan = draw_plan(uniform_probs(5), 3, 1)
     R = sampled_rows(u, plan)
     want = abs(1.0 - float(np.sum(plan.scales ** 2 * u[plan.indices, 0] ** 2)))
-    spec, fro = gram_sketch_error(u, R)
+    G = np.eye(1) - R.T @ R
+    spec, fro = spectral_norm(G), frobenius_norm(G)
     assert spec == pytest.approx(want, abs=1e-12)
     assert fro == pytest.approx(want, abs=1e-12)
-    with pytest.raises(ValueError):
-        gram_sketch_error(u, np.ones((3, 2)))
 
 
 def test_cauchy_schwarz_relation():
