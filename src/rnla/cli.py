@@ -283,7 +283,7 @@ def main(argv=None) -> int:
         name = getattr(e, "filename", None) or e
         print(f"rnla: error: cannot open {name}", file=sys.stderr)
         return 1
-    except (MatrixFileError, UnicodeDecodeError) as e:
+    except MatrixFileError as e:
         print(f"rnla: error: {e}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:

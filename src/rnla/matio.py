@@ -180,8 +180,13 @@ def _bulk_values(fh, count: int) -> np.ndarray | None:
 
 def _scan_text(path) -> tuple[int, int, np.ndarray]:
     """Read the file line by line; report the first bad line by number."""
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as e:
+        # One read() decodes the whole file, so e.start is a file offset.
+        raise MatrixFileError(f"{path}: byte {e.start}: can't decode byte "
+                              f"0x{e.object[e.start]:02x} as {e.encoding}") from None
     m, n, size_ln = _read_size(path, iter(lines))
     # No more entries than body lines: a header alone never sizes the buffer.
     values = np.empty(min(m * n, len(lines) - size_ln))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-from .sampling import (ProbVector, SampleSize, SamplingPlan, draw_plan,
-                       sampled_columns, sampled_rows)
+from .sampling import (ProbVector, SampleSize, SamplingPlan, _columns, _rows,
+                       draw_plan)
 
 __all__ = [
     "MatMulSketch",
@@ -58,8 +58,14 @@ def rand_matrix_multiply(A, B, c: int, probs: ProbVector, seed: int) -> MatMulSk
     seed : int
         Plan seed; identical inputs give identical sketches.
     """
+    return _sketch(as_matrix(A), as_matrix(B), c, probs, seed)
+
+
+def _sketch(A: np.ndarray, B: np.ndarray, c: int, probs: ProbVector,
+            seed: int) -> MatMulSketch:
+    """rand_matrix_multiply of already validated A and B."""
     plan = draw_plan(probs, c, seed)
-    return MatMulSketch(C=sampled_columns(A, plan), R=sampled_rows(B, plan), plan=plan)
+    return MatMulSketch(C=_columns(A, plan), R=_rows(B, plan), plan=plan)
 
 
 def _factors(A, B, probs: ProbVector) -> tuple[np.ndarray, np.ndarray]:

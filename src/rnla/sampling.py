@@ -189,15 +189,27 @@ def draw_plan(probs: ProbVector, c: int, seed: int) -> SamplingPlan:
 
 def sampled_columns(A, plan: SamplingPlan) -> np.ndarray:
     """A @ S for the plan's implicit S: rescaled sampled columns, m x c."""
-    A = as_matrix(A)
-    if A.shape[1] != plan.n:
-        raise ValueError(f"plan over n={plan.n} cannot sample {A.shape[1]} columns")
-    return A[:, plan.indices] * plan.scales
+    return _columns(as_matrix(A), plan)
 
 
 def sampled_rows(B, plan: SamplingPlan) -> np.ndarray:
     """S^T @ B for the plan's implicit S: rescaled sampled rows, c x p."""
-    B = as_matrix(B)
+    return _rows(as_matrix(B), plan)
+
+
+def _columns(A: np.ndarray, plan: SamplingPlan) -> np.ndarray:
+    """sampled_columns of an already validated matrix; scales its gathered copy."""
+    if A.shape[1] != plan.n:
+        raise ValueError(f"plan over n={plan.n} cannot sample {A.shape[1]} columns")
+    C = A[:, plan.indices]
+    C *= plan.scales
+    return C
+
+
+def _rows(B: np.ndarray, plan: SamplingPlan) -> np.ndarray:
+    """sampled_rows of an already validated matrix; scales its gathered copy."""
     if B.shape[0] != plan.n:
         raise ValueError(f"plan over n={plan.n} cannot sample {B.shape[0]} rows")
-    return B[plan.indices, :] * plan.scales[:, None]
+    R = B[plan.indices, :]
+    R *= plan.scales[:, None]
+    return R

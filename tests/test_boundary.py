@@ -2,19 +2,22 @@
 
 Each exported function scans each array its caller passes for NaN/Inf once,
 at entry; nothing of A's size is scanned again inside the call, and a
-non-finite caller array is still refused with ValueError.
+non-finite caller array is still refused with ValueError.  An experiment is
+one more boundary: the harness validates a matmul instance when it resolves
+it, and the trials then run the private kernel, so a run's scans of A-sized
+arrays do not grow with its trial count.
 """
 
 import numpy as np
 import pytest
 
-from rnla import (coherence_check, draw_plan, exact_least_squares,
+from rnla import (ExperimentConfig, coherence_check, draw_plan, exact_least_squares,
                   forward_error_bound, fwht, gen_lsq_instance, gen_matrix,
                   make_srht, rand_least_squares, rand_least_squares_amplified,
                   rand_low_rank, rand_matrix_multiply,
                   sampled_columns, sampled_rows, srht_apply,
-                  structural_inequality_check, subsampled_fwht, thin_svd,
-                  uniform_probs)
+                  run_experiment, structural_inequality_check, subsampled_fwht,
+                  thin_svd, uniform_probs, write_matrix)
 
 A_LSQ, B_LSQ, _ = gen_lsq_instance(256, 4, 1)
 A_LR = gen_matrix("lowrank_plus_noise", 64, 48, 2, sigma=(8.0, 6.0, 4.0), eta=0.01)
@@ -49,10 +52,8 @@ SCANS = {
 }
 
 
-@pytest.mark.parametrize("name", list(SCANS))
-def test_one_finiteness_scan_per_caller_array(monkeypatch, name):
-    """Counts np.isfinite calls on arrays at least as large as A."""
-    call, A, expected = SCANS[name]
+def _scans(monkeypatch, call, A) -> int:
+    """np.isfinite calls that call() makes on arrays at least as large as A."""
     sizes = []
     isfinite = np.isfinite
 
@@ -60,9 +61,35 @@ def test_one_finiteness_scan_per_caller_array(monkeypatch, name):
         sizes.append(np.size(x))
         return isfinite(x, *args, **kwargs)
 
-    monkeypatch.setattr(np, "isfinite", counting_isfinite)
-    call()
-    assert sum(1 for s in sizes if s >= A.size) == expected, sizes
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "isfinite", counting_isfinite)
+        call()
+    return sum(1 for s in sizes if s >= A.size)
+
+
+@pytest.mark.parametrize("name", list(SCANS))
+def test_one_finiteness_scan_per_caller_array(monkeypatch, name):
+    call, A, expected = SCANS[name]
+    assert _scans(monkeypatch, call, A) == expected
+
+
+@pytest.mark.parametrize("source", ["generated", "file"])
+def test_matmul_run_scans_do_not_grow_with_trials(tmp_path, monkeypatch, source):
+    """A is 16 x 48 and the error matrix 16 x 16, so only instance-sized
+    arrays count."""
+    A = gen_matrix("gaussian", 16, 48, 6)
+    if source == "file":
+        path = tmp_path / "a.mtx"
+        write_matrix(path, A)
+        instance = {"family": "file", "path": str(path)}
+    else:
+        instance = {"family": "gaussian", "m": 16, "n": 48, "p": 16, "seed": 6}
+
+    def run(trials):
+        return lambda: run_experiment(ExperimentConfig(
+            "matmul", instance, {"c": 8, "probs": "optimal"}, trials, base_seed=0))
+
+    assert _scans(monkeypatch, run(2), A) == _scans(monkeypatch, run(6), A) > 0
 
 
 def _poison(M, value):

@@ -151,6 +151,20 @@ def test_undecodable_file_exits_one(tmp_path, capsys):
     assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("probs", ["optimal", "colnorm", "rownorm", "uniform"])
+def test_mismatched_matmul_files_are_refused_before_any_trial(tmp_path, capsys,
+                                                              probs):
+    a, b, out = tmp_path / "a.mtx", tmp_path / "b.mtx", tmp_path / "r.json"
+    assert main(["gen", "gaussian", "--m", "5", "--n", "7", "--out", str(a)]) == 0
+    assert main(["gen", "gaussian", "--m", "6", "--n", "3", "--out", str(b)]) == 0
+    rc = main(["matmul", "--in", str(a), "--in-b", str(b), "--c", "2",
+               "--probs", probs, "--out", str(out)])
+    assert rc == 2
+    assert ("A is 5 x 7 but B is 6 x 3: inner dimensions differ"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_generator_route_requires_dims(capsys):
     assert main(["matmul", "--c", "2"]) == 1
     assert "--m and --n" in capsys.readouterr().err

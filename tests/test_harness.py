@@ -9,11 +9,12 @@ import pytest
 import rnla
 import rnla.harness
 import rnla.lowrank
-from rnla import (AggregateReport, ExperimentConfig, TrialReport,
-                  expected_frobenius_error, gen_lsq_instance, load_report,
-                  lowrank_sample_size_explicit, optimal_probs,
-                  rand_matrix_multiply, run_check_suite, run_experiment,
-                  write_matrix, write_vector)
+from rnla import (AggregateReport, ExperimentConfig, TrialReport, colnorm_probs,
+                  expected_frobenius_error, gen_lsq_instance, gen_matrix,
+                  load_report, lowrank_sample_size_explicit, optimal_probs,
+                  rand_matrix_multiply, rownorm_probs, run_check_suite,
+                  run_experiment, spectral_norm, uniform_probs, write_matrix,
+                  write_vector)
 from rnla.cli import main as cli_main
 from rnla.harness import (VERSION, aggregate, build_report, dumps_report,
                           report_to_csv, run_trials, write_report)
@@ -88,6 +89,26 @@ def test_matmul_file_instance_defaults_to_gram(tmp_path):
         E = A @ A.T - sk.C @ sk.R
         assert t.metrics["fro_error_sq"] == pytest.approx(
             float(np.sum(E * E)), rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("probs", ["optimal", "colnorm", "rownorm", "uniform"])
+def test_matmul_trials_equal_the_public_product_bit_for_bit(probs):
+    """n = 5 < c = 12, so every plan draws some index more than once."""
+    inst = {"family": "gaussian", "m": 4, "n": 5, "p": 3, "seed": 2}
+    cfg = ExperimentConfig("matmul", inst, {"c": 12, "probs": probs},
+                           trials=4, base_seed=9)
+    A = gen_matrix("gaussian", 4, 5, 2)
+    B = gen_matrix("gaussian", 5, 3, 3)
+    dist = {"optimal": lambda: optimal_probs(A, B),
+            "colnorm": lambda: colnorm_probs(A),
+            "rownorm": lambda: rownorm_probs(B),
+            "uniform": lambda: uniform_probs(5)}[probs]()
+    for t in run_trials(cfg):
+        sk = rand_matrix_multiply(A, B, 12, dist, t.seed)
+        assert np.unique(sk.plan.indices).size < 12
+        E = A @ B - sk.C @ sk.R
+        assert t.metrics == {"fro_error_sq": float(np.sum(E * E)),
+                             "spectral_error": spectral_norm(E)}
 
 
 def test_lsq_trials_and_file_route_agree(tmp_path):

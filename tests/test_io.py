@@ -237,11 +237,13 @@ def test_bulk_read_raises_scanner_errors_on_malformed_files(tmp_path, name):
 def test_undecodable_body_raises_as_a_full_read_does(tmp_path):
     p = tmp_path / "bytes.mtx"
     p.write_bytes(HEAD.encode() + b"1 2\n1\n\xff\n")
-    with pytest.raises(UnicodeDecodeError) as bulk:
+    with pytest.raises(MatrixFileError) as bulk:
         read_matrix(p)
-    with pytest.raises(UnicodeDecodeError) as scan:
+    with pytest.raises(MatrixFileError) as scan:
         matio._scan_text(p)
-    assert str(bulk.value) == str(scan.value)
+    offset = len(HEAD) + len("1 2\n1\n")
+    assert (str(bulk.value) == str(scan.value)
+            == f"{p}: byte {offset}: can't decode byte 0xff as utf-8")
 
 
 AWKWARD = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e16, float(2**53 + 1),
