@@ -1,8 +1,12 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 usage error (bad flags, unreadable or malformed
-files), 2 numerical failure (degenerate inputs, failed check suite).  The
-seed is taken from --seed, else the RNLA_SEED environment variable, else 0.
+files), 2 numerical failure (degenerate inputs, parameters the solver
+refuses, failed check suite, out of memory).  An experiment that exits 0 has
+written its whole report, in which only trials whose sketch lost rank are
+failed; one that exits non-zero writes no report and leaves an existing --out
+file as it was.  The seed is taken from --seed, else the RNLA_SEED
+environment variable, else 0.
 """
 
 from __future__ import annotations
@@ -288,6 +292,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:
         print(f"rnla: error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"rnla: error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

@@ -12,8 +12,14 @@ lowrank trials still enter through `rand_least_squares` and `rand_low_rank`,
 which scan A on every call: that scan is about 2% of their trial, and those
 public calls are the spans the benchmark times their solves by.
 
-Per-trial exceptions are recorded on the trial (and count against the success
-rate), never abort the run.  Aggregation is a deterministic fold in trial
+A run has two endings.  Either every trial runs and the report is whole: a
+trial whose realized sketch misses the subspace (`SketchRankError`, the
+per-draw failure the guarantees bound by delta) is recorded as failed and
+counts against the success rate.  Or the run raises, and no report exists:
+any other error is a property of the run (its config, its instance, a
+parameter the solver refuses), not of one draw, so it leaves `run_trials`.
+A config whose report could not be written is refused when it is built, by
+the report writer itself.  Aggregation is a deterministic fold in trial
 order, so a rerun with the same config produces a byte-identical report
 except for wall-time fields.
 
@@ -93,6 +99,7 @@ class ExperimentConfig:
         if not 0 <= iseed < _KEY_LIMIT - reach:
             bound = "2**128 - 1), since a generated B uses seed + 1" if reach else "2**128)"
             raise ValueError(f"instance seed must lie in [0, {bound}; got seed = {iseed}")
+        _write_json(asdict(self), [], 0)  # the report's config block must be writable
 
 
 @dataclass
@@ -275,7 +282,10 @@ _TRIAL_RUNNERS = {
 
 
 def run_trials(config: ExperimentConfig) -> list[TrialReport]:
-    """Execute all trials; per-trial exceptions become failed TrialReports."""
+    """Execute all trials; a SketchRankError becomes a failed TrialReport.
+
+    Any other exception propagates: it ends the run, not one trial.
+    """
     ctx = _resolve_instance(config)
     out = []
     for i in range(config.trials):
@@ -284,8 +294,8 @@ def run_trials(config: ExperimentConfig) -> list[TrialReport]:
         try:
             t = _TRIAL_RUNNERS[config.algorithm](ctx, config.params, seed,
                                                  config.diagnostics)
-        except Exception as e:  # noqa: BLE001 - trial failures are data
-            t = TrialReport(seed=seed, ok=False, error=f"{type(e).__name__}: {e}",
+        except SketchRankError as e:
+            t = TrialReport(seed=seed, ok=False, error=f"SketchRankError: {e}",
                             flags={"success": False})
         t.wall_time = time.perf_counter() - start
         out.append(t)
@@ -503,8 +513,10 @@ def dumps_report(report: dict) -> str:
 
 
 def write_report(path, report: dict) -> None:
+    """Render, then open: a report that cannot be rendered leaves path as it was."""
+    text = dumps_report(report)
     with open(path, "w") as fh:
-        fh.write(dumps_report(report))
+        fh.write(text)
 
 
 _TOP_KEYS = {"config", "trials", "aggregate", "meta"}

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rnla
+import rnla.harness
 from rnla import load_report, read_matrix, read_vector
 from rnla.cli import main
 from rnla.matio import BINARY_MAGIC
@@ -232,6 +233,118 @@ def test_trial_failures_are_data_not_exit_codes(tmp_path):
     rep = load_report(out)
     assert rep["aggregate"]["trials_ok"] == 0
     assert all(t["error"].startswith("SketchRankError") for t in rep["trials"])
+
+
+def test_sketch_rank_failures_and_successes_share_one_report(tmp_path):
+    """r = d with n_pad = 64: duplicate row draws leave some sketches
+    rank-deficient, and those trials are data beside the ones that solved."""
+    out = tmp_path / "r.json"
+    assert main(["lsq", "--m", "64", "--n", "8", "--eps", "0.5", "--r", "8",
+                 "--trials", "10", "--seed", "0", "--out", str(out)]) == 0
+    trials = load_report(out)["trials"]
+    assert {t["ok"] for t in trials} == {True, False}
+    assert all(t["error"].startswith("SketchRankError")
+               for t in trials if not t["ok"])
+
+
+LOWRANK = ["lowrank", "--m", "64", "--n", "32", "--sigma", "3,2,1",
+           "--eps", "0.25"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lsq", "--m", "512", "--n", "4", "--eps", "0.5", "--r", "2"],
+     "sketch size r=2 cannot preserve rank d=4"),
+    (["lsq", "--m", "512", "--n", "4", "--eps", "1.5", "--r", "2"],
+     "eps must lie in (0, 1)"),
+    (["lsq", "--m", "512", "--n", "4", "--eps", "0.5"],
+     "is at least n_pad = 512; pass r_override (--r)"),
+    (["matmul", "--m", "8", "--n", "16", "--c", "0"], "c must be >= 1"),
+    (LOWRANK + ["--k", "3", "--c", "2"],
+     "sketch width c=2 is below the target rank k=3"),
+    (LOWRANK + ["--k", "0", "--c", "8"], "k=0 out of range for shape (64, 32)"),
+    (LOWRANK + ["--k", "3"], "is at least n_pad = 32; pass c_override (--c)"),
+    (["matmul", "--m", "8", "--n", "6", "--c", "2", "--eta", "nan"],
+     "reports must contain finite numbers only"),
+    (LOWRANK + ["--k", "3", "--c", "8", "--eta", "inf"],
+     "reports must contain finite numbers only"),
+], ids=["lsq-r-below-d", "lsq-eps", "lsq-default-r", "matmul-c0",
+        "lowrank-c-below-k", "lowrank-k0", "lowrank-default-c", "matmul-eta-nan",
+        "lowrank-eta-inf"])
+def test_run_level_errors_exit_two_with_no_report(tmp_path, capsys, argv, message):
+    """An error that is not a lost-rank sketch ends the run: exit 2, the
+    solver's or the config's own message, and no report anywhere."""
+    out = tmp_path / "r.json"
+    assert main([*argv, "--trials", "3", "--seed", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rnla: error: ")
+    assert message in captured.err
+    assert not out.exists()
+
+
+def test_a_report_that_cannot_be_written_leaves_the_old_one(tmp_path, capsys,
+                                                            monkeypatch):
+    out = tmp_path / "r.json"
+    out.write_bytes(b"an earlier report\n")
+
+    def non_finite(ctx, params, seed, diagnostics):
+        return rnla.harness.TrialReport(seed=seed, metrics={"x": float("nan")})
+
+    monkeypatch.setitem(rnla.harness._TRIAL_RUNNERS, "matmul", non_finite)
+    assert main(["matmul", "--m", "4", "--n", "6", "--c", "2", "--trials", "1",
+                 "--out", str(out)]) == 2
+    assert "reports must contain finite numbers only" in capsys.readouterr().err
+    assert out.read_bytes() == b"an earlier report\n"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("cannot allocate 8 GiB")
+
+
+@pytest.mark.parametrize("callee, argv", [
+    ("gen_lsq_instance", ["lsq", "--m", "64", "--n", "3", "--eps", "0.5",
+                          "--r", "32"]),
+    ("rand_least_squares", ["lsq", "--m", "64", "--n", "3", "--eps", "0.5",
+                            "--r", "32"]),
+    ("_sketch", ["matmul", "--m", "4", "--n", "6", "--c", "2"]),
+], ids=["resolve", "lsq-trial", "matmul-trial"])
+def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch, callee, argv):
+    monkeypatch.setattr(rnla.harness, callee, _out_of_memory)
+    out = tmp_path / "r.json"
+    assert main([*argv, "--trials", "2", "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == "rnla: error: out of memory: cannot allocate 8 GiB\n")
+    assert not out.exists()
+
+
+def test_lsq_files_of_mismatched_lengths_exit_two(tmp_path, capsys):
+    a, b, out = tmp_path / "a.mtx", tmp_path / "b.mtx", tmp_path / "r.json"
+    assert main(["gen", "gaussian", "--m", "8", "--n", "2", "--out", str(a)]) == 0
+    assert main(["gen", "gaussian", "--m", "7", "--n", "1", "--out", str(b)]) == 0
+    assert main(["lsq", "--in", str(a), "--rhs", str(b), "--eps", "0.5",
+                 "--r", "4", "--out", str(out)]) == 2
+    assert "A has 8 rows but b has length 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_malformed_sigma_is_usage_error(capsys):
+    assert main(["lowrank", "--m", "8", "--n", "6", "--sigma", "1,x", "--k", "1",
+                 "--eps", "0.25", "--c", "4"]) == 1
+    assert "--sigma expects comma-separated reals, got '1,x'" in capsys.readouterr().err
+
+
+def test_matmul_p_sets_the_columns_of_b(tmp_path, monkeypatch):
+    shapes = []
+    sketch = rnla.harness._sketch
+
+    def recording_sketch(A, B, *args):
+        shapes.append(B.shape)
+        return sketch(A, B, *args)
+
+    monkeypatch.setattr(rnla.harness, "_sketch", recording_sketch)
+    assert main(["matmul", "--m", "4", "--n", "6", "--p", "3", "--c", "2",
+                 "--trials", "2", "--out", str(tmp_path / "r.json")]) == 0
+    assert shapes == [(6, 3), (6, 3)]
 
 
 def test_bad_flags_exit_one():

@@ -48,6 +48,31 @@ def test_config_validation():
     with pytest.raises(ValueError, match="seed = -1"):
         ExperimentConfig("lsq", {"family": "gaussian", "m": 64, "n": 3, "seed": -1},
                          {"eps": 0.5, "r": 32}, trials=2, base_seed=1)
+    # A config its report could not hold is refused before any trial.
+    with pytest.raises(ValueError, match="finite numbers only"):
+        ExperimentConfig("matmul", {"family": "gaussian", "m": 4, "n": 6,
+                                    "eta": float("nan")}, {"c": 2},
+                         trials=1, base_seed=0)
+    with pytest.raises(ValueError, match="finite numbers only"):
+        ExperimentConfig("lsq", {"family": "gaussian", "m": 64, "n": 3},
+                         {"eps": float("inf"), "r": 32}, trials=1, base_seed=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_matrix("gaussian", 0, 3, 0), "dimensions must be positive"),
+    (lambda: gen_matrix("lowrank_plus_noise", 4, 3, 0, sigma=(1.0, -1.0)),
+     "sigma must be nonnegative"),
+    (lambda: gen_matrix("lowrank_plus_noise", 4, 3, 0, sigma=(3.0, 2.0, 1.0, 0.5)),
+     "length <= min"),
+    (lambda: gen_matrix("coherent", 3, 4, 0), "coherent family needs m >= n"),
+    (lambda: gen_matrix("cauchy", 4, 3, 0), "unknown family 'cauchy'"),
+    (lambda: gen_lsq_instance(3, 4, 0), "need n >= d >= 1"),
+    (lambda: gen_lsq_instance(3, 0, 0), "need n >= d >= 1"),
+], ids=["dims", "sigma-negative", "sigma-long", "coherent-wide", "family",
+        "lsq-wide", "lsq-d0"])
+def test_generators_refuse_shapes_they_cannot_build(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_matmul_trials_structure():
@@ -178,7 +203,7 @@ def test_lowrank_retry_doubles_the_default_width(monkeypatch):
     """With no c, the one retry runs at twice the theoretical width, not 2k.
 
     The real theoretical width of a 3 x 3 instance is far above n_pad = 4, so
-    the trial fails fast without a retry; a width of 3 (below n_pad, and
+    the run is refused before any retry; a width of 3 (below n_pad, and
     2 * 3 differs from 2k = 4) shows the doubling.
     """
     cfg = ExperimentConfig(
@@ -186,11 +211,9 @@ def test_lowrank_retry_doubles_the_default_width(monkeypatch):
         {"family": "lowrank_plus_noise", "m": 3, "n": 3, "seed": 3,
          "sigma": (5.0,)},
         {"k": 2, "eps": 0.49}, trials=1, base_seed=0)
-    (t,) = run_trials(cfg)
     first = lowrank_sample_size_explicit(3, 2, 0.49).count
-    assert not t.ok
-    assert t.error.startswith("ValueError")
-    assert f"c = {first} is at least n_pad = 4" in t.error
+    with pytest.raises(ValueError, match=f"c = {first} is at least n_pad = 4"):
+        run_trials(cfg)
 
     def width_three(n, k, eps):
         return SampleSize(3, 3.0)
@@ -304,7 +327,7 @@ def test_dumps_report_formatting():
     assert text.endswith("\n")
 
 
-def test_dumps_report_rejects_bad_values():
+def test_dumps_report_rejects_bad_values(tmp_path):
     base = {"config": {}, "trials": [], "aggregate": {}, "meta": {}}
     with pytest.raises(ValueError, match="finite"):
         dumps_report({**base, "aggregate": {"x": float("nan")}})
@@ -312,6 +335,12 @@ def test_dumps_report_rejects_bad_values():
         dumps_report({**base, "aggregate": {"x": float("inf")}})
     with pytest.raises(TypeError):
         dumps_report({**base, "aggregate": {"x": {1, 2}}})
+    # write_report renders first, so a refused report leaves the file as it was.
+    p = tmp_path / "r.json"
+    p.write_text("kept\n")
+    with pytest.raises(ValueError, match="finite"):
+        write_report(p, {**base, "aggregate": {"x": float("nan")}})
+    assert p.read_text() == "kept\n"
 
 
 def test_load_report_schema_rejections(tmp_path):
@@ -335,6 +364,8 @@ def test_load_report_schema_rejections(tmp_path):
         load_report(dump(lambda r: r["meta"].__setitem__("host", "x")))
     with pytest.raises(ValueError, match="unknown fields"):
         load_report(dump(lambda r: r["trials"][0].__setitem__("note", "x")))
+    with pytest.raises(ValueError, match="meta.version missing"):
+        load_report(dump(lambda r: r["meta"].pop("version")))
     arr = tmp_path / "arr.json"
     arr.write_text("[]\n")
     with pytest.raises(ValueError, match="JSON object"):
@@ -424,9 +455,13 @@ def test_instance_seed_decouples_from_base_seed():
 
 
 def test_package_version_is_the_report_version():
-    """meta.version is rnla.__version__, which must match pyproject's version."""
+    """meta.version is rnla.__version__, and pyproject reads its version there."""
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == rnla.__version__
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert (config["tool"]["setuptools"]["dynamic"]["version"]
+            == {"attr": "rnla.harness.VERSION"})
     assert rnla.__version__ == VERSION

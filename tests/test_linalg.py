@@ -16,6 +16,7 @@ def test_frobenius_norm_values():
 def test_spectral_norm_values():
     assert spectral_norm(np.diag([3.0, 2.0])) == pytest.approx(3.0, abs=1e-12)
     assert spectral_norm(np.zeros((2, 3))) == 0.0
+    assert spectral_norm(np.zeros((0, 3))) == 0.0
 
 
 def test_spectral_norm_randomized_maximization():
@@ -71,6 +72,14 @@ def test_thin_svd_rejects_bad_input():
         as_matrix(np.ones(3))
     with pytest.raises(ValueError):
         as_vector(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="empty matrix"):
+        thin_svd(np.zeros((0, 3)))
+
+
+def test_as_vector_flattens_a_single_row_or_column():
+    for shape in ((3, 1), (1, 3)):
+        v = as_vector(np.arange(3.0).reshape(shape))
+        assert v.shape == (3,) and v.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_numerical_rank_cutoff():

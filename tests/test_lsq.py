@@ -111,6 +111,10 @@ def test_randomized_validation():
         rand_least_squares(A, b, 1.5, seed=0, r_override=8)
     with pytest.raises(SketchRankError, match=r"d = 3 at r = 8"):
         rand_least_squares(A[:, [0, 1, 0]], b, 0.5, seed=0, r_override=8)
+    with pytest.raises(ValueError, match="A has 16 rows but b has length 15"):
+        rand_least_squares(A, b[:15], 0.5, seed=0, r_override=8)
+    with pytest.raises(ValueError, match=r"U of shape \(8, 3\); A needs \(16, 3\)"):
+        rand_least_squares(A, b, 0.5, seed=0, r_override=8, svd_A=thin_svd(A[:8]))
 
 
 def test_randomized_recovers_consistent_solution():

@@ -186,8 +186,10 @@ def test_sample_size_spectral_values():
     assert got.count == 36114
     assert sample_size_spectral(20, 1.0, 0.5, 0.1).count > 2 * got.count
     assert sample_size_spectral(10, 1.0, 0.5, 0.01).count > got.count
-    with pytest.raises(ValueError):
-        sample_size_spectral(10, 1.0, 0.5, 1.0)
+    for bad in ((10, 1.0, 0.5, 1.0), (0, 1.0, 0.5, 0.1), (10, 0.0, 0.5, 0.1),
+                (10, 1.5, 0.5, 0.1), (10, 1.0, 0.0, 0.1), (10, 1.0, 1.0, 0.1)):
+        with pytest.raises(ValueError):
+            sample_size_spectral(*bad)
 
 
 def test_gram_sketch_error_full_sample():

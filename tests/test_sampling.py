@@ -83,6 +83,9 @@ def test_prob_vector_validation():
         ProbVector(p=np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         ProbVector(p=np.array([-0.5, 1.5]))
+    for bad in (np.array([]), np.full((2, 2), 0.25)):
+        with pytest.raises(ValueError, match="nonempty 1-d vector"):
+            ProbVector(p=bad)
 
 
 def test_beta_of():
@@ -93,6 +96,8 @@ def test_beta_of():
     assert beta_of(point, ProbVector(p=np.array([0.0, 1.0, 0.0, 0.0]))) == 0.0
     A = make_rng(3).standard_normal((3, 5))
     assert beta_of(colnorm_probs(A), colnorm_probs(A)) == 1.0
+    with pytest.raises(ValueError, match="equal length"):
+        beta_of(u, uniform_probs(3))
 
 
 def test_draw_plan_point_mass():

@@ -258,6 +258,12 @@ def test_operator_validation():
     with pytest.raises(ValueError):
         SrhtOperator(n_pad=4, signs=np.ones(4), plan=_inorder_plan(4),
                      side="diagonal")
+    with pytest.raises(ValueError, match="plan must be drawn over n_pad"):
+        SrhtOperator(n_pad=4, signs=np.ones(4), plan=_inorder_plan(8),
+                     side="left")
+    for n, r in ((0, 2), (8, 0)):
+        with pytest.raises(ValueError, match="n and r must be >= 1"):
+            make_srht(n, r, 0)
 
 
 def test_degenerate_operator_is_plain_hadamard():
@@ -397,6 +403,8 @@ def test_coherence_validation():
         coherence_check(np.ones((8, 2)), op)
     with pytest.raises(ValueError):
         coherence_check(np.eye(4, 2), op)
+    with pytest.raises(ValueError, match="got ndim=1"):
+        coherence_check(np.ones(8), op)
 
 
 def test_coherence_random_orthonormal_rate():
