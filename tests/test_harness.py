@@ -13,11 +13,10 @@ from rnla import (AggregateReport, ExperimentConfig, TrialReport, colnorm_probs,
                   expected_frobenius_error, gen_lsq_instance, gen_matrix,
                   load_report, lowrank_sample_size_explicit, optimal_probs,
                   rand_matrix_multiply, rownorm_probs, run_check_suite,
-                  run_experiment, spectral_norm, uniform_probs, write_matrix,
-                  write_vector)
+                  run_experiment, uniform_probs, write_matrix, write_vector)
 from rnla.cli import main as cli_main
-from rnla.harness import (VERSION, aggregate, build_report, dumps_report,
-                          report_to_csv, run_trials, write_report)
+from rnla.harness import (VERSION, _spectral_error, aggregate, build_report,
+                          dumps_report, report_to_csv, run_trials, write_report)
 from rnla.sampling import RNG_NAME, SampleSize
 
 
@@ -133,7 +132,96 @@ def test_matmul_trials_equal_the_public_product_bit_for_bit(probs):
         assert np.unique(sk.plan.indices).size < 12
         E = A @ B - sk.C @ sk.R
         assert t.metrics == {"fro_error_sq": float(np.sum(E * E)),
-                             "spectral_error": spectral_norm(E)}
+                             "spectral_error": _spectral_error(A, B, sk.C, sk.R, E)}
+
+
+def _product_error_case(m, n, p, c, seed, repeat=False, zero=False):
+    """(A, B, C, R, E) of one sampled product; E = A @ B - C @ R."""
+    A = gen_matrix("gaussian", m, n, seed)
+    if repeat:
+        A[:, 1] = A[:, 0]
+    if zero:
+        A[:] = 0.0
+    B = gen_matrix("gaussian", n, p, seed + 1)
+    probs = uniform_probs(n) if zero else optimal_probs(A, B)
+    sk = rand_matrix_multiply(A, B, c, probs, seed)
+    return A, B, sk.C, sk.R, A @ B - sk.C @ sk.R
+
+
+# (m, n, p, c): n + c < min(m, p) takes the factored core, the rest the Gram.
+_SPECTRAL_CASES = {
+    "gram-tall": (30, 20, 12, 6),
+    "gram-wide": (12, 20, 30, 6),
+    "gram-square": (16, 10, 16, 8),
+    "core-tall": (60, 3, 40, 5),
+    "core-wide": (40, 3, 60, 5),
+    "core-square": (50, 4, 50, 6),
+    "core-at-min-minus-1": (30, 7, 20, 12),
+    "gram-at-min": (30, 8, 20, 12),
+    "gram-at-min-plus-1": (30, 9, 20, 12),
+    "gram-n1": (4, 1, 3, 4),
+    "core-n1": (20, 1, 15, 4),
+}
+
+
+@pytest.mark.parametrize("case, repeat", [
+    *((case, False) for case in sorted(_SPECTRAL_CASES)),
+    ("gram-square", True), ("core-square", True),
+])
+def test_spectral_error_matches_the_full_svd(case, repeat):
+    """Both branches agree with np.linalg.norm(E, 2) to the roundoff of forming E.
+
+    The absolute term is that roundoff: at n = 1, E is zero in exact
+    arithmetic and both values are noise of that size.  `repeat` makes
+    column 1 of A a copy of column 0, so A is rank-deficient.
+    """
+    m, n, p, c = _SPECTRAL_CASES[case]
+    assert (n + c < min(m, p)) == case.startswith("core")
+    for seed in range(3):
+        A, B, C, R, E = _product_error_case(m, n, p, c, seed, repeat=repeat)
+        scale = (np.linalg.norm(A) * np.linalg.norm(B)
+                 + np.linalg.norm(C) * np.linalg.norm(R))
+        got = _spectral_error(A, B, C, R, E)
+        ref = np.linalg.norm(E, 2)
+        assert abs(got - ref) <= 1e-12 * ref + 1e-13 * scale
+        assert got <= math.sqrt(float(np.sum(E * E))) + 1e-13 * scale
+
+
+@pytest.mark.parametrize("case", ["gram-square", "core-square"])
+def test_spectral_error_of_a_zero_product_is_zero(case):
+    m, n, p, c = _SPECTRAL_CASES[case]
+    A, B, C, R, E = _product_error_case(m, n, p, c, 0, zero=True)
+    got = _spectral_error(A, B, C, R, E)
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0  # not -0.0
+
+
+@pytest.mark.parametrize("diagnostics", [True, False])
+@pytest.mark.parametrize("m, n, p, c, branch", [
+    (12, 20, 9, 5, "gram"),
+    (40, 3, 30, 4, "core"),
+], ids=["gram", "core"])
+def test_matmul_trials_factor_no_m_by_p_matrix(monkeypatch, m, n, p, c, branch,
+                                               diagnostics):
+    """One small factorization per diagnostic trial, none without diagnostics."""
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        def recording(M, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(M)))
+            return _fn(M, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    cfg = ExperimentConfig("matmul", {"family": "gaussian", "m": m, "n": n, "p": p,
+                                      "seed": 1},
+                           {"c": c, "probs": "optimal"}, trials=4, base_seed=0,
+                           diagnostics=diagnostics)
+    trials = run_trials(cfg)
+    assert all(t.ok for t in trials)
+    assert ("spectral_error" in trials[0].metrics) == diagnostics
+    if not diagnostics:
+        assert calls == []
+    elif branch == "gram":
+        assert calls == [("eigvalsh", (min(m, p), min(m, p)))] * 4
+    else:
+        assert calls == [("svd", (n + c, n + c))] * 4
 
 
 def test_lsq_trials_and_file_route_agree(tmp_path):
