@@ -99,6 +99,10 @@ def _instance_from_args(args, seed: int) -> dict:
     generated_b = args.command == "matmul" and not args.inp
     inst: dict = {"seed": _seed(iseed, name, int(generated_b))}
     if getattr(args, "inp", None):
+        # The file sets the shape: a size flag given with it would be dropped.
+        sizes = [f"--{k}" for k in ("m", "n", "p") if getattr(args, k, None) is not None]
+        if sizes:
+            raise UsageError(f"{', '.join(sizes)} cannot be combined with --in")
         inst["family"] = "file"
         inst["path"] = args.inp
         if getattr(args, "in_b", None):
@@ -108,6 +112,10 @@ def _instance_from_args(args, seed: int) -> dict:
                 raise UsageError("--in requires --rhs for the right-hand side")
             inst["rhs"] = args.rhs
         return inst
+    # A generated instance would drop a file named for B or b.
+    for dest, flag in (("in_b", "--in-b"), ("rhs", "--rhs")):
+        if getattr(args, dest, None) is not None:
+            raise UsageError(f"{flag} requires --in")
     if args.m is None or args.n is None:
         raise UsageError("either --in or both --m and --n are required")
     inst["family"] = args.family

@@ -7,17 +7,25 @@ solvers take the SVD as an argument.
 
 A matmul instance is validated once, when it is resolved: A and B pass
 `as_matrix` and the inner-dimension check there, and the trials run the
-validated-input kernel `matmul._sketch`, so no trial rescans A or B.  Lsq and
-lowrank trials still enter through `rand_least_squares` and `rand_low_rank`,
-which scan A on every call: that scan is about 2% of their trial, and those
-public calls are the spans the benchmark times their solves by.
+validated-input kernels (`matmul._sketch`, or `sampling._columns` for the
+Gram instance), so no trial rescans A or B.
+
+A file instance without its own B is the Gram instance, the product A A^T:
+B is the view A.T, not a copy, and a trial gathers only C and takes R = C.T.
+Both products are then numpy's symmetric rank-k products, and
+E = A A^T - C C^T is exactly symmetric.
+
+Lsq and lowrank trials still enter through `rand_least_squares` and
+`rand_low_rank`, which scan A on every call: that scan is about 2% of their
+trial, and those public calls are the spans the benchmark times their solves
+by.
 
 A diagnostic matmul trial reports `spectral_error` = ||A B - C R||_2 without
 an SVD of the m x p error E: from an (n+c) x (n+c) core of two thin QRs when
-n + c < min(m, p) (E has rank at most n + c), else from the largest
-eigenvalue of the smaller Gram of E.  The branch is chosen from the shapes
-alone; see `_spectral_error`.  `fro_error_sq` and the success flag are read
-from E itself.
+n + c < min(m, p) (E has rank at most n + c), else from the eigenvalues of E
+itself when E is exactly symmetric (the Gram instance), else from the largest
+eigenvalue of the smaller Gram of E.  See `_spectral_error`.  `fro_error_sq`
+and the success flag are read from E itself.
 
 A run has two endings.  Either every trial runs and the report is whole: a
 trial whose realized sketch misses the subspace (`SketchRankError`, the
@@ -59,8 +67,8 @@ from .lsq import rand_least_squares
 from .matio import read_matrix, read_vector
 from .matmul import (_sketch, enumerate_sketch_moments, entry_variance_bound,
                      expected_frobenius_error)
-from .sampling import (_KEY_LIMIT, RNG_NAME, colnorm_probs, draw_plan, make_rng,
-                       optimal_probs, rownorm_probs, uniform_probs)
+from .sampling import (_KEY_LIMIT, RNG_NAME, _columns, colnorm_probs, draw_plan,
+                       make_rng, optimal_probs, rownorm_probs, uniform_probs)
 from .srht import OpCounter, SketchRankError, next_pow2, subsampled_fwht
 
 __all__ = [
@@ -158,13 +166,17 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
     A = _matrix(inst, iseed)
     if config.algorithm == "lowrank":
         return {"A": A}
-    if fam == "file":
-        B = read_matrix(inst["path_b"]) if "path_b" in inst else A.T.copy()
+    gram = fam == "file" and "path_b" not in inst
+    if gram:
+        B = None
+    elif fam == "file":
+        B = read_matrix(inst["path_b"])
     else:
         B = gen_matrix("gaussian", A.shape[1], int(inst.get("p", A.shape[0])),
                        iseed + 1)
     # Validated here once: the trials run the matmul kernel on A and B as given.
-    A, B = as_matrix(A), as_matrix(B)
+    A = as_matrix(A)
+    B = A.T if gram else as_matrix(B)
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"A is {A.shape[0]} x {A.shape[1]} but B is "
                          f"{B.shape[0]} x {B.shape[1]}: inner dimensions differ")
@@ -177,7 +189,7 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
     }.get(kind)
     if probs is None:
         raise ValueError(f"unknown probability family {kind!r}")
-    return {"A": A, "B": B, "probs": probs()}
+    return {"A": A, "B": B, "probs": probs(), "gram": gram}
 
 
 # ------------------------------------------------------------------- trials
@@ -214,19 +226,23 @@ def _spectral_error(A, B, C, R, E) -> float:
 
     E = [A, C] @ [B; -R] has rank at most n + c.  When n + c < min(m, p), the
     triangular factors R1 of [A, C] and R2 of [B^T, -R^T] give an (n+c) x (n+c)
-    core R1 @ R2^T with E's singular values.  Otherwise the smaller Gram of E
-    has E's squared singular values as its eigenvalues; its largest one is
-    accurate relative to ||E||_2^2, so its root keeps ||E||_2 to roundoff.
-    Either way no m x p matrix is factored.  The branch depends on the shapes
+    core R1 @ R2^T with E's singular values.  Otherwise an exactly symmetric E
+    has ||E||_2 = max |lambda(E)|, taken over both signs.  Otherwise the
+    smaller Gram of E has E's squared singular values as its eigenvalues; its
+    largest one is accurate relative to ||E||_2^2, so its root keeps ||E||_2
+    to roundoff.  No m x p matrix is factored.  The core comes first by shape
     alone: a thin core (the README's 1024 x 8 instance at c = 64) is far
     cheaper than any m x p work, and a wide inner dimension (n + c >= min(m, p))
-    leaves the min(m, p)^2 Gram as the smallest matrix.
+    leaves E itself or its min(m, p)^2 Gram as the smallest matrix.  Symmetry
+    is checked on E, not assumed from how E was formed.
     """
     m, p = E.shape
     if A.shape[1] + C.shape[1] < min(m, p):
         R1 = np.linalg.qr(np.hstack([A, C]), mode="r")
         R2 = np.linalg.qr(np.hstack([B.T, -R.T]), mode="r")
         return float(np.linalg.svd(R1 @ R2.T, compute_uv=False)[0])
+    if m == p and np.array_equal(E, E.T):
+        return float(np.max(np.abs(np.linalg.eigvalsh(E))))
     G = E @ E.T if m <= p else E.T @ E
     return math.sqrt(max(0.0, float(np.linalg.eigvalsh(G)[-1])))
 
@@ -234,15 +250,20 @@ def _spectral_error(A, B, C, R, E) -> float:
 def _trial_matmul(ctx: dict, params: dict, seed: int, diagnostics: bool) -> TrialReport:
     A, B, probs = ctx["A"], ctx["B"], ctx["probs"]
     c = int(params["c"])
-    sk = _sketch(A, B, c, probs, seed)
+    if ctx["gram"]:  # B = A.T: R = C.T, so A @ B and C @ R are symmetric products
+        C = _columns(A, draw_plan(probs, c, seed))
+        R = C.T
+    else:
+        sk = _sketch(A, B, c, probs, seed)
+        C, R = sk.C, sk.R
     AB, bound = _oracle(ctx, lambda: (A @ B, expected_frobenius_error(A, B, c, probs)))
-    E = sk.C @ sk.R
+    E = C @ R
     np.subtract(AB, E, out=E)
     fro_sq = float(np.sum(E * E))
     t = TrialReport(seed=seed)
     t.metrics = {"fro_error_sq": fro_sq}
     if diagnostics:
-        t.metrics["spectral_error"] = _spectral_error(A, B, sk.C, sk.R, E)
+        t.metrics["spectral_error"] = _spectral_error(A, B, C, R, E)
     t.bounds = {"expected_fro_err_sq": bound}
     t.flags = {"success": fro_sq <= bound + 1e-12}
     return t

@@ -171,6 +171,29 @@ def test_generator_route_requires_dims(capsys):
     assert "--m and --n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["matmul", "--m", "8", "--n", "6", "--c", "2", "--in-b", "/nonexistent/b.mtx"],
+     "--in-b requires --in"),
+    (["lsq", "--m", "64", "--n", "4", "--eps", "0.5", "--r", "16",
+      "--rhs", "/nonexistent/b.mtx"], "--rhs requires --in"),
+    (["matmul", "--in", "A", "--m", "8", "--c", "2"],
+     "--m cannot be combined with --in"),
+    (["lowrank", "--in", "A", "--n", "6", "--k", "1", "--eps", "0.5", "--c", "4"],
+     "--n cannot be combined with --in"),
+    (["matmul", "--in", "A", "--p", "3", "--c", "2"],
+     "--p cannot be combined with --in"),
+], ids=["in-b-without-in", "rhs-without-in", "m-with-in", "n-with-in", "p-with-in"])
+def test_flags_the_instance_would_drop_are_usage_errors(tmp_path, capsys, argv,
+                                                        message):
+    """A flag the chosen instance route cannot use is refused before any trial."""
+    a, out = tmp_path / "a.mtx", tmp_path / "r.json"
+    assert main(["gen", "gaussian", "--m", "8", "--n", "6", "--out", str(a)]) == 0
+    argv = [str(a) if arg == "A" else arg for arg in argv]
+    assert main(argv + ["--trials", "2", "--out", str(out)]) == 1
+    assert f"rnla: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_report_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"foo": 1}\n')

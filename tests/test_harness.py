@@ -12,8 +12,9 @@ import rnla.lowrank
 from rnla import (AggregateReport, ExperimentConfig, TrialReport, colnorm_probs,
                   expected_frobenius_error, gen_lsq_instance, gen_matrix,
                   load_report, lowrank_sample_size_explicit, optimal_probs,
-                  rand_matrix_multiply, rownorm_probs, run_check_suite,
-                  run_experiment, uniform_probs, write_matrix, write_vector)
+                  rand_matrix_multiply, read_matrix, rownorm_probs,
+                  run_check_suite, run_experiment, uniform_probs, write_matrix,
+                  write_vector)
 from rnla.cli import main as cli_main
 from rnla.harness import (VERSION, _spectral_error, aggregate, build_report,
                           dumps_report, report_to_csv, run_trials, write_report)
@@ -99,20 +100,26 @@ def test_unknown_probs_family_is_fatal():
 
 
 def test_matmul_file_instance_defaults_to_gram(tmp_path):
-    A = np.arange(12.0).reshape(3, 4) / 7.0
-    p = tmp_path / "a.mtx"
-    write_matrix(p, A)
-    cfg = ExperimentConfig("matmul", {"family": "file", "path": str(p)},
-                           {"c": 3, "probs": "optimal"}, trials=2, base_seed=1)
-    trials = run_trials(cfg)
-    probs = optimal_probs(A, A.T)
-    want = expected_frobenius_error(A, A.T, 3, probs)
-    for t in trials:
-        assert t.bounds["expected_fro_err_sq"] == pytest.approx(want, rel=1e-12)
-        sk = rand_matrix_multiply(A, A.T, 3, probs, t.seed)
-        E = A @ A.T - sk.C @ sk.R
-        assert t.metrics["fro_error_sq"] == pytest.approx(
-            float(np.sum(E * E)), rel=1e-12, abs=1e-15)
+    """With no B file a trial samples A A^T as C C^T: bit for bit the public
+    product with B = A.T, whose R is exactly C.T.  (3, 4, 3) takes the
+    symmetric rule of `_spectral_error`, (40, 3, 4) the factored core."""
+    for m, n, c in [(3, 4, 3), (40, 3, 4)]:
+        path = tmp_path / f"a{m}.mtx"
+        write_matrix(path, gen_matrix("gaussian", m, n, m))
+        A = read_matrix(path)
+        cfg = ExperimentConfig("matmul", {"family": "file", "path": str(path)},
+                               {"c": c, "probs": "optimal"}, trials=3, base_seed=1)
+        probs = optimal_probs(A, A.T)
+        bound = expected_frobenius_error(A, A.T, c, probs)
+        for t in run_trials(cfg):
+            sk = rand_matrix_multiply(A, A.T, c, probs, t.seed)
+            assert np.array_equal(sk.R, sk.C.T)
+            C = sk.C
+            E = A @ A.T - C @ C.T
+            assert np.array_equal(E, E.T)
+            assert t.bounds == {"expected_fro_err_sq": bound}
+            assert t.metrics == {"fro_error_sq": float(np.sum(E * E)),
+                                 "spectral_error": _spectral_error(A, A.T, C, C.T, E)}
 
 
 @pytest.mark.parametrize("probs", ["optimal", "colnorm", "rownorm", "uniform"])
@@ -135,20 +142,30 @@ def test_matmul_trials_equal_the_public_product_bit_for_bit(probs):
                              "spectral_error": _spectral_error(A, B, sk.C, sk.R, E)}
 
 
-def _product_error_case(m, n, p, c, seed, repeat=False, zero=False):
-    """(A, B, C, R, E) of one sampled product; E = A @ B - C @ R."""
+def _product_error_case(m, n, p, c, seed, repeat=False, zero=False, gram=False):
+    """(A, B, C, R, E) of one sampled product; E = A @ B - C @ R.
+
+    gram samples A A^T as the Gram instance does: B = A.T and R = C.T, so E
+    is exactly symmetric.
+    """
     A = gen_matrix("gaussian", m, n, seed)
     if repeat:
         A[:, 1] = A[:, 0]
     if zero:
         A[:] = 0.0
-    B = gen_matrix("gaussian", n, p, seed + 1)
+    B = A.T if gram else gen_matrix("gaussian", n, p, seed + 1)
     probs = uniform_probs(n) if zero else optimal_probs(A, B)
     sk = rand_matrix_multiply(A, B, c, probs, seed)
-    return A, B, sk.C, sk.R, A @ B - sk.C @ sk.R
+    C, R = sk.C, sk.R
+    if gram:
+        assert np.array_equal(R, C.T)
+        R = C.T
+    return A, B, C, R, A @ B - C @ R
 
 
 # (m, n, p, c): n + c < min(m, p) takes the factored core, the rest the Gram.
+# A name containing "sym" samples A A^T (B = A.T, R = C.T, p = m): its E is
+# exactly symmetric, and the "sym-" cases take the symmetric-eigenvalue rule.
 _SPECTRAL_CASES = {
     "gram-tall": (30, 20, 12, 6),
     "gram-wide": (12, 20, 30, 6),
@@ -161,6 +178,9 @@ _SPECTRAL_CASES = {
     "gram-at-min-plus-1": (30, 9, 20, 12),
     "gram-n1": (4, 1, 3, 4),
     "core-n1": (20, 1, 15, 4),
+    "sym-gram": (16, 10, 16, 8),
+    "sym-wide-inner": (12, 20, 12, 5),
+    "core-sym": (40, 3, 40, 4),
 }
 
 
@@ -168,29 +188,50 @@ _SPECTRAL_CASES = {
     *((case, False) for case in sorted(_SPECTRAL_CASES)),
     ("gram-square", True), ("core-square", True),
 ])
-def test_spectral_error_matches_the_full_svd(case, repeat):
-    """Both branches agree with np.linalg.norm(E, 2) to the roundoff of forming E.
+def test_spectral_error_matches_the_full_svd(monkeypatch, case, repeat):
+    """Every rule agrees with np.linalg.norm(E, 2) to the roundoff of forming E.
 
     The absolute term is that roundoff: at n = 1, E is zero in exact
     arithmetic and both values are noise of that size.  `repeat` makes
-    column 1 of A a copy of column 0, so A is rank-deficient.
+    column 1 of A a copy of column 0, so A is rank-deficient.  Each case also
+    checks the rule it takes from what eigvalsh is given: nothing (the core),
+    E itself (a symmetric E), or E's smaller Gram (any other E, the square
+    gram-square among them).  The sym-gram seeds hold an E whose most
+    negative eigenvalue is the largest in magnitude, and one whose largest
+    eigenvalue is.
     """
     m, n, p, c = _SPECTRAL_CASES[case]
-    assert (n + c < min(m, p)) == case.startswith("core")
+    rule = case.split("-")[0]
+    assert (n + c < min(m, p)) == (rule == "core")
+    eigvalsh, args = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: args.append(M) or eigvalsh(M))
+    dominant = set()
     for seed in range(3):
-        A, B, C, R, E = _product_error_case(m, n, p, c, seed, repeat=repeat)
+        A, B, C, R, E = _product_error_case(m, n, p, c, seed, repeat=repeat,
+                                            gram="sym" in case)
         scale = (np.linalg.norm(A) * np.linalg.norm(B)
                  + np.linalg.norm(C) * np.linalg.norm(R))
+        args.clear()
         got = _spectral_error(A, B, C, R, E)
         ref = np.linalg.norm(E, 2)
         assert abs(got - ref) <= 1e-12 * ref + 1e-13 * scale
         assert got <= math.sqrt(float(np.sum(E * E))) + 1e-13 * scale
+        if rule == "core":
+            assert args == []
+        else:
+            want = E if rule == "sym" else (E @ E.T if m <= p else E.T @ E)
+            assert len(args) == 1 and np.array_equal(args[0], want)
+        if rule == "sym":
+            w = eigvalsh(E)
+            dominant.add("negative" if -w[0] > w[-1] else "positive")
+    if case == "sym-gram":
+        assert dominant == {"negative", "positive"}
 
 
-@pytest.mark.parametrize("case", ["gram-square", "core-square"])
+@pytest.mark.parametrize("case", ["gram-square", "core-square", "sym-gram"])
 def test_spectral_error_of_a_zero_product_is_zero(case):
     m, n, p, c = _SPECTRAL_CASES[case]
-    A, B, C, R, E = _product_error_case(m, n, p, c, 0, zero=True)
+    A, B, C, R, E = _product_error_case(m, n, p, c, 0, zero=True, gram="sym" in case)
     got = _spectral_error(A, B, C, R, E)
     assert got == 0.0 and math.copysign(1.0, got) == 1.0  # not -0.0
 
@@ -199,29 +240,47 @@ def test_spectral_error_of_a_zero_product_is_zero(case):
 @pytest.mark.parametrize("m, n, p, c, branch", [
     (12, 20, 9, 5, "gram"),
     (40, 3, 30, 4, "core"),
-], ids=["gram", "core"])
-def test_matmul_trials_factor_no_m_by_p_matrix(monkeypatch, m, n, p, c, branch,
-                                               diagnostics):
-    """One small factorization per diagnostic trial, none without diagnostics."""
+    (12, 20, 12, 5, "sym"),
+], ids=["gram", "core", "sym"])
+def test_matmul_trials_factor_no_m_by_p_matrix(monkeypatch, tmp_path, m, n, p, c,
+                                               branch, diagnostics):
+    """One small factorization per diagnostic trial, none without diagnostics.
+
+    `sym` is the Gram instance, a file A with no B: its one call is eigvalsh
+    of the trial's exactly symmetric E = A A^T - C C^T itself, no SVD.
+    """
     calls = []
     for name in ("svd", "eigvalsh"):
         def recording(M, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.shape(M)))
+            calls.append((_name, M))
             return _fn(M, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recording)
-    cfg = ExperimentConfig("matmul", {"family": "gaussian", "m": m, "n": n, "p": p,
-                                      "seed": 1},
-                           {"c": c, "probs": "optimal"}, trials=4, base_seed=0,
-                           diagnostics=diagnostics)
+    if branch == "sym":
+        path = tmp_path / "a.mtx"
+        write_matrix(path, gen_matrix("gaussian", m, n, 1))
+        inst = {"family": "file", "path": str(path)}
+    else:
+        inst = {"family": "gaussian", "m": m, "n": n, "p": p, "seed": 1}
+    cfg = ExperimentConfig("matmul", inst, {"c": c, "probs": "optimal"},
+                           trials=4, base_seed=0, diagnostics=diagnostics)
     trials = run_trials(cfg)
     assert all(t.ok for t in trials)
     assert ("spectral_error" in trials[0].metrics) == diagnostics
+    shapes = [(name, np.shape(M)) for name, M in calls]
     if not diagnostics:
         assert calls == []
     elif branch == "gram":
-        assert calls == [("eigvalsh", (min(m, p), min(m, p)))] * 4
+        assert shapes == [("eigvalsh", (min(m, p), min(m, p)))] * 4
+    elif branch == "core":
+        assert shapes == [("svd", (n + c, n + c))] * 4
     else:
-        assert calls == [("svd", (n + c, n + c))] * 4
+        assert shapes == [("eigvalsh", (m, m))] * 4
+        A = read_matrix(inst["path"])
+        probs = optimal_probs(A, A.T)
+        for t, (_, M) in zip(trials, calls):
+            C = rand_matrix_multiply(A, A.T, c, probs, t.seed).C
+            assert np.array_equal(M, M.T)
+            assert np.array_equal(M, A @ A.T - C @ C.T)
 
 
 def test_lsq_trials_and_file_route_agree(tmp_path):
