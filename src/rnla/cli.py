@@ -7,6 +7,10 @@ written its whole report, in which only trials whose sketch lost rank are
 failed; one that exits non-zero writes no report and leaves an existing --out
 file as it was.  The seed is taken from --seed, else the RNLA_SEED
 environment variable, else 0.
+
+Each flag is declared once, beside the code that reads it (the check suites in
+rnla.harness, the family keywords in rnla.generators.MATRIX_FAMILIES, the
+instance flags here); a given flag the run would drop is a usage error.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .generators import MATRIX_FAMILIES, gen_lsq_instance, gen_matrix
-from .harness import (CHECK_SUITES, ExperimentConfig, dumps_report,
-                      load_report, report_to_csv, run_check_suite,
-                      run_experiment, write_report)
+from .harness import (CHECK_SUITES, LSQ_FAMILIES, MATMUL_PROBS,
+                      ExperimentConfig, dumps_report, load_report,
+                      report_to_csv, run_check_suite, run_experiment)
 from .matio import MatrixFileError, write_matrix, write_vector
 from .sampling import _KEY_LIMIT
 
@@ -68,22 +73,13 @@ def _parse_sigma(text):
         raise UsageError(f"--sigma expects comma-separated reals, got {text!r}")
 
 
-def _write_aggregate(report: dict, path, stdout: bool) -> None:
-    """Aggregate CSV to path (else to stdout if asked), summary line to stderr.
-
-    Both are rendered before anything is written, so a malformed aggregate
-    block raises with no partial output.
-    """
+def _aggregate_texts(report: dict) -> tuple[str, str]:
+    """(aggregate CSV, summary line); a malformed aggregate block raises here."""
     text = report_to_csv(report)
     agg = report["aggregate"]
     summary = (f"trials {agg['trials_total']}  ok {agg['trials_ok']}  "
                f"success_rate {agg['success_rate']:.4f}")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    elif stdout:
-        sys.stdout.write(text)
-    print(summary, file=sys.stderr)
+    return text, summary
 
 
 def _params(args) -> dict:
@@ -92,19 +88,28 @@ def _params(args) -> dict:
             if getattr(args, name) is not None}
 
 
+def _refuse(args, dests, why: str) -> None:
+    """The one rule: a usage error naming each flag of dests that was given."""
+    given = [f"--{d.replace('_', '-')}" for d in dests
+             if getattr(args, d, None) is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} {why}")
+
+
+def _family(args) -> str:
+    """The given family, else the subcommand's; refuses the keywords it drops."""
+    family = args.family or args.default_family
+    keywords = dict.fromkeys(k for ks in args.families.values() for k in ks)
+    _refuse(args, [k for k in keywords if k not in args.families[family]],
+            f"cannot be combined with the {family} family")
+    return family
+
+
 def _instance_from_args(args, seed: int) -> dict:
-    # The instance seed defaults to the base seed; a generated matmul B uses it + 1.
-    iseed, name = ((seed, "the base seed") if args.instance_seed is None
-                   else (args.instance_seed, "--instance-seed"))
-    generated_b = args.command == "matmul" and not args.inp
-    inst: dict = {"seed": _seed(iseed, name, int(generated_b))}
-    if getattr(args, "inp", None):
-        # The file sets the shape: a size flag given with it would be dropped.
-        sizes = [f"--{k}" for k in ("m", "n", "p") if getattr(args, k, None) is not None]
-        if sizes:
-            raise UsageError(f"{', '.join(sizes)} cannot be combined with --in")
-        inst["family"] = "file"
-        inst["path"] = args.inp
+    if args.inp:
+        _refuse(args, ("m", "n", "p", "family", "sigma", "eta", "instance_seed"),
+                "cannot be combined with --in")
+        inst = {"seed": seed, "family": "file", "path": args.inp}
         if getattr(args, "in_b", None):
             inst["path_b"] = args.in_b
         if "rhs" in args:  # lsq: b comes from a file too
@@ -112,15 +117,15 @@ def _instance_from_args(args, seed: int) -> dict:
                 raise UsageError("--in requires --rhs for the right-hand side")
             inst["rhs"] = args.rhs
         return inst
-    # A generated instance would drop a file named for B or b.
-    for dest, flag in (("in_b", "--in-b"), ("rhs", "--rhs")):
-        if getattr(args, dest, None) is not None:
-            raise UsageError(f"{flag} requires --in")
+    _refuse(args, ("in_b", "rhs"), "requires --in")
+    family = _family(args)
     if args.m is None or args.n is None:
         raise UsageError("either --in or both --m and --n are required")
-    inst["family"] = args.family
-    inst["m"] = args.m
-    inst["n"] = args.n
+    # The instance seed defaults to the base seed; a generated matmul B uses it + 1.
+    iseed, name = ((seed, "the base seed") if args.instance_seed is None
+                   else (args.instance_seed, "--instance-seed"))
+    inst = {"seed": _seed(iseed, name, int(args.command == "matmul")),
+            "family": family, "m": args.m, "n": args.n}
     if getattr(args, "p", None) is not None:
         inst["p"] = args.p
     sigma = _parse_sigma(getattr(args, "sigma", None))
@@ -132,6 +137,7 @@ def _instance_from_args(args, seed: int) -> dict:
 
 
 def cmd_gen(args) -> int:
+    _family(args)
     seed = _resolve_seed(args.seed)
     if args.family == "consistent_lsq":
         if not args.rhs_out:
@@ -143,7 +149,7 @@ def cmd_gen(args) -> int:
             write_vector(args.sol_out, x_star)
     else:
         A = gen_matrix(args.family, args.m, args.n, seed,
-                       sigma=_parse_sigma(args.sigma), eta=args.eta)
+                       sigma=_parse_sigma(args.sigma), eta=args.eta or 0.0)
         write_matrix(args.out, A)
     return 0
 
@@ -161,17 +167,24 @@ def cmd_experiment(args) -> int:
         base_seed=seed,
         diagnostics=not args.no_diagnostics,
     ))
+    text = dumps_report(report)
+    csv, summary = _aggregate_texts(report)
+    # The CSV first: a --csv path that cannot be opened leaves no report.
+    if args.csv:
+        Path(args.csv).write_text(csv)
     if args.out:
-        write_report(args.out, report)
+        Path(args.out).write_text(text)
     else:
-        sys.stdout.write(dumps_report(report))
-    _write_aggregate(report, args.csv, stdout=False)
+        sys.stdout.write(text)
+    print(summary, file=sys.stderr)
     return 0
 
 
 def cmd_check(args) -> int:
-    # The lsq and lowrank suites also draw from seed + 1.
-    seed = _resolve_seed(args.seed, reach=int(args.suite in ("lsq", "lowrank")))
+    suite, reach = CHECK_SUITES[args.suite]
+    _refuse(args, [d for d in args.params if d not in suite.__kwdefaults__],
+            f"cannot be combined with check {args.suite}")
+    seed = _resolve_seed(args.seed, reach=reach)
     t = run_check_suite(args.suite, _params(args), seed)
     status = "PASS" if t.flags.get("success") else "FAIL"
     detail = "  ".join(f"{k}={v:.6g}" for k, v in sorted(t.metrics.items()))
@@ -184,10 +197,15 @@ def cmd_check(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        _write_aggregate(load_report(args.path), args.csv, stdout=True)
+        csv, summary = _aggregate_texts(load_report(args.path))
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         # Malformed report files are input errors, not numerical failures.
         raise UsageError(str(e))
+    if args.csv:
+        Path(args.csv).write_text(csv)
+    else:
+        sys.stdout.write(csv)
+    print(summary, file=sys.stderr)
     return 0
 
 
@@ -196,11 +214,23 @@ def _add_common(p, with_out=True):
                    help="base seed (default: RNLA_SEED or 0)")
     if with_out:
         p.add_argument("--trials", type=int, default=10)
-        p.add_argument("--instance-seed", type=int, default=None,
-                       help="seed for the problem instance (default: base seed)")
         p.add_argument("--out", default=None, help="report path (default: stdout)")
         p.add_argument("--csv", default=None, help="also export aggregate CSV")
         p.add_argument("--no-diagnostics", action="store_true")
+
+
+def _add_instance(p, families: dict, default_family: str) -> None:
+    """The instance flags of matmul, lsq and lowrank; families: family -> keywords."""
+    p.add_argument("--in", dest="inp", default=None, help="matrix A file")
+    p.add_argument("--family", choices=list(families), default=None)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--instance-seed", type=int, default=None,
+                   help="seed for a generated instance (default: base seed)")
+    if any(families.values()):
+        p.add_argument("--sigma", default=None, help="comma-separated singular values")
+        p.add_argument("--eta", type=float, default=None)
+    p.set_defaults(families=families, default_family=default_family)
 
 
 def build_parser() -> Parser:
@@ -208,41 +238,33 @@ def build_parser() -> Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a test matrix or system")
-    p.add_argument("family", choices=list(MATRIX_FAMILIES) + ["consistent_lsq"])
+    # What each gen family reads besides --m, --n and --out.
+    families = {**MATRIX_FAMILIES, "consistent_lsq": ("rhs_out", "sol_out")}
+    p.add_argument("family", choices=list(families))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sigma", default=None, help="comma-separated singular values")
-    p.add_argument("--eta", type=float, default=0.0)
+    p.add_argument("--eta", type=float, default=None)
     p.add_argument("--out", required=True,
                    help="output path; .bin/.rnla selects the binary format")
     p.add_argument("--rhs-out", default=None)
     p.add_argument("--sol-out", default=None)
     _add_common(p, with_out=False)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, families=families)
 
     p = sub.add_parser("matmul", help="sampled matrix product experiment")
-    p.add_argument("--in", dest="inp", default=None, help="matrix A file")
+    _add_instance(p, MATRIX_FAMILIES, "gaussian")
     p.add_argument("--in-b", dest="in_b", default=None,
                    help="matrix B file (default: A^T)")
-    p.add_argument("--family", choices=MATRIX_FAMILIES, default="gaussian")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=int, default=None, help="columns of B")
-    p.add_argument("--sigma", default=None)
-    p.add_argument("--eta", type=float, default=0.0)
     p.add_argument("--c", type=int, required=True, help="samples to draw")
-    p.add_argument("--probs", default="optimal",
-                   choices=["optimal", "colnorm", "rownorm", "uniform"])
+    p.add_argument("--probs", default="optimal", choices=list(MATMUL_PROBS))
     _add_common(p)
     p.set_defaults(func=cmd_experiment, params=("c", "probs"))
 
     p = sub.add_parser("lsq", help="sketched least-squares experiment")
-    p.add_argument("--in", dest="inp", default=None, help="matrix A file")
+    _add_instance(p, dict.fromkeys(LSQ_FAMILIES, ()), "gaussian")
     p.add_argument("--rhs", default=None, help="right-hand side file")
-    p.add_argument("--family", choices=["gaussian", "consistent_lsq"],
-                   default="gaussian")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--r", type=int, default=None,
                    help="sketch rows (default: theoretical size, refused "
@@ -251,13 +273,7 @@ def build_parser() -> Parser:
     p.set_defaults(func=cmd_experiment, params=("eps", "r"))
 
     p = sub.add_parser("lowrank", help="sketched low-rank experiment")
-    p.add_argument("--in", dest="inp", default=None, help="matrix A file")
-    p.add_argument("--family", choices=MATRIX_FAMILIES,
-                   default="lowrank_plus_noise")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--sigma", default=None)
-    p.add_argument("--eta", type=float, default=0.0)
+    _add_instance(p, MATRIX_FAMILIES, "lowrank_plus_noise")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--c", type=int, default=None,
@@ -268,12 +284,12 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("check", help="run a diagnostic suite once")
     p.add_argument("suite", choices=sorted(CHECK_SUITES))
-    sizes = ("n", "r", "m", "d", "k", "c")
-    for name in sizes:
-        p.add_argument(f"--{name}", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
+    params = {k: v for suite, _ in CHECK_SUITES.values()
+              for k, v in suite.__kwdefaults__.items()}
+    for name, default in params.items():
+        p.add_argument(f"--{name}", type=type(default), default=None)
     _add_common(p, with_out=False)
-    p.set_defaults(func=cmd_check, params=sizes + ("eps",))
+    p.set_defaults(func=cmd_check, params=tuple(params))
 
     p = sub.add_parser("report", help="re-render a saved report")
     p.add_argument("path")

@@ -19,7 +19,9 @@ from .sampling import make_rng
 
 __all__ = ["gen_matrix", "gen_lsq_instance", "MATRIX_FAMILIES"]
 
-MATRIX_FAMILIES = ("gaussian", "lowrank_plus_noise", "coherent")
+# Each family with the gen_matrix keywords it reads; the others ignore them.
+MATRIX_FAMILIES = {"gaussian": (), "lowrank_plus_noise": ("sigma", "eta"),
+                   "coherent": ()}
 
 
 def gen_matrix(family: str, m: int, n: int, seed: int,

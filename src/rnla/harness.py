@@ -6,9 +6,9 @@ product) are computed once per run, by the first trial that needs them; the
 solvers take the SVD as an argument.
 
 A matmul instance is validated once, when it is resolved: A and B pass
-`as_matrix` and the inner-dimension check there, and the trials run the
-validated-input kernels (`matmul._sketch`, or `sampling._columns` for the
-Gram instance), so no trial rescans A or B.
+`as_matrix` and the inner-dimension check there; each trial draws one plan and
+gathers C and R with the validated-input kernels `sampling._columns` and
+`_rows` (R = C.T for the Gram instance), so no trial rescans A or B.
 
 A file instance without its own B is the Gram instance, the product A A^T:
 B is the view A.T, not a copy, and a trial gathers only C and takes R = C.T.
@@ -38,6 +38,10 @@ the report writer itself.  Aggregation is a deterministic fold in trial
 order, so a rerun with the same config produces a byte-identical report
 except for wall-time fields.
 
+A check suite's parameters are its keyword-only defaults, which are also the
+CLI's check flags; `run_check_suite` refuses any other.  The CLI's lsq
+families and matmul probabilities are `LSQ_FAMILIES` and `MATMUL_PROBS`.
+
 `run_experiment` is the one way to run an experiment; the CLI writes the
 dict it returns.  The record types are the report schema: the `config`,
 `trials` and `aggregate` blocks hold exactly the fields of ExperimentConfig,
@@ -65,10 +69,10 @@ from .lowrank import (lowrank_sample_size_explicit, rand_low_rank,
                       structural_inequality_check)
 from .lsq import rand_least_squares
 from .matio import read_matrix, read_vector
-from .matmul import (_sketch, enumerate_sketch_moments, entry_variance_bound,
+from .matmul import (enumerate_sketch_moments, entry_variance_bound,
                      expected_frobenius_error)
-from .sampling import (_KEY_LIMIT, RNG_NAME, _columns, colnorm_probs, draw_plan,
-                       make_rng, optimal_probs, rownorm_probs, uniform_probs)
+from .sampling import (_KEY_LIMIT, RNG_NAME, _columns, _rows, colnorm_probs,
+                       draw_plan, make_rng, optimal_probs, rownorm_probs, uniform_probs)
 from .srht import OpCounter, SketchRankError, next_pow2, subsampled_fwht
 
 __all__ = [
@@ -86,6 +90,7 @@ __all__ = [
     "report_to_csv",
     "run_check_suite",
     "CHECK_SUITES",
+    "LSQ_FAMILIES", "MATMUL_PROBS",
 ]
 
 VERSION = "0.1.0"
@@ -139,6 +144,15 @@ class AggregateReport:
 
 # ---------------------------------------------------------------- instances
 
+LSQ_FAMILIES = {"gaussian": False, "consistent_lsq": True}  # family -> b in range(A)
+
+# Matmul probabilities of the validated A and B; each looks its callee up by name.
+MATMUL_PROBS = {"optimal": lambda A, B: optimal_probs(A, B),
+                "colnorm": lambda A, B: colnorm_probs(A),
+                "rownorm": lambda A, B: rownorm_probs(B),
+                "uniform": lambda A, B: uniform_probs(A.shape[1])}
+
+
 def _matrix(inst: dict, iseed: int) -> np.ndarray:
     """A read from the instance's file, or generated from its family."""
     if inst.get("family") == "file":
@@ -159,9 +173,8 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
             if A.shape[0] != b.size:
                 raise ValueError(f"A has {A.shape[0]} rows but b has length {b.size}")
         else:
-            consistent = fam == "consistent_lsq"
-            A, b, _ = gen_lsq_instance(int(inst["m"]), int(inst["n"]),
-                                       iseed, consistent=consistent)
+            A, b, _ = gen_lsq_instance(int(inst["m"]), int(inst["n"]), iseed,
+                                       consistent=LSQ_FAMILIES.get(fam, False))
         return {"A": A, "b": b}
     A = _matrix(inst, iseed)
     if config.algorithm == "lowrank":
@@ -181,15 +194,10 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
         raise ValueError(f"A is {A.shape[0]} x {A.shape[1]} but B is "
                          f"{B.shape[0]} x {B.shape[1]}: inner dimensions differ")
     kind = config.params.get("probs", "optimal")
-    probs = {
-        "optimal": lambda: optimal_probs(A, B),
-        "colnorm": lambda: colnorm_probs(A),
-        "rownorm": lambda: rownorm_probs(B),
-        "uniform": lambda: uniform_probs(A.shape[1]),
-    }.get(kind)
+    probs = MATMUL_PROBS.get(kind)
     if probs is None:
         raise ValueError(f"unknown probability family {kind!r}")
-    return {"A": A, "B": B, "probs": probs(), "gram": gram}
+    return {"A": A, "B": B, "probs": probs(A, B), "gram": gram}
 
 
 # ------------------------------------------------------------------- trials
@@ -250,12 +258,10 @@ def _spectral_error(A, B, C, R, E) -> float:
 def _trial_matmul(ctx: dict, params: dict, seed: int, diagnostics: bool) -> TrialReport:
     A, B, probs = ctx["A"], ctx["B"], ctx["probs"]
     c = int(params["c"])
-    if ctx["gram"]:  # B = A.T: R = C.T, so A @ B and C @ R are symmetric products
-        C = _columns(A, draw_plan(probs, c, seed))
-        R = C.T
-    else:
-        sk = _sketch(A, B, c, probs, seed)
-        C, R = sk.C, sk.R
+    plan = draw_plan(probs, c, seed)
+    C = _columns(A, plan)
+    # B = A.T: R = C.T, so A @ B and C @ R are symmetric products.
+    R = C.T if ctx["gram"] else _rows(B, plan)
     AB, bound = _oracle(ctx, lambda: (A @ B, expected_frobenius_error(A, B, c, probs)))
     E = C @ R
     np.subtract(AB, E, out=E)
@@ -394,11 +400,10 @@ def _hadamard_row(i: int, n: int) -> np.ndarray:
     return 1.0 - 2.0 * (v & 1)
 
 
-def _check_srht(params: dict, seed: int) -> TrialReport:
+def _check_srht(seed: int, *, n: int = 1024, r: int = 8) -> TrialReport:
     """Subsampled transform respects op counts and matches Htilde rows built one at
     a time from the closed form: O(n) memory, no arithmetic shared with the kernel."""
-    n = next_pow2(int(params.get("n", 1024)))
-    r = int(params.get("r", 8))
+    n = next_pow2(n)
     x = make_rng(seed).standard_normal(n)
     plan = draw_plan(uniform_probs(n), r, seed)
     counter = OpCounter()
@@ -415,10 +420,8 @@ def _check_srht(params: dict, seed: int) -> TrialReport:
     return t
 
 
-def _check_matmul(params: dict, seed: int) -> TrialReport:
+def _check_matmul(seed: int, *, n: int = 3, c: int = 2) -> TrialReport:
     """Exact enumeration: unbiased mean, variance and error below their bounds."""
-    n = int(params.get("n", 3))
-    c = int(params.get("c", 2))
     rng = make_rng(seed)
     A = rng.standard_normal((3, n))
     B = rng.standard_normal((n, 2))
@@ -438,12 +441,9 @@ def _check_matmul(params: dict, seed: int) -> TrialReport:
     return t
 
 
-def _check_lsq(params: dict, seed: int) -> TrialReport:
+def _check_lsq(seed: int, *, n: int = 1024, d: int = 5, eps: float = 0.5,
+               r: int = 200) -> TrialReport:
     """One randomized solve obeys the one-sided and conditional guarantees."""
-    n = int(params.get("n", 1024))
-    d = int(params.get("d", 5))
-    eps = float(params.get("eps", 0.5))
-    r = int(params.get("r", 200))
     A, b, _ = gen_lsq_instance(n, d, seed, consistent=False)
     svd_A, _, Z = _lsq_oracle(A, b)
     sol = rand_least_squares(A, b, eps, seed + 1, r_override=r, svd_A=svd_A)
@@ -459,12 +459,9 @@ def _check_lsq(params: dict, seed: int) -> TrialReport:
     return t
 
 
-def _check_lowrank(params: dict, seed: int) -> TrialReport:
-    """Extraction identity, error split, and the structural inequality."""
-    m = int(params.get("m", 24))
-    n = int(params.get("n", 16))
-    k = int(params.get("k", 3))
-    c = int(params.get("c", 8))
+def _check_lowrank(seed: int, *, m: int = 24, n: int = 16, k: int = 3,
+                   c: int = 8) -> TrialReport:
+    """Extraction identity, error split, and the structural inequality (at eps 0.4)."""
     sigma = [1.0] * k + [0.05] * (min(m, n) - k)
     A = gen_matrix("lowrank_plus_noise", m, n, seed, sigma=sigma)
     res, _ = _low_rank_with_retry(A, k, 0.4, seed, c, thin_svd(A))
@@ -480,20 +477,25 @@ def _check_lowrank(params: dict, seed: int) -> TrialReport:
     return t
 
 
+# suite -> (function, seed reach: lsq and lowrank also draw from seed + 1).
 CHECK_SUITES = {
-    "srht": _check_srht,
-    "matmul": _check_matmul,
-    "lsq": _check_lsq,
-    "lowrank": _check_lowrank,
+    "srht": (_check_srht, 0),
+    "matmul": (_check_matmul, 0),
+    "lsq": (_check_lsq, 1),
+    "lowrank": (_check_lowrank, 1),
 }
 
 
 def run_check_suite(suite: str, params: dict, seed: int) -> TrialReport:
-    fn = CHECK_SUITES.get(suite)
-    if fn is None:
+    """Run one check suite; params may set only the keywords its function takes."""
+    if suite not in CHECK_SUITES:
         raise ValueError(f"unknown check suite {suite!r}; "
                          f"choose from {sorted(CHECK_SUITES)}")
-    return fn(params, seed)
+    fn = CHECK_SUITES[suite][0]
+    extra = sorted(set(params) - set(fn.__kwdefaults__))
+    if extra:
+        raise ValueError(f"check suite {suite!r} takes no {', '.join(extra)}")
+    return fn(seed, **params)
 
 
 # ------------------------------------------------------------------ reports

@@ -58,12 +58,7 @@ def rand_matrix_multiply(A, B, c: int, probs: ProbVector, seed: int) -> MatMulSk
     seed : int
         Plan seed; identical inputs give identical sketches.
     """
-    return _sketch(as_matrix(A), as_matrix(B), c, probs, seed)
-
-
-def _sketch(A: np.ndarray, B: np.ndarray, c: int, probs: ProbVector,
-            seed: int) -> MatMulSketch:
-    """rand_matrix_multiply of already validated A and B."""
+    A, B = as_matrix(A), as_matrix(B)
     plan = draw_plan(probs, c, seed)
     return MatMulSketch(C=_columns(A, plan), R=_rows(B, plan), plan=plan)
 

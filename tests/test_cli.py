@@ -194,6 +194,80 @@ def test_flags_the_instance_would_drop_are_usage_errors(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flags", [
+    ("matmul --in A.mtx --family coherent --sigma 1,2 --eta 0.5 --c 2 --trials 1 "
+     "--out r.json", "--family, --sigma, --eta cannot be combined with --in"),
+    ("matmul --in A.mtx --instance-seed 99 --c 2 --trials 1 --out r.json",
+     "--instance-seed cannot be combined with --in"),
+    ("matmul --m 8 --n 6 --sigma 1,2 --eta 0.5 --c 2 --trials 1 --out r.json",
+     "--sigma, --eta cannot be combined with the gaussian family"),
+    ("lowrank --family gaussian --m 16 --n 8 --sigma 3,2 --eta 0.1 --k 2 "
+     "--eps 0.25 --c 4 --trials 1 --out r.json",
+     "--sigma, --eta cannot be combined with the gaussian family"),
+    ("gen gaussian --m 4 --n 3 --sigma 1,2 --rhs-out b.mtx --sol-out x.mtx "
+     "--out G.mtx",
+     "--sigma, --rhs-out, --sol-out cannot be combined with the gaussian family"),
+    ("gen consistent_lsq --m 4 --n 3 --eta 0.5 --rhs-out b.mtx --out G.mtx",
+     "--eta cannot be combined with the consistent_lsq family"),
+    ("check srht --n 64 --r 4 --k 9 --eps 0.3",
+     "--eps, --k cannot be combined with check srht"),
+    ("check lowrank --eps 0.3", "--eps cannot be combined with check lowrank"),
+    ("check matmul --r 5 --d 2", "--r, --d cannot be combined with check matmul"),
+], ids=["in-family-sigma-eta", "in-instance-seed", "gaussian-sigma-eta",
+        "lowrank-gaussian-sigma-eta", "gen-gaussian", "gen-consistent-eta",
+        "check-srht", "check-lowrank-eps", "check-matmul"])
+def test_flags_the_run_would_drop_are_refused_before_anything_runs(
+        tmp_path, monkeypatch, capsys, argv, flags):
+    """A given flag that the file, the family or the check suite would not read
+    exits 1 naming it, before any trial or write."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "gaussian", "--m", "8", "--n", "6", "--out", "A.mtx"]) == 0
+    capsys.readouterr()
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rnla: error: {flags}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A.mtx"]
+
+
+@pytest.mark.parametrize("suite", sorted(rnla.harness.CHECK_SUITES))
+def test_check_flags_are_the_suite_keywords(capsys, suite):
+    """Each suite's keyword defaults, given as flags, reproduce its default run:
+    the flags and their types come from the suite's signature."""
+    fn, _ = rnla.harness.CHECK_SUITES[suite]
+    assert main(["check", suite, "--seed", "1"]) == 0
+    default = capsys.readouterr().out
+    flags = [tok for k, v in fn.__kwdefaults__.items() for tok in (f"--{k}", str(v))]
+    assert main(["check", suite, "--seed", "1", *flags]) == 0
+    assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("argv", [[], ["gen"], ["matmul"], ["lsq"], ["lowrank"],
+                                  ["check"], ["report"]],
+                         ids=["rnla", "gen", "matmul", "lsq", "lowrank", "check",
+                              "report"])
+def test_help_renders(capsys, argv):
+    """argparse formats a help string only when it prints it."""
+    with pytest.raises(SystemExit) as ei:
+        main([*argv, "--help"])
+    assert ei.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rnla")
+
+
+def test_a_bad_csv_path_leaves_no_report(tmp_path, capsys):
+    """The CSV is written before the report, so a --csv path that cannot be
+    opened exits 1 with no report, and an existing report keeps its bytes."""
+    out = tmp_path / "r.json"
+    argv = ["matmul", "--m", "4", "--n", "6", "--c", "2", "--trials", "2",
+            "--out", str(out), "--csv", str(tmp_path / "missing" / "x.csv")]
+    assert main(argv) == 1
+    assert "cannot open" in capsys.readouterr().err
+    assert not out.exists()
+    out.write_bytes(b"an earlier report\n")
+    assert main(argv) == 1
+    assert out.read_bytes() == b"an earlier report\n"
+
+
 def test_malformed_report_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"foo": 1}\n')
@@ -286,7 +360,8 @@ LOWRANK = ["lowrank", "--m", "64", "--n", "32", "--sigma", "3,2,1",
      "sketch width c=2 is below the target rank k=3"),
     (LOWRANK + ["--k", "0", "--c", "8"], "k=0 out of range for shape (64, 32)"),
     (LOWRANK + ["--k", "3"], "is at least n_pad = 32; pass c_override (--c)"),
-    (["matmul", "--m", "8", "--n", "6", "--c", "2", "--eta", "nan"],
+    (["matmul", "--m", "8", "--n", "6", "--c", "2", "--family",
+      "lowrank_plus_noise", "--sigma", "1", "--eta", "nan"],
      "reports must contain finite numbers only"),
     (LOWRANK + ["--k", "3", "--c", "8", "--eta", "inf"],
      "reports must contain finite numbers only"),
@@ -329,7 +404,7 @@ def _out_of_memory(*args, **kwargs):
                           "--r", "32"]),
     ("rand_least_squares", ["lsq", "--m", "64", "--n", "3", "--eps", "0.5",
                             "--r", "32"]),
-    ("_sketch", ["matmul", "--m", "4", "--n", "6", "--c", "2"]),
+    ("_columns", ["matmul", "--m", "4", "--n", "6", "--c", "2"]),
 ], ids=["resolve", "lsq-trial", "matmul-trial"])
 def test_out_of_memory_exits_two(tmp_path, capsys, monkeypatch, callee, argv):
     monkeypatch.setattr(rnla.harness, callee, _out_of_memory)
@@ -358,13 +433,13 @@ def test_malformed_sigma_is_usage_error(capsys):
 
 def test_matmul_p_sets_the_columns_of_b(tmp_path, monkeypatch):
     shapes = []
-    sketch = rnla.harness._sketch
+    rows = rnla.harness._rows
 
-    def recording_sketch(A, B, *args):
+    def recording_rows(B, plan):
         shapes.append(B.shape)
-        return sketch(A, B, *args)
+        return rows(B, plan)
 
-    monkeypatch.setattr(rnla.harness, "_sketch", recording_sketch)
+    monkeypatch.setattr(rnla.harness, "_rows", recording_rows)
     assert main(["matmul", "--m", "4", "--n", "6", "--p", "3", "--c", "2",
                  "--trials", "2", "--out", str(tmp_path / "r.json")]) == 0
     assert shapes == [(6, 3), (6, 3)]

@@ -589,6 +589,13 @@ def test_check_suites_pass():
         run_check_suite("qr", {}, 0)
 
 
+def test_check_suites_refuse_parameters_they_do_not_take():
+    with pytest.raises(ValueError, match="check suite 'srht' takes no k"):
+        run_check_suite("srht", {"k": 3}, 0)
+    with pytest.raises(ValueError, match="takes no eps"):
+        run_check_suite("lowrank", {"eps": 0.3}, 0)
+
+
 def test_instance_seed_decouples_from_base_seed():
     a = ExperimentConfig("lsq", {"family": "gaussian", "m": 32, "n": 2,
                                  "seed": 4},
