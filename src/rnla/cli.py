@@ -8,9 +8,11 @@ failed; one that exits non-zero writes no report and leaves an existing --out
 file as it was.  The seed is taken from --seed, else the RNLA_SEED
 environment variable, else 0.
 
-Each flag is declared once, beside the code that reads it (the check suites in
-rnla.harness, the family keywords in rnla.generators.MATRIX_FAMILIES, the
-instance flags here); a given flag the run would drop is a usage error.
+Each flag is declared once, beside the code that reads it (the check suites
+and the algorithm params in rnla.harness, the family keywords in
+rnla.generators.MATRIX_FAMILIES, the instance flags here); a given flag the
+run would drop is a usage error.  `rnla check --help` names the suites that
+take each flag, with their defaults.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .generators import MATRIX_FAMILIES, gen_lsq_instance, gen_matrix
-from .harness import (CHECK_SUITES, LSQ_FAMILIES, MATMUL_PROBS,
-                      ExperimentConfig, dumps_report, load_report,
+from .harness import (ALGORITHM_PARAMS, CHECK_SUITES, LSQ_FAMILIES,
+                      MATMUL_PROBS, ExperimentConfig, dumps_report, load_report,
                       report_to_csv, run_check_suite, run_experiment)
 from .matio import MatrixFileError, write_matrix, write_vector
 from .sampling import _KEY_LIMIT
@@ -260,7 +262,7 @@ def build_parser() -> Parser:
     p.add_argument("--c", type=int, required=True, help="samples to draw")
     p.add_argument("--probs", default="optimal", choices=list(MATMUL_PROBS))
     _add_common(p)
-    p.set_defaults(func=cmd_experiment, params=("c", "probs"))
+    p.set_defaults(func=cmd_experiment, params=ALGORITHM_PARAMS["matmul"])
 
     p = sub.add_parser("lsq", help="sketched least-squares experiment")
     _add_instance(p, dict.fromkeys(LSQ_FAMILIES, ()), "gaussian")
@@ -270,7 +272,7 @@ def build_parser() -> Parser:
                    help="sketch rows (default: theoretical size, refused "
                         "when at least n rounded up to a power of two)")
     _add_common(p)
-    p.set_defaults(func=cmd_experiment, params=("eps", "r"))
+    p.set_defaults(func=cmd_experiment, params=ALGORITHM_PARAMS["lsq"])
 
     p = sub.add_parser("lowrank", help="sketched low-rank experiment")
     _add_instance(p, MATRIX_FAMILIES, "lowrank_plus_noise")
@@ -280,16 +282,20 @@ def build_parser() -> Parser:
                    help="sketch columns (default: theoretical size, refused "
                         "when at least n rounded up to a power of two)")
     _add_common(p)
-    p.set_defaults(func=cmd_experiment, params=("k", "eps", "c"))
+    p.set_defaults(func=cmd_experiment, params=ALGORITHM_PARAMS["lowrank"])
 
     p = sub.add_parser("check", help="run a diagnostic suite once")
     p.add_argument("suite", choices=sorted(CHECK_SUITES))
-    params = {k: v for suite, _ in CHECK_SUITES.values()
-              for k, v in suite.__kwdefaults__.items()}
-    for name, default in params.items():
-        p.add_argument(f"--{name}", type=type(default), default=None)
+    # flag -> the suites that take it, each with its default.
+    uses = {}
+    for name, (suite, _) in CHECK_SUITES.items():
+        for k, v in suite.__kwdefaults__.items():
+            uses.setdefault(k, []).append((name, v))
+    for k, pairs in uses.items():
+        p.add_argument(f"--{k}", type=type(pairs[0][1]), default=None,
+                       help=", ".join(f"{name} {v}" for name, v in pairs))
     _add_common(p, with_out=False)
-    p.set_defaults(func=cmd_check, params=tuple(params))
+    p.set_defaults(func=cmd_check, params=tuple(uses))
 
     p = sub.add_parser("report", help="re-render a saved report")
     p.add_argument("path")

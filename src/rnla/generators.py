@@ -19,7 +19,7 @@ from .sampling import make_rng
 
 __all__ = ["gen_matrix", "gen_lsq_instance", "MATRIX_FAMILIES"]
 
-# Each family with the gen_matrix keywords it reads; the others ignore them.
+# Each family with the gen_matrix keywords it reads; it refuses the others.
 MATRIX_FAMILIES = {"gaussian": (), "lowrank_plus_noise": ("sigma", "eta"),
                    "coherent": ()}
 
@@ -43,9 +43,17 @@ def gen_matrix(family: str, m: int, n: int, seed: int,
     eta : float
         Noise level for lowrank_plus_noise: eta * standard-normal matrix is
         added after the factored part.
+
+    A sigma or a nonzero eta that the family does not read raises ValueError.
     """
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
+    if family not in MATRIX_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    given = {"sigma": sigma is not None, "eta": eta != 0.0}
+    dropped = [k for k in given if given[k] and k not in MATRIX_FAMILIES[family]]
+    if dropped:
+        raise ValueError(f"the {family} family reads no {' or '.join(dropped)}")
     rng = make_rng(seed)
     if family == "gaussian":
         return rng.standard_normal((m, n))
@@ -63,13 +71,11 @@ def gen_matrix(family: str, m: int, n: int, seed: int,
         if eta != 0.0:
             A = A + eta * rng.standard_normal((m, n))
         return A
-    if family == "coherent":
-        if n > m:
-            raise ValueError("coherent family needs m >= n")
-        A = np.zeros((m, n))
-        A[np.arange(n), np.arange(n)] = 1.0
-        return A
-    raise ValueError(f"unknown family {family!r}")
+    if n > m:
+        raise ValueError("coherent family needs m >= n")
+    A = np.zeros((m, n))
+    A[np.arange(n), np.arange(n)] = 1.0
+    return A
 
 
 def gen_lsq_instance(n: int, d: int, seed: int, consistent: bool = False):

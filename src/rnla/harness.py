@@ -22,10 +22,10 @@ by.
 
 A diagnostic matmul trial reports `spectral_error` = ||A B - C R||_2 without
 an SVD of the m x p error E: from an (n+c) x (n+c) core of two thin QRs when
-n + c < min(m, p) (E has rank at most n + c), else from the eigenvalues of E
-itself when E is exactly symmetric (the Gram instance), else from the largest
-eigenvalue of the smaller Gram of E.  See `_spectral_error`.  `fro_error_sq`
-and the success flag are read from E itself.
+n + c < min(m, p) (E has rank at most n + c), else from linalg's spectral
+norm of E.  See `_spectral_error`.  `fro_error_sq` and the success flag are
+read from E itself.  A lowrank trial copies the verdicts its solver's
+diagnostics carry; the harness holds no threshold of its own.
 
 A run has two endings.  Either every trial runs and the report is whole: a
 trial whose realized sketch misses the subspace (`SketchRankError`, the
@@ -39,13 +39,17 @@ order, so a rerun with the same config produces a byte-identical report
 except for wall-time fields.
 
 A check suite's parameters are its keyword-only defaults, which are also the
-CLI's check flags; `run_check_suite` refuses any other.  The CLI's lsq
-families and matmul probabilities are `LSQ_FAMILIES` and `MATMUL_PROBS`.
+CLI's check flags; `run_check_suite` refuses any other.  An experiment's
+params are `ALGORITHM_PARAMS`, which are also the CLI's algorithm flags;
+`ExperimentConfig` refuses any other, and `gen_matrix` refuses a family
+keyword its family does not read.  The CLI's lsq families and matmul
+probabilities are `LSQ_FAMILIES` and `MATMUL_PROBS`.
 
-`run_experiment` is the one way to run an experiment; the CLI writes the
-dict it returns.  The record types are the report schema: the `config`,
-`trials` and `aggregate` blocks hold exactly the fields of ExperimentConfig,
-TrialReport and AggregateReport, and `meta` holds `_meta`'s keys.
+`run_experiment` is the one way to run an experiment; the CLI renders the
+dict it returns with `dumps_report` and writes the text itself.  The record
+types are the report schema: the `config`, `trials` and `aggregate` blocks
+hold exactly the fields of ExperimentConfig, TrialReport and
+AggregateReport, and `meta` holds `_meta`'s keys.
 `build_report` writes those and `load_report` checks against the same
 definitions, so a new report field is one field added to one of them.
 
@@ -64,7 +68,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .generators import gen_lsq_instance, gen_matrix
-from .linalg import as_matrix, frobenius_norm, thin_svd
+from .linalg import _spectral_norm, as_matrix, thin_svd
 from .lowrank import (lowrank_sample_size_explicit, rand_low_rank,
                       structural_inequality_check)
 from .lsq import rand_least_squares
@@ -86,11 +90,10 @@ __all__ = [
     "build_report",
     "dumps_report",
     "load_report",
-    "write_report",
     "report_to_csv",
     "run_check_suite",
     "CHECK_SUITES",
-    "LSQ_FAMILIES", "MATMUL_PROBS",
+    "ALGORITHM_PARAMS", "LSQ_FAMILIES", "MATMUL_PROBS",
 ]
 
 VERSION = "0.1.0"
@@ -108,6 +111,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in _TRIAL_RUNNERS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        extra = sorted(set(self.params) - set(ALGORITHM_PARAMS[self.algorithm]))
+        if extra:
+            raise ValueError(f"{self.algorithm} takes no param {', '.join(extra)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0 <= self.base_seed <= _KEY_LIMIT - self.trials:
@@ -234,25 +240,15 @@ def _spectral_error(A, B, C, R, E) -> float:
 
     E = [A, C] @ [B; -R] has rank at most n + c.  When n + c < min(m, p), the
     triangular factors R1 of [A, C] and R2 of [B^T, -R^T] give an (n+c) x (n+c)
-    core R1 @ R2^T with E's singular values.  Otherwise an exactly symmetric E
-    has ||E||_2 = max |lambda(E)|, taken over both signs.  Otherwise the
-    smaller Gram of E has E's squared singular values as its eigenvalues; its
-    largest one is accurate relative to ||E||_2^2, so its root keeps ||E||_2
-    to roundoff.  No m x p matrix is factored.  The core comes first by shape
-    alone: a thin core (the README's 1024 x 8 instance at c = 64) is far
-    cheaper than any m x p work, and a wide inner dimension (n + c >= min(m, p))
-    leaves E itself or its min(m, p)^2 Gram as the smallest matrix.  Symmetry
-    is checked on E, not assumed from how E was formed.
+    core R1 @ R2^T with E's singular values.  Otherwise E or its min(m, p)^2
+    Gram is the smallest, and `spectral_norm`'s kernel takes E.  No m x p
+    matrix is factored.
     """
-    m, p = E.shape
-    if A.shape[1] + C.shape[1] < min(m, p):
+    if A.shape[1] + C.shape[1] < min(E.shape):
         R1 = np.linalg.qr(np.hstack([A, C]), mode="r")
         R2 = np.linalg.qr(np.hstack([B.T, -R.T]), mode="r")
         return float(np.linalg.svd(R1 @ R2.T, compute_uv=False)[0])
-    if m == p and np.array_equal(E, E.T):
-        return float(np.max(np.abs(np.linalg.eigvalsh(E))))
-    G = E @ E.T if m <= p else E.T @ E
-    return math.sqrt(max(0.0, float(np.linalg.eigvalsh(G)[-1])))
+    return _spectral_norm(E)
 
 
 def _trial_matmul(ctx: dict, params: dict, seed: int, diagnostics: bool) -> TrialReport:
@@ -306,7 +302,7 @@ def _trial_lowrank(ctx: dict, params: dict, seed: int, diagnostics: bool) -> Tri
     eps = float(params["eps"])
     c = params.get("c")
     c = int(c) if c is not None else None
-    svd_A, norm_A = _oracle(ctx, lambda: (thin_svd(A), frobenius_norm(A)))
+    svd_A = _oracle(ctx, lambda: thin_svd(A))
     baseline = float(np.sqrt(np.sum(svd_A.sigma[k:] ** 2)))
     res, retried = _low_rank_with_retry(A, k, eps, seed, c,
                                         svd_A if diagnostics else None)
@@ -318,16 +314,10 @@ def _trial_lowrank(ctx: dict, params: dict, seed: int, diagnostics: bool) -> Tri
     t.bounds = {"error_bound": bound}
     t.flags = {"success": res.error_fro <= bound, "retried": retried}
     if res.diagnostics is not None:
-        t.flags["identity_ok"], t.flags["split_ok"] = _lowrank_flags(res, norm_A)
+        t.flags.update(identity_ok=res.diagnostics.identity_ok,
+                       split_ok=res.diagnostics.split_ok)
         t.metrics["identity_gap"] = res.diagnostics.identity_gap
     return t
-
-
-def _lowrank_flags(res, norm_A: float) -> tuple[bool, bool]:
-    """(identity_ok, split_ok) of a low-rank result that carries diagnostics."""
-    d = res.diagnostics
-    return (d.identity_gap <= 1e-9 * max(1.0, norm_A),
-            res.error_fro ** 2 <= d.projected_tail_sq + d.tail_sq + 1e-8)
 
 
 _TRIAL_RUNNERS = {
@@ -335,6 +325,9 @@ _TRIAL_RUNNERS = {
     "lsq": _trial_lsq,
     "lowrank": _trial_lowrank,
 }
+# The params each trial runner reads; a config with any other is refused.
+ALGORITHM_PARAMS = {"matmul": ("c", "probs"), "lsq": ("eps", "r"),
+                    "lowrank": ("k", "eps", "c")}
 
 
 def run_trials(config: ExperimentConfig) -> list[TrialReport]:
@@ -466,14 +459,13 @@ def _check_lowrank(seed: int, *, m: int = 24, n: int = 16, k: int = 3,
     A = gen_matrix("lowrank_plus_noise", m, n, seed, sigma=sigma)
     res, _ = _low_rank_with_retry(A, k, 0.4, seed, c, thin_svd(A))
     d = res.diagnostics
-    identity_ok, split_ok = _lowrank_flags(res, frobenius_norm(A))
     Zmat = make_rng(seed + 1).standard_normal((n, c))
     lhs, rhs = structural_inequality_check(A, Zmat, k)
     t = TrialReport(seed=seed)
     t.metrics = {"identity_gap": d.identity_gap, "error_fro": res.error_fro,
                  "structural_lhs": lhs, "structural_rhs": rhs}
-    t.flags = {"success": identity_ok and split_ok and lhs <= rhs + 1e-9,
-               "identity_ok": identity_ok, "split_ok": split_ok}
+    t.flags = {"success": d.identity_ok and d.split_ok and lhs <= rhs + 1e-9,
+               "identity_ok": d.identity_ok, "split_ok": d.split_ok}
     return t
 
 
@@ -562,13 +554,6 @@ def dumps_report(report: dict) -> str:
     _write_json(report, out, 0)
     out.append("\n")
     return "".join(out)
-
-
-def write_report(path, report: dict) -> None:
-    """Render, then open: a report that cannot be rendered leaves path as it was."""
-    text = dumps_report(report)
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 _TOP_KEYS = {"config", "trials", "aggregate", "meta"}

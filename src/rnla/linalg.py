@@ -8,6 +8,7 @@ plain 2-d float64 ndarrays in row-major (C) order.  Exported functions call
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +61,26 @@ def frobenius_norm(M) -> float:
 
 
 def spectral_norm(M) -> float:
-    """Spectral norm, the largest singular value."""
-    M = as_matrix(M)
+    """Spectral norm, the largest singular value, from eigenvalues and no SVD.
+
+    An exactly symmetric M has ||M||_2 = max |lambda(M)|, taken over both
+    signs.  Otherwise the smaller Gram of M has M's squared singular values as
+    its eigenvalues; its largest one is accurate relative to ||M||_2^2, so its
+    root, clamped at 0, keeps ||M||_2 to roundoff.  Symmetry is checked on M,
+    not assumed.  An empty M has norm 0.
+    """
+    return _spectral_norm(as_matrix(M))
+
+
+def _spectral_norm(M: np.ndarray) -> float:
+    """spectral_norm of an already validated matrix."""
+    m, n = M.shape
     if M.size == 0:
         return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    if m == n and np.array_equal(M, M.T):
+        return float(np.max(np.abs(np.linalg.eigvalsh(M))))
+    G = M @ M.T if m <= n else M.T @ M
+    return math.sqrt(max(0.0, float(np.linalg.eigvalsh(G)[-1])))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ solver's diagnostics measure that identity and the range/tail error split.
 They take A_k and the tail ||A - A_k||_F^2 from the caller's exact thin SVD
 of A (svd_A); the pipeline itself never factors A.  The identity is measured
 on the solver's own factorization of W and its residual, so W is factored
-once per run.  structural_inequality_check evaluates both sides of the
-structural inequality that drives the approximation guarantee.
+once per run.  The diagnostics carry their own verdicts, identity_ok and
+split_ok, at the tolerances documented on LowRankDiagnostics, as lsq's
+ConditionReport carries cond22_pass and cond23_pass.
+structural_inequality_check evaluates both sides of the structural
+inequality that drives the approximation guarantee.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ class LowRankDiagnostics:
     projected_tail_sq: float   # || A_k - U_C U_C^T A_k ||_F^2
     tail_sq: float             # || A - A_k ||_F^2
     basis_cols: int            # columns captured by U_C
+    identity_ok: bool          # identity_gap <= 1e-9 max(1, ||A||_F)
+    split_ok: bool             # error_fro^2 <= projected_tail_sq + tail_sq + 1e-8
 
 
 @dataclass(frozen=True)
@@ -129,13 +134,14 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
         # Y = U_k Sigma_k: V_k has orthonormal columns, so no m x n A_k is needed.
         top = svd_A.truncate(k)
         Y = top.U * top.sigma
+        gap = float(np.linalg.norm(resid - (A - U_C @ fw.truncate(k).reconstruct()),
+                                   "fro"))
+        proj_sq = float(np.linalg.norm(Y - U_C @ (U_C.T @ Y), "fro")) ** 2
+        tail_sq = float(np.sum(svd_A.sigma[k:] ** 2))
         diag = LowRankDiagnostics(
-            identity_gap=float(np.linalg.norm(
-                resid - (A - U_C @ fw.truncate(k).reconstruct()), "fro")),
-            projected_tail_sq=float(np.linalg.norm(Y - U_C @ (U_C.T @ Y), "fro")) ** 2,
-            tail_sq=float(np.sum(svd_A.sigma[k:] ** 2)),
-            basis_cols=U_C.shape[1],
-        )
+            gap, proj_sq, tail_sq, U_C.shape[1],
+            identity_ok=gap <= 1e-9 * max(1.0, float(np.linalg.norm(A, "fro"))),
+            split_ok=err ** 2 <= proj_sq + tail_sq + 1e-8)
     return LowRankResult(U_tilde_k=U_tilde, c_used=c, error_fro=err,
                          diagnostics=diag)
 

@@ -242,6 +242,16 @@ def test_check_flags_are_the_suite_keywords(capsys, suite):
     assert capsys.readouterr().out == default
 
 
+def test_check_help_names_each_flags_suites_and_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+             if line.strip().startswith("--")}
+    assert lines["--d"].split()[2:] == ["lsq", "5"]
+    assert lines["--n"].split()[2:] == ["srht", "1024,", "matmul", "3,", "lsq",
+                                        "1024,", "lowrank", "16"]
+
+
 @pytest.mark.parametrize("argv", [[], ["gen"], ["matmul"], ["lsq"], ["lowrank"],
                                   ["check"], ["report"]],
                          ids=["rnla", "gen", "matmul", "lsq", "lowrank", "check",

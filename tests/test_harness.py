@@ -17,7 +17,7 @@ from rnla import (AggregateReport, ExperimentConfig, TrialReport, colnorm_probs,
                   write_vector)
 from rnla.cli import main as cli_main
 from rnla.harness import (VERSION, _spectral_error, aggregate, build_report,
-                          dumps_report, report_to_csv, run_trials, write_report)
+                          dumps_report, report_to_csv, run_trials)
 from rnla.sampling import RNG_NAME, SampleSize
 
 
@@ -58,8 +58,34 @@ def test_config_validation():
                          {"eps": float("inf"), "r": 32}, trials=1, base_seed=0)
 
 
+def test_a_config_with_a_param_its_algorithm_does_not_read_is_refused():
+    with pytest.raises(ValueError, match="lsq takes no param k"):
+        ExperimentConfig("lsq", {"family": "gaussian", "m": 64, "n": 3},
+                         {"eps": 0.5, "r": 32, "k": 3}, trials=1, base_seed=0)
+    with pytest.raises(ValueError, match="matmul takes no param eps, k"):
+        ExperimentConfig("matmul", {}, {"c": 2, "k": 1, "eps": 0.5}, 1, 0)
+    for algorithm, params in rnla.harness.ALGORITHM_PARAMS.items():
+        ExperimentConfig(algorithm, {}, dict.fromkeys(params, 1), 1, 0)
+
+
+def test_a_family_keyword_the_family_does_not_read_ends_the_run_before_a_trial(
+        monkeypatch):
+    calls = []
+    monkeypatch.setitem(rnla.harness._TRIAL_RUNNERS, "matmul",
+                        lambda *args: calls.append(args))
+    cfg = ExperimentConfig("matmul", {"family": "gaussian", "m": 8, "n": 6,
+                                      "sigma": [1.0, 2.0], "eta": 0.5},
+                           {"c": 2}, 1, 0)
+    with pytest.raises(ValueError, match="gaussian family reads no sigma or eta"):
+        run_experiment(cfg)
+    assert calls == []
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: gen_matrix("gaussian", 0, 3, 0), "dimensions must be positive"),
+    (lambda: gen_matrix("gaussian", 4, 3, 0, sigma=(1.0,)),
+     "gaussian family reads no sigma$"),
+    (lambda: gen_matrix("coherent", 4, 3, 0, eta=0.5), "coherent family reads no eta$"),
     (lambda: gen_matrix("lowrank_plus_noise", 4, 3, 0, sigma=(1.0, -1.0)),
      "sigma must be nonnegative"),
     (lambda: gen_matrix("lowrank_plus_noise", 4, 3, 0, sigma=(3.0, 2.0, 1.0, 0.5)),
@@ -68,8 +94,8 @@ def test_config_validation():
     (lambda: gen_matrix("cauchy", 4, 3, 0), "unknown family 'cauchy'"),
     (lambda: gen_lsq_instance(3, 4, 0), "need n >= d >= 1"),
     (lambda: gen_lsq_instance(3, 0, 0), "need n >= d >= 1"),
-], ids=["dims", "sigma-negative", "sigma-long", "coherent-wide", "family",
-        "lsq-wide", "lsq-d0"])
+], ids=["dims", "gaussian-sigma", "coherent-eta", "sigma-negative", "sigma-long",
+        "coherent-wide", "family", "lsq-wide", "lsq-d0"])
 def test_generators_refuse_shapes_they_cannot_build(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -444,7 +470,7 @@ def test_report_round_trip_exact(tmp_path):
     rep = build_report(cfg, trials, aggregate(trials),
                        total_wall_time=0.125)
     path = tmp_path / "r.json"
-    write_report(path, rep)
+    path.write_text(dumps_report(rep))
     assert load_report(path) == rep
 
 
@@ -474,7 +500,7 @@ def test_dumps_report_formatting():
     assert text.endswith("\n")
 
 
-def test_dumps_report_rejects_bad_values(tmp_path):
+def test_dumps_report_rejects_bad_values():
     base = {"config": {}, "trials": [], "aggregate": {}, "meta": {}}
     with pytest.raises(ValueError, match="finite"):
         dumps_report({**base, "aggregate": {"x": float("nan")}})
@@ -482,12 +508,6 @@ def test_dumps_report_rejects_bad_values(tmp_path):
         dumps_report({**base, "aggregate": {"x": float("inf")}})
     with pytest.raises(TypeError):
         dumps_report({**base, "aggregate": {"x": {1, 2}}})
-    # write_report renders first, so a refused report leaves the file as it was.
-    p = tmp_path / "r.json"
-    p.write_text("kept\n")
-    with pytest.raises(ValueError, match="finite"):
-        write_report(p, {**base, "aggregate": {"x": float("nan")}})
-    assert p.read_text() == "kept\n"
 
 
 def test_load_report_schema_rejections(tmp_path):
@@ -500,7 +520,7 @@ def test_load_report_schema_rejections(tmp_path):
         r = copy.deepcopy(rep)
         mutate(r)
         p = tmp_path / "bad.json"
-        write_report(p, r)
+        p.write_text(dumps_report(r))
         return p
 
     with pytest.raises(ValueError, match="unknown report fields"):
@@ -526,7 +546,7 @@ def test_load_report_aggregate_keys_are_the_record_fields(tmp_path):
     extra = {**rep, "aggregate": {**rep["aggregate"], "config": {}}}
     for i, bad in enumerate((missing, extra)):
         p = tmp_path / f"bad{i}.json"
-        write_report(p, bad)
+        p.write_text(dumps_report(bad))
         with pytest.raises(ValueError, match="aggregate fields"):
             load_report(p)
 

@@ -19,6 +19,36 @@ def test_spectral_norm_values():
     assert spectral_norm(np.zeros((0, 3))) == 0.0
 
 
+def _spectral_norm_cases():
+    rng = make_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    negative = (Q * np.array([-9.0, 4.0, 3.0, 2.0, 1.0, 0.5])) @ Q.T
+    negative = (negative + negative.T) / 2  # exactly symmetric
+    return {"tall": rng.standard_normal((9, 4)), "wide": rng.standard_normal((4, 9)),
+            "square": rng.standard_normal((7, 7)), "symmetric-negative": negative,
+            "zero": np.zeros((5, 3)), "empty": np.zeros((0, 3)),
+            "empty-square": np.zeros((0, 0))}
+
+
+@pytest.mark.parametrize("case", sorted(_spectral_norm_cases()))
+def test_spectral_norm_matches_numpy_without_an_svd(monkeypatch, case):
+    """The eigenvalue rules agree with np.linalg.norm(M, 2); no SVD is taken.
+
+    The symmetric case's most negative eigenvalue is the largest in magnitude.
+    """
+    M = _spectral_norm_cases()[case]
+    ref = float(np.linalg.norm(M, 2)) if M.size else 0.0
+    if case == "symmetric-negative":
+        assert np.array_equal(M, M.T) and -np.linalg.eigvalsh(M)[0] == pytest.approx(ref)
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
+    got = spectral_norm(M)
+    assert calls == []
+    assert abs(got - ref) <= 1e-12 * ref
+    if ref == 0.0:
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
 def test_spectral_norm_randomized_maximization():
     # Oracle: max ||Mx|| over random unit x, polished by power iteration on
     # the Gram matrix so the comparison is meaningful at 1e-6.

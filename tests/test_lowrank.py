@@ -168,6 +168,24 @@ def test_one_factorization_of_W_per_call(monkeypatch, diagnostics):
         assert res.diagnostics.identity_gap <= 1e-9 * frobenius_norm(A)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_diagnostics_carry_the_harness_verdicts(scale):
+    """identity_ok is identity_gap <= 1e-9 max(1, ||A||_F), and split_ok is
+    error^2 <= projected_tail_sq + tail_sq + 1e-8, written out here.  The
+    scales put ||A||_F below and above 1."""
+    for seed in range(8):
+        A = scale * gen_matrix("lowrank_plus_noise", 40, 24, seed,
+                               sigma=(8.0, 6.0, 4.0, 1.0), eta=0.05)
+        svd_A = thin_svd(A)
+        res = rand_low_rank(A, 3, 0.25, seed, c_override=8, svd_A=svd_A)
+        d = res.diagnostics
+        norm_A = float(np.linalg.norm(A, "fro"))
+        assert d.identity_ok == (d.identity_gap <= 1e-9 * max(1.0, norm_A))
+        assert d.split_ok == (res.error_fro ** 2
+                              <= d.projected_tail_sq + d.tail_sq + 1e-8)
+        assert rand_low_rank(A, 3, 0.25, seed, c_override=8).diagnostics is None
+
+
 def test_structural_inequality_random_sketches():
     rng = make_rng(12)
     A = gen_matrix("gaussian", 10, 8, 13)
