@@ -66,8 +66,11 @@ def spectral_norm(M) -> float:
     An exactly symmetric M has ||M||_2 = max |lambda(M)|, taken over both
     signs.  Otherwise the smaller Gram of M has M's squared singular values as
     its eigenvalues; its largest one is accurate relative to ||M||_2^2, so its
-    root, clamped at 0, keeps ||M||_2 to roundoff.  Symmetry is checked on M,
-    not assumed.  An empty M has norm 0.
+    root, clamped at 0, keeps ||M||_2 to roundoff.  An M whose largest entry
+    lies outside [2**-257, 2**256), where its Gram could underflow or
+    overflow, is first scaled by a power of two that brings that entry into
+    [0.5, 1); such a scale is exact in the normal range.  Symmetry is checked
+    on M, not assumed.  An empty M has norm 0.
     """
     return _spectral_norm(as_matrix(M))
 
@@ -79,8 +82,13 @@ def _spectral_norm(M: np.ndarray) -> float:
         return 0.0
     if m == n and np.array_equal(M, M.T):
         return float(np.max(np.abs(np.linalg.eigvalsh(M))))
+    e = int(np.frexp(max(M.max(), -M.min()))[1])
+    if abs(e) > 256:
+        M = np.ldexp(M, -e)
+    else:
+        e = 0
     G = M @ M.T if m <= n else M.T @ M
-    return math.sqrt(max(0.0, float(np.linalg.eigvalsh(G)[-1])))
+    return math.ldexp(math.sqrt(max(0.0, float(np.linalg.eigvalsh(G)[-1]))), e)
 
 
 @dataclass(frozen=True)

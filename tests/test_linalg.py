@@ -27,14 +27,21 @@ def _spectral_norm_cases():
     return {"tall": rng.standard_normal((9, 4)), "wide": rng.standard_normal((4, 9)),
             "square": rng.standard_normal((7, 7)), "symmetric-negative": negative,
             "zero": np.zeros((5, 3)), "empty": np.zeros((0, 3)),
-            "empty-square": np.zeros((0, 0))}
+            "empty-square": np.zeros((0, 0)),
+            # Entries whose squares underflow or overflow in float64.
+            "tiny": np.array([[1e-200, 0.0, 0.0]]),
+            "tiny-tall": 1e-200 * rng.standard_normal((9, 4)),
+            "huge": np.array([[1e200, 1e200], [3e200, 0.0]]),
+            "huge-wide": 1e200 * rng.standard_normal((4, 9))}
 
 
 @pytest.mark.parametrize("case", sorted(_spectral_norm_cases()))
 def test_spectral_norm_matches_numpy_without_an_svd(monkeypatch, case):
     """The eigenvalue rules agree with np.linalg.norm(M, 2); no SVD is taken.
 
-    The symmetric case's most negative eigenvalue is the largest in magnitude.
+    The symmetric case's most negative eigenvalue is the largest in magnitude;
+    the tiny and huge cases would lose their Gram to underflow or overflow
+    without scaling.
     """
     M = _spectral_norm_cases()[case]
     ref = float(np.linalg.norm(M, 2)) if M.size else 0.0

@@ -1,17 +1,18 @@
-"""Compare the CLI's outputs between two source trees, call by call.
+"""Compare the CLI's outputs between a parent tree and this checkout, call by call.
 
-    python tools/identity_sweep.py PARENT [CHANGE]
+    python tools/identity_sweep.py PARENT
 
-PARENT and CHANGE are checkouts of this repository (CHANGE defaults to the
-one holding this script), e.g. a parent commit unpacked with
-`git archive <commit> | tar -x -C <dir>`.  Each group below is a list of
-`rnla` calls run in order, once per tree, in a fresh temporary directory:
-one process per call, `python -m rnla.cli` with the tree's `src` first on
-PYTHONPATH, `OPENBLAS_NUM_THREADS=1` and `RNLA_SEED` unset.  A group is
-identical when every call's exit code, stdout and stderr and every file left
-in the directory match, with each `"wall_time": <number>` set aside.  The
-script prints one line per group and a summary, and exits 1 if any group
-differs.  Standard library only; it does not import rnla itself.
+PARENT is a checkout of this repository, e.g. a parent commit unpacked with
+`git archive <commit> | tar -x -C <dir>`; it is compared with the checkout
+that holds this script.  Each group below is a list of `rnla` calls run in
+order, once per tree, in a fresh temporary directory: one process per call,
+`python -m rnla.cli` with the tree's `src` first on PYTHONPATH,
+`OPENBLAS_NUM_THREADS=1` and `RNLA_SEED` unset.  A group is identical when
+every call's exit code, stdout and stderr and every file left in the
+directory match, with each `"wall_time": <number>` set aside.  The script
+prints one line per group and a summary, and exits 1 if any group differs.
+The benchmark's calls come from this checkout's `bench/workloads.py`; the
+script does not import rnla itself.
 """
 
 from __future__ import annotations
@@ -24,24 +25,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
 WALL_TIME = re.compile(rb'"wall_time": [^,\n]*')
-
-
-def _bench_calls(seed: int) -> list[list[str]]:
-    """The three benchmark workloads' calls at one workload seed, first repetition."""
-    return [
-        ["lsq", "--m", "131072", "--n", "16", "--eps", "0.5", "--r", "1024",
-         "--trials", "2", "--seed", str(seed * 10_000), "--instance-seed", str(seed),
-         "--out", "lsq.json"],
-        ["lowrank", "--m", "2048", "--n", "1024", "--sigma", "10,9,8,7,6,5,4,3,2,1",
-         "--eta", "0.01", "--k", "10", "--eps", "0.25", "--c", "64", "--trials", "2",
-         "--seed", str(seed * 10_000), "--instance-seed", str(seed),
-         "--out", "lowrank.json"],
-        ["gen", "gaussian", "--m", "256", "--n", "4096", "--seed", str(seed),
-         "--out", "A.mtx"],
-        ["matmul", "--in", "A.mtx", "--c", "256", "--probs", "optimal",
-         "--trials", "50", "--seed", str(seed * 10_000), "--out", "matmul.json"],
-    ]
 
 
 def _readme_calls(readme: Path) -> list[list[str]]:
@@ -69,7 +58,10 @@ def _matmul_shape(m, n, p, c) -> list[list[str]]:
 
 
 def groups(readme: Path) -> dict[str, list[list[str]]]:
-    out = {f"bench seed {seed}": _bench_calls(seed) for seed in (1, 7)}
+    # The benchmark workloads' calls at two workload seeds, first repetition.
+    out = {f"bench seed {seed}": [argv for w in WORKLOADS.values()
+                                  for argv, _ in w.calls(seed, 0)]
+           for seed in (1, 7)}
     out["readme"] = _readme_calls(readme)
     for suite in ("srht", "matmul", "lsq", "lowrank"):
         out[f"check {suite}"] = [["check", suite, "--seed", str(s)] for s in range(5)]
@@ -169,16 +161,14 @@ def _first_difference(a: list[tuple], b: list[tuple]) -> str:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) not in (1, 2):
+    if len(args) != 1:
         print("usage: " + __doc__.splitlines()[2].strip(), file=sys.stderr)
         return 2
-    parent = Path(args[0]).resolve()
-    change = Path(args[1] if len(args) == 2 else Path(__file__).parents[1]).resolve()
-    for tree in (parent, change):
-        if not (tree / "src" / "rnla" / "cli.py").is_file():
-            print(f"identity_sweep: no rnla sources under {tree / 'src'}",
-                  file=sys.stderr)
-            return 2
+    parent, change = Path(args[0]).resolve(), ROOT
+    if not (parent / "src" / "rnla" / "cli.py").is_file():
+        print(f"identity_sweep: no rnla sources under {parent / 'src'}",
+              file=sys.stderr)
+        return 2
     all_groups = groups(change / "README.md")
     differ = 0
     for name, calls in all_groups.items():
