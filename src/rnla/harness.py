@@ -1,9 +1,10 @@
 """Experiment runner: seeded trials, aggregation, JSON reports, check suites.
 
 One experiment = one problem instance + `trials` independent algorithm seeds
-base_seed, base_seed+1, ...  Exact oracles (the thin SVD of A, the exact
-product) are computed once per run, by the first trial that needs them; the
-solvers take the SVD as an argument.
+base_seed, base_seed+1, ...  Exact oracles are computed once per run, by the
+first trial that needs them: the exact product for matmul, the thin SVD of A
+for lowrank, and for lsq `lsq._exact_solve`'s thin SVD of A, x_opt and Z,
+all from one blocked QR of [A, b].  The solvers take the SVD as an argument.
 
 A matmul instance is validated once, when it is resolved: A and B pass
 `as_matrix` and the inner-dimension check there; each trial draws one plan and
@@ -41,9 +42,10 @@ except for wall-time fields.
 A check suite's parameters are its keyword-only defaults, which are also the
 CLI's check flags; `run_check_suite` refuses any other.  An experiment's
 params are `ALGORITHM_PARAMS`, which are also the CLI's algorithm flags;
-`ExperimentConfig` refuses any other, and `gen_matrix` refuses a family
-keyword its family does not read.  The CLI's lsq families and matmul
-probabilities are `LSQ_FAMILIES` and `MATMUL_PROBS`.
+`ExperimentConfig` refuses any other.  It also refuses an unknown lsq family
+and an instance key that its algorithm does not read (`_INSTANCE_KEYS`), and
+`gen_matrix` refuses a family keyword its family does not read.  The CLI's
+lsq families and matmul probabilities are `LSQ_FAMILIES` and `MATMUL_PROBS`.
 
 `run_experiment` is the one way to run an experiment; the CLI renders the
 dict it returns with `dumps_report` and writes the text itself.  The record
@@ -71,7 +73,7 @@ from .generators import gen_lsq_instance, gen_matrix
 from .linalg import _spectral_norm, as_matrix, thin_svd
 from .lowrank import (lowrank_sample_size_explicit, rand_low_rank,
                       structural_inequality_check)
-from .lsq import rand_least_squares
+from .lsq import _exact_solve, rand_least_squares
 from .matio import read_matrix, read_vector
 from .matmul import (enumerate_sketch_moments, entry_variance_bound,
                      expected_frobenius_error)
@@ -119,9 +121,17 @@ class ExperimentConfig:
         if not 0 <= self.base_seed <= _KEY_LIMIT - self.trials:
             raise ValueError(f"trial seeds base_seed .. base_seed + trials - 1 must lie "
                              f"in [0, 2**128), got base_seed = {self.base_seed}")
+        fam = self.instance.get("family")
+        if self.algorithm == "lsq" and fam not in (None, "file", *LSQ_FAMILIES):
+            raise ValueError(f"unknown lsq family {fam!r}")
+        generated, from_file = _INSTANCE_KEYS[self.algorithm]
+        extra = sorted(set(self.instance) - set(from_file if fam == "file" else generated))
+        if extra:
+            raise ValueError(f"a {fam or 'generated'} {self.algorithm} instance "
+                             f"reads no {', '.join(extra)}")
         # The instance seed defaults to base_seed; a generated matmul B uses it + 1.
         iseed = int(self.instance.get("seed", self.base_seed))
-        reach = int(self.algorithm == "matmul" and self.instance.get("family") != "file")
+        reach = int(self.algorithm == "matmul" and fam != "file")
         if not 0 <= iseed < _KEY_LIMIT - reach:
             bound = "2**128 - 1), since a generated B uses seed + 1" if reach else "2**128)"
             raise ValueError(f"instance seed must lie in [0, {bound}; got seed = {iseed}")
@@ -152,6 +162,15 @@ class AggregateReport:
 
 LSQ_FAMILIES = {"gaussian": False, "consistent_lsq": True}  # family -> b in range(A)
 
+# The instance keys each algorithm reads: (generated, from files).  gen_matrix
+# refuses a sigma or eta that its family does not read.
+_INSTANCE_KEYS = {
+    "matmul": (("family", "m", "n", "seed", "p", "sigma", "eta"),
+               ("family", "seed", "path", "path_b")),
+    "lsq": (("family", "m", "n", "seed"), ("family", "seed", "path", "rhs")),
+    "lowrank": (("family", "m", "n", "seed", "sigma", "eta"), ("family", "seed", "path")),
+}
+
 # Matmul probabilities of the validated A and B; each looks its callee up by name.
 MATMUL_PROBS = {"optimal": lambda A, B: optimal_probs(A, B),
                 "colnorm": lambda A, B: colnorm_probs(A),
@@ -181,6 +200,7 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
         else:
             A, b, _ = gen_lsq_instance(int(inst["m"]), int(inst["n"]), iseed,
                                        consistent=LSQ_FAMILIES.get(fam, False))
+        # Finite float64 as generated or read, so the oracle takes them as they are.
         return {"A": A, "b": b}
     A = _matrix(inst, iseed)
     if config.algorithm == "lowrank":
@@ -213,13 +233,6 @@ def _oracle(ctx: dict, compute):
     if "oracle" not in ctx:
         ctx["oracle"] = compute()
     return ctx["oracle"]
-
-
-def _lsq_oracle(A, b):
-    """(thin SVD of A, x_opt, Z) from the one factorization."""
-    svd_A = thin_svd(A)
-    x_opt = svd_A.pinv() @ b
-    return svd_A, x_opt, float(np.linalg.norm(A @ x_opt - b))
 
 
 def _low_rank_with_retry(A, k: int, eps: float, seed: int, c: int | None, svd_A):
@@ -273,7 +286,7 @@ def _trial_matmul(ctx: dict, params: dict, seed: int, diagnostics: bool) -> Tria
 
 def _trial_lsq(ctx: dict, params: dict, seed: int, diagnostics: bool) -> TrialReport:
     A, b = ctx["A"], ctx["b"]
-    svd_A, x_opt, Z = _oracle(ctx, lambda: _lsq_oracle(A, b))
+    svd_A, x_opt, Z = _oracle(ctx, lambda: _exact_solve(A, b))
     eps = float(params["eps"])
     r = params.get("r")
     sol = rand_least_squares(A, b, eps, seed,
@@ -438,7 +451,7 @@ def _check_lsq(seed: int, *, n: int = 1024, d: int = 5, eps: float = 0.5,
                r: int = 200) -> TrialReport:
     """One randomized solve obeys the one-sided and conditional guarantees."""
     A, b, _ = gen_lsq_instance(n, d, seed, consistent=False)
-    svd_A, _, Z = _lsq_oracle(A, b)
+    svd_A, _, Z = _exact_solve(A, b)
     sol = rand_least_squares(A, b, eps, seed + 1, r_override=r, svd_A=svd_A)
     rep = sol.diagnostics
     one_sided = sol.residual_norm >= Z - 1e-10

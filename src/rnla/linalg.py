@@ -1,4 +1,5 @@
-"""Dense linear algebra substrate: norms, thin SVD, pseudoinverse, truncation.
+"""Dense linear algebra substrate: norms, thin SVD, pseudoinverse, truncation,
+and a row-blocked QR of tall matrices.
 
 Every randomized routine in this package is judged against these deterministic
 kernels, so they carry the tightest tolerances in the library.  Matrices are
@@ -28,6 +29,10 @@ __all__ = [
 # zero matrix the absolute floor applies instead.
 RANK_RTOL = 1e-12
 RANK_ZERO_FLOOR = 1e-300
+
+# Elements per row block of _tall_qr (128 KiB of float64), so a block stays in
+# cache while it is factored.
+_QR_CHUNK = 2 ** 14
 
 
 def as_matrix(a) -> np.ndarray:
@@ -151,6 +156,33 @@ def _thin_svd(M: np.ndarray) -> ThinSVD:
     rho = int(np.sum(s > _rank_cutoff(s)))
     return ThinSVD(U=U[:, :rho].copy(), sigma=s[:rho].copy(),
                    V=Vt[:rho, :].T.copy(), rank=rho)
+
+
+def _tall_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced Householder QR of a validated m x k M, written over M (TSQR).
+
+    Returns (Q, R) with Q the view M[:, :min(m, k)]: M's storage holds Q
+    afterwards, so a tall M costs no second m x k array.  Each row block
+    holds max(2k, _QR_CHUNK // k) rows, so it stays in cache while LAPACK
+    factors it, Q_i R_i; a tail shorter than k rows joins the block before
+    it.  The stacked k x k factors [R_1; ...; R_p] = Q' R are factored once
+    more, and block i of M becomes Q_i Q'_i.  An M with fewer than two
+    blocks' rows is one block.  (Demmel, Grigori, Hoemmen & Langou, SISC 2012.)
+    """
+    m, k = M.shape
+    rows = max(2 * k, _QR_CHUNK // k)
+    if m < 2 * rows:
+        Q, R = np.linalg.qr(M)
+        M[:, :Q.shape[1]] = Q
+        return M[:, :Q.shape[1]], R
+    bounds = [*range(0, m - k + 1, rows), m]
+    Rs = np.empty(((len(bounds) - 1) * k, k))
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        M[lo:hi], Rs[i * k:(i + 1) * k] = np.linalg.qr(M[lo:hi])
+    Q2, R = np.linalg.qr(Rs)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        M[lo:hi] = M[lo:hi] @ Q2[i * k:(i + 1) * k]
+    return M, R
 
 
 def pseudoinverse(M) -> np.ndarray:

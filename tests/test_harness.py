@@ -330,6 +330,48 @@ def test_lsq_trials_and_file_route_agree(tmp_path):
         assert t.ops["adds_subs"] > 0
 
 
+def test_a_rank_deficient_in_instance_keeps_its_min_norm_oracle(tmp_path, monkeypatch):
+    """The QR oracle of a rank-2 A gives lstsq's min-norm x_opt, and every
+    trial's sketch loses rank."""
+    A, b, _ = gen_lsq_instance(8192, 3, 4)
+    A = A[:, [0, 1, 0]]
+    write_matrix(tmp_path / "a.mtx", A)
+    write_vector(tmp_path / "b.mtx", b)
+    oracles = []
+    exact_solve = rnla.harness._exact_solve
+    monkeypatch.setattr(rnla.harness, "_exact_solve",
+                        lambda A, b: oracles.append(exact_solve(A, b)) or oracles[-1])
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["lsq", "--in", "a.mtx", "--rhs", "b.mtx", "--eps", "0.5",
+                     "--r", "64", "--trials", "3", "--out", "r.json"]) == 0
+    (f, x_opt, Z), = oracles
+    A = read_matrix(tmp_path / "a.mtx")
+    x_l = np.linalg.lstsq(A, b, rcond=None)[0]
+    assert f.rank == 2
+    assert np.linalg.norm(x_opt - x_l) <= 1e-12 * np.linalg.norm(x_l)
+    trials = load_report(tmp_path / "r.json")["trials"]
+    assert len(trials) == 3
+    assert all(not t["ok"] and t["error"].startswith("SketchRankError") for t in trials)
+
+
+@pytest.mark.parametrize("algorithm, instance, params, message", [
+    ("lsq", {"family": "bogus", "m": 64, "n": 3}, {"eps": 0.5, "r": 32},
+     "unknown lsq family 'bogus'"),
+    ("lsq", {"family": "gaussian", "m": 64, "n": 3, "sigma": [1.0], "eta": 0.5},
+     {"eps": 0.5, "r": 32}, "a gaussian lsq instance reads no eta, sigma$"),
+    ("matmul", {"family": "gaussian", "m": 8, "n": 6, "bogus": 1}, {"c": 2},
+     "a gaussian matmul instance reads no bogus$"),
+    ("lsq", {"family": "file", "path": "a.mtx", "rhs": "b.mtx", "m": 4},
+     {"eps": 0.5}, "a file lsq instance reads no m$"),
+    ("lowrank", {"family": "file", "path": "a.mtx", "path_b": "b.mtx"},
+     {"k": 1, "eps": 0.5}, "a file lowrank instance reads no path_b$"),
+], ids=["lsq-family", "lsq-sigma-eta", "matmul-bogus", "lsq-file-m", "lowrank-path_b"])
+def test_a_config_with_an_instance_key_nothing_reads_is_refused(
+        algorithm, instance, params, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(algorithm, instance, params, trials=1, base_seed=0)
+
+
 def test_lsq_diagnostics_off_drops_condition_flags():
     cfg = ExperimentConfig("lsq", {"family": "gaussian", "m": 64, "n": 3,
                                    "seed": 9},
@@ -409,24 +451,37 @@ def test_lowrank_retry_doubles_the_default_width(monkeypatch):
 ], ids=["lsq", "lowrank"])
 def test_each_run_factors_its_instance_once(monkeypatch, algorithm, instance,
                                             params, diagnostics):
-    """One SVD of the m x n instance per run, whatever the trial count.
+    """One exact factorization of the m x n instance per run, whatever the trial count.
 
-    Every thin_svd goes through np.linalg.svd, so counting there also
-    catches a direct factorization.  Sketch sizes differ from the instance's.
+    Lowrank: one np.linalg.svd of the instance; every thin_svd goes through
+    np.linalg.svd, so counting there also catches a direct factorization.
+    Lsq: one `_exact_solve`, whose oracle is a QR, and no SVD of an m x n
+    array at all.  Sketch sizes differ from the instance's.
     """
-    shapes = []
+    shapes, solves = [], []
     svd = np.linalg.svd
+    exact_solve = rnla.harness._exact_solve
 
     def counting_svd(M, *args, **kwargs):
         shapes.append(np.shape(M))
         return svd(M, *args, **kwargs)
 
+    def counting_solve(A, b):
+        solves.append(A.shape)
+        return exact_solve(A, b)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(rnla.harness, "_exact_solve", counting_solve)
     cfg = ExperimentConfig(algorithm, instance, params, trials=5, base_seed=0,
                            diagnostics=diagnostics)
     trials = run_trials(cfg)
     assert all(t.ok for t in trials)
-    assert shapes.count((instance["m"], instance["n"])) == 1
+    m_by_n = shapes.count((instance["m"], instance["n"]))
+    if algorithm == "lsq":
+        assert solves == [(instance["m"], instance["n"])]
+        assert m_by_n == 0
+    else:
+        assert solves == [] and m_by_n == 1
 
 
 def test_aggregate_hand_values():

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rnla import (SketchRankError, check_conditions, exact_least_squares,
-                  forward_error_bound, gen_lsq_instance, ls_sample_size,
-                  rand_least_squares, rand_least_squares_amplified, thin_svd)
-from rnla.lsq import COND22_THRESHOLD
+                  forward_error_bound, gen_lsq_instance, gen_matrix, ls_sample_size,
+                  make_rng, rand_least_squares, rand_least_squares_amplified,
+                  thin_svd)
+from rnla.lsq import COND22_THRESHOLD, _exact_solve
 
 
 def test_exact_solver_hand_instance():
@@ -23,6 +25,93 @@ def test_exact_solver_minimum_norm():
     assert Z == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         exact_least_squares(A, np.ones(3))
+
+
+# (n, d, rows of each block _tall_qr factors).  At k = d + 1 = 17 a block has
+# 2**14 // 17 = 963 rows: one row short of two blocks, exactly two, a 16-row
+# tail that joins the block before it, a 17-row tail that does not.  At
+# k = 101, 2k = 202 rows exceed 2**14 // 101 = 162 and set the block, and a
+# 50-row tail joins the last one.  Then a square [A, b] and a wide A.
+@pytest.mark.parametrize("n, d, blocks", [
+    (1925, 16, [1925]),
+    (1926, 16, [963, 963]),
+    (2905, 16, [963, 963, 979]),
+    (2906, 16, [963, 963, 963, 17]),
+    (1060, 100, [202, 202, 202, 202, 252]),
+    (17, 16, [17]),
+    (3, 5, [3]),
+], ids=["one-block", "two-blocks", "short-tail", "k-row-tail", "wide-k", "n=d+1",
+        "wide-A"])
+def test_exact_solve_matches_lstsq_at_block_boundaries(monkeypatch, n, d, blocks):
+    rng = make_rng(n + d)
+    A, b = rng.standard_normal((n, d)), rng.standard_normal(n)
+    x_l = np.linalg.lstsq(A, b, rcond=None)[0]
+    Z_l = float(np.linalg.norm(A @ x_l - b))
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording_qr(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    f, x_opt, Z = _exact_solve(A, b)
+    k = d + 1
+    stacked = [(len(blocks) * k, k)] if len(blocks) > 1 else []
+    assert shapes == [(rows, k) for rows in blocks] + stacked
+    assert np.linalg.norm(x_opt - x_l) <= 1e-12 * np.linalg.norm(x_l)
+    assert Z == pytest.approx(Z_l, rel=1e-12, abs=1e-14 * np.linalg.norm(b))
+    assert f.rank == min(n, d)
+    assert np.abs(f.U.T @ f.U - np.eye(f.rank)).max() <= 1e-13
+    assert np.abs(f.reconstruct() - A).max() <= 1e-12 * np.abs(A).max()
+    x_e, Z_e = exact_least_squares(A, b)
+    assert np.array_equal(x_e, x_opt) and Z_e == Z
+
+
+def test_exact_solve_allocates_one_array_of_the_instance_size():
+    """Q is written over [A, b] and U_A over Q: no second n x d array."""
+    A, b, _ = gen_lsq_instance(40000, 16, 1)
+    tracemalloc.start()
+    try:
+        f, _, _ = _exact_solve(A, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (A.nbytes + b.nbytes)
+    assert f.U.shape == A.shape
+
+
+def test_exact_solve_keeps_the_min_norm_solution_of_a_rank_deficient_A():
+    A, b, _ = gen_lsq_instance(8192, 4, 3)
+    A = A[:, [0, 1, 2, 0]]
+    f, x_opt, Z = _exact_solve(A, b)
+    x_l = np.linalg.lstsq(A, b, rcond=None)[0]
+    assert f.rank == 3
+    assert np.linalg.norm(x_opt - x_l) <= 1e-12 * np.linalg.norm(x_l)
+    assert x_opt[0] == pytest.approx(x_opt[3], rel=1e-12)
+    assert Z == pytest.approx(np.linalg.norm(A @ x_l - b), rel=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e6, 1e10])
+def test_condition_flags_agree_with_the_thin_svd_basis(kappa):
+    """The QR oracle's U_A gives the thin SVD's cond22 and cond23 verdicts.
+
+    The thin SVD of A is the reference.  Residual noise 0 makes the system
+    consistent, where cond23 compares roundoff with roundoff: a basis
+    orthonormal only to kappa * u, such as A V diag(1/sigma), fails there.
+    """
+    n, d, r, eps = 1024, 8, 256, 0.05
+    for noise in (1e-2, 1e-8, 0.0):
+        for seed in range(10):
+            A = gen_matrix("lowrank_plus_noise", n, d, seed,
+                           sigma=np.geomspace(1.0, 1.0 / kappa, d))
+            rng = make_rng(seed + 100)
+            b = A @ rng.standard_normal(d) + noise * rng.standard_normal(n)
+            reports = [rand_least_squares(A, b, eps, seed=seed, r_override=r,
+                                          svd_A=f).diagnostics
+                       for f in (thin_svd(A), _exact_solve(A, b)[0])]
+            flags = [(rep.cond22_pass, rep.cond23_pass) for rep in reports]
+            assert flags[0] == flags[1], (noise, seed)
 
 
 def _branches(n, d, eps):

@@ -11,12 +11,18 @@ order, once per tree, in a fresh temporary directory: one process per call,
 every call's exit code, stdout and stderr and every file left in the
 directory match, with each `"wall_time": <number>` set aside.  The script
 prints one line per group and a summary, and exits 1 if any group differs.
+Under a differing group it says whether any exit code, stdout, stderr or
+report flag (a true/false field) differs, then names each differing JSON or
+CSV document, file or stdout, with every field that differs and the largest
+relative difference of its values.  A field is the document's key path with
+list indices dropped, so one line covers a field over all trials.
 The benchmark's calls come from this checkout's `bench/workloads.py`; the
 script does not import rnla itself.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import shlex
@@ -31,6 +37,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import WORKLOADS  # noqa: E402
 
 WALL_TIME = re.compile(rb'"wall_time": [^,\n]*')
+NO_TIME = b'"wall_time": 0'
 
 
 def _readme_calls(readme: Path) -> list[list[str]]:
@@ -132,7 +139,8 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
 
 
 def run_group(tree: Path, calls: list[list[str]]) -> list[tuple]:
-    """Each call's (exit code, stdout, stderr), then every file left behind."""
+    """Each call's (argv, exit code, stdout, stderr), then each file left behind
+    as (name, bytes); every wall_time value reads 0."""
     env = {k: v for k, v in os.environ.items() if k != "RNLA_SEED"}
     env["OPENBLAS_NUM_THREADS"] = "1"
     env["PYTHONPATH"] = str(tree / "src")
@@ -141,22 +149,102 @@ def run_group(tree: Path, calls: list[list[str]]) -> list[tuple]:
         for argv in calls:
             proc = subprocess.run([sys.executable, "-m", "rnla.cli", *argv],
                                   cwd=work, env=env, capture_output=True)
-            results.append((argv, proc.returncode, WALL_TIME.sub(b"", proc.stdout),
+            results.append((argv, proc.returncode, WALL_TIME.sub(NO_TIME, proc.stdout),
                             proc.stderr))
         for path in sorted(Path(work).rglob("*")):
             if path.is_file():
-                results.append((path.name, WALL_TIME.sub(b"", path.read_bytes())))
+                results.append((path.name, WALL_TIME.sub(NO_TIME, path.read_bytes())))
     return results
 
 
-def _first_difference(a: list[tuple], b: list[tuple]) -> str:
+def _walk(obj, path: str, out: dict) -> None:
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _walk(value, f"{path}.{key}" if path else key, out)
+    elif isinstance(obj, list):
+        for value in obj:
+            _walk(value, path, out)
+    else:
+        out.setdefault(path, []).append(obj)
+
+
+def _fields(data: bytes) -> dict | None:
+    """Field -> its values in order, from a JSON document or a CSV table
+    (field <row name>.<column>); None for any other text."""
+    text = data.decode(errors="replace")
+    try:
+        obj = json.loads(text)
+    except ValueError:
+        rows = [line.split(",") for line in text.splitlines()]
+        if len(rows) < 2 or len(rows[0]) < 2 or any(len(r) != len(rows[0]) for r in rows):
+            return None
+        obj = {r[0]: dict(zip(rows[0][1:], r[1:])) for r in rows[1:]}
+    out: dict = {}
+    _walk(obj, "", out)
+    return out
+
+
+def _number(v):
+    if isinstance(v, bool):
+        return None
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        return None
+
+
+def _relative(x, y) -> float | None:
+    """|x - y| / max(|x|, |y|) for two numbers, 0 for equal values, else None."""
+    a, b = _number(x), _number(y)
+    if a is None or b is None:
+        return 0.0 if x == y else None
+    return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def _field_line(name: str, a: bytes, b: bytes) -> tuple[str, bool]:
+    """A line naming each differing field of the document, and whether a
+    true/false field differs."""
+    fa, fb = _fields(a), _fields(b)
+    if fa is None or fb is None:
+        return f"  {name}: differs (not JSON or CSV)", False
+    parts, flags = [], False
+    for field in sorted(fa.keys() | fb.keys()):
+        va, vb = fa.get(field, []), fb.get(field, [])
+        if va == vb:
+            continue
+        flags |= any(isinstance(v, bool) for v in va + vb)
+        rel = ([_relative(x, y) for x, y in zip(va, vb)] if len(va) == len(vb)
+               else [None])
+        parts.append(f"{field} " + ("differs" if None in rel else f"{max(rel):.2g}"))
+    return f"  {name}: {', '.join(parts)}", flags
+
+
+def _differences(a: list[tuple], b: list[tuple]) -> list[str]:
+    """Lines saying which streams, exit codes and flags differ between the two
+    trees' results of one group, then each differing document's fields."""
     if len(a) != len(b):
-        return f"{len(a)} vs {len(b)} calls and files"
+        return [f"  {len(a)} vs {len(b)} calls and files"]
+    streams = {"exit code": 0, "stdout": 0, "stderr": 0}
+    docs, flags = [], False
     for x, y in zip(a, b):
-        if x != y:
-            what = shlex.join(["rnla", *x[0]]) if isinstance(x[0], list) else x[0]
-            return f"first at {what}"
-    return ""
+        if x == y:
+            continue
+        if isinstance(x[0], list):
+            for i, what in enumerate(streams, start=1):
+                streams[what] += x[i] != y[i]
+            if x[2] == y[2]:
+                continue
+            line, f = _field_line(f"stdout of {shlex.join(['rnla', *x[0]])}", x[2], y[2])
+        elif x[0] != y[0]:
+            line, f = f"  files {x[0]} vs {y[0]}", False
+        else:
+            line, f = _field_line(x[0], x[1], y[1])
+        docs.append(line)
+        flags |= f
+    summary = [f"{what} differs in {n} calls" if n else f"{what} identical"
+               for what, n in streams.items()]
+    summary.append("a flag differs" if flags else "flags identical")
+    return ["  " + "; ".join(summary)] + docs
 
 
 def main(argv=None) -> int:
@@ -172,10 +260,12 @@ def main(argv=None) -> int:
     all_groups = groups(change / "README.md")
     differ = 0
     for name, calls in all_groups.items():
-        diff = _first_difference(run_group(parent, calls), run_group(change, calls))
-        differ += bool(diff)
+        a, b = run_group(parent, calls), run_group(change, calls)
+        differ += a != b
         print(f"{name:24s} {len(calls):3d} calls  "
-              f"{'different: ' + diff if diff else 'identical'}", flush=True)
+              f"{'different' if a != b else 'identical'}", flush=True)
+        if a != b:
+            print("\n".join(_differences(a, b)), flush=True)
     total = sum(len(c) for c in all_groups.values())
     print(f"{len(all_groups)} groups, {total} calls: "
           f"{'all identical' if not differ else f'{differ} groups differ'}")
