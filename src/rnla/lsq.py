@@ -179,8 +179,9 @@ def rand_least_squares(A, b, eps: float, seed: int,
         next_pow2(n) raises ValueError.  Must be at least d.
     svd_A : ThinSVD, optional
         The caller's exact thin SVD of A.  When given, the ConditionReport is
-        computed from its U_A (costs a second transform, of d + 1 columns);
-        omit it for timing runs.
+        computed from its U_A: a second transform, of the d + 1 columns
+        U_A and bperp, each read in place (a strided U_A view too) with no
+        stacked copy, as A and b are for the first; omit it for timing runs.
     """
     return _sketch_and_solve(as_matrix(A), as_vector(b), eps, seed, r_override, svd_A)
 
@@ -201,7 +202,7 @@ def _sketch_and_solve(A, b, eps, seed, r_override, svd_A) -> LsqSolution:
         raise ValueError(f"sketch size r={r} cannot preserve rank d={d}")
     op = make_srht(n, r, seed, side="left")
     counter = OpCounter()
-    sk = srht_apply(op, np.column_stack([A, b]), counter)
+    sk = srht_apply(op, (A, b), counter)
     f = thin_svd(sk[:, :d])
     if f.rank < d:
         raise SketchRankError(
@@ -215,7 +216,7 @@ def _sketch_and_solve(A, b, eps, seed, r_override, svd_A) -> LsqSolution:
         if U_A.shape != (n, d):
             raise ValueError(f"svd_A has U of shape {U_A.shape}; A needs {(n, d)}")
         bperp = b - U_A @ (U_A.T @ b)
-        skd = srht_apply(op, np.column_stack([U_A, bperp]), counter)
+        skd = srht_apply(op, (U_A, bperp), counter)
         bperp_err = n * np.finfo(float).eps * float(np.linalg.norm(b))
         report = check_conditions(skd[:, :d], skd[:, d],
                                   float(np.linalg.norm(bperp)), bperp_err, eps)

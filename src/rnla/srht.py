@@ -16,24 +16,46 @@ Only r of the n transformed entries are ever needed, so one kernel,
 _hadamard_rows, works top down on the sampled index set, in place inside
 srht_apply's zero-padded buffer: Htilde_n x = [Htilde_{n/2}(x1+x2);
 Htilde_{n/2}(x1-x2)], and each half is combined and entered only if it
-contains requested indices.  Each computed half-combination costs n/2 adds,
-which keeps the total at or below 2 n log2(r+1) for r draws.  The full
-transform is the case where every index is requested.
+contains requested indices, at n/2 adds per computed half-combination.
+The full transform is the case where every index is requested.
 
-The walk's bookkeeping is integer work, so the butterflies are most of its
-time: the requested rows become one sorted Python list, a node is an
-integer offset and size into the one buffer plus the bounds of its rows in
-that list, bisect splits the rows between the halves, and the adds are
-summed as the walk returns and charged to the counter once per call.  The
-kernel slices and reshapes row ranges of its buffer, so the buffer must be
-C-contiguous for those to stay views.
+The walk stops at leaves of at most L rows, with L the largest power of two
+at most n log2(u+1) / u for u distinct requested rows.  A node of size <= L
+holding q requested rows, but not all of its rows, is finished by one BLAS
+product: its q rows of Htilde_size, built from two small Sylvester tables
+by a Kronecker product, times the node's rows of the buffer.  The counter
+charges it the q (size - 1) adds of those +-1 sums per column.  A leaf is
+taken only while its sign rows hold at most _CHUNK entries; a node with more
+is walked on.
+
+The bound: each level above L costs at most n adds, since its nodes are
+disjoint, so those levels cost at most n log2(n/L).  Below, a node of size
+s with q requested rows costs at most q s, by induction: a leaf q (s - 1),
+a full block s log2 s, a split at most s + q s / 2.  So the nodes of size L
+cost at most u L <= n log2(u+1).  As n/L < 2u / log2(u+1), the total is at
+most n (1 + log2 u - log2 log2(u+1) + log2(u+1)) <= 2 n log2(u+1)
+<= 2 n log2(r+1) for r draws, since 2u / (u+1) <= log2(u+1).  The leaves
+spend more of that budget than walking them down to single rows would
+(adds_per_budget about 0.75 against 0.52 on a 131072 x 17 buffer with
+r = 1024), but as a few hundred BLAS products instead of thousands of
+Python-level nodes.
+
+The walk's bookkeeping is integer work: the requested rows are a memoryview
+of one sorted array, a node is an integer offset and size into the one
+buffer plus the bounds of its rows in that view, bisect splits the rows
+between the halves, and the adds are summed as the walk returns and charged
+to the counter once per call.  The kernel slices and reshapes row ranges of
+its buffer, so the buffer must be C-contiguous for those to stay views.
 
 A butterfly that keeps both halves needs their difference while it adds
 them; that goes through a temporary of at most _CHUNK elements (128 KiB),
-piece by piece, never one as large as the half.  So the kernel's only large
-allocation is srht_apply's padded buffer, and no butterfly maps and faults
-in fresh pages.  Each element still gets the same subtraction and addition
-of the same operands, so outputs are bit-identical to one whole-half pass.
+piece by piece, never one as large as the half, and a leaf's sign rows are
+no larger.  So the kernel's only large allocation is srht_apply's padded
+buffer, and no butterfly maps and faults in fresh pages.  Each element
+still gets the same subtraction and addition of the same operands, so
+outputs are bit-identical to one whole-half pass.  srht_apply fills that
+buffer straight from the caller's arrays, a tuple of column blocks
+included, so no stacked or contiguous copy of the input is made.
 
 Reproducibility contract: one Philox stream per operator seed, sign draws
 consumed first, index draws second.
@@ -44,6 +66,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -162,34 +185,79 @@ def _butterfly(top: np.ndarray, bot: np.ndarray, want_top: bool, want_bot: bool)
         bot[...] = diff
 
 
+@cache
+def _sylvester(bits: int) -> np.ndarray:
+    """Htilde_{2**bits} by Sylvester's doubling [[H, H], [H, -H]], which gives
+    the closed form (-1)^popcount(i & j).  Built once per size, on first use:
+    a leaf has at most _CHUNK = 128**2 rows, so bits <= 7 (128 KiB).  Read-only,
+    since every caller shares it."""
+    h = np.ones((1, 1))
+    if bits:
+        g = _sylvester(bits - 1)
+        h = np.block([[g, g], [g, -g]])
+    h.flags.writeable = False
+    return h
+
+
+def _leaf_signs(loc: np.ndarray, size: int) -> np.ndarray:
+    """Rows loc of Htilde_size as a (len(loc), size) array.
+
+    Htilde_size = Htilde_hi (x) Htilde_lo with hi * lo = size, so row i is
+    the outer product of row i >> log2(lo) of Htilde_hi and row i & (lo - 1)
+    of Htilde_lo.
+    """
+    bits = size.bit_length() - 1
+    lo_bits = (bits + 1) // 2
+    lo, hi = 1 << lo_bits, size >> lo_bits
+    h = np.empty((loc.size, size))
+    # einsum, not a broadcast multiply: that allocates two 64 KiB iterator buffers.
+    np.einsum("ij,ik->ijk", _sylvester(bits - lo_bits).take(loc >> lo_bits, axis=0),
+              _sylvester(lo_bits).take(loc & (lo - 1), axis=0), out=h.reshape(loc.size, hi, lo))
+    return h
+
+
 def _hadamard_rows(y: np.ndarray, idx: np.ndarray, counter: OpCounter) -> None:
     """Leave rows idx (sorted, distinct, 0-based) of Htilde_n @ y in y, in place.
 
     y is an (n, k) C-contiguous buffer, so a row slice of it is a view and
-    reshapes without a copy.  The tree walk is integer work: idx becomes a
-    sorted Python list once, each node is (offset, size, lo, hi) with
-    rows[lo:hi] inside y[offset:offset+size], and bisect finds where the
-    halves split.  Rows not in idx are left holding partial sums.  The
-    counter is charged once, with the adds summed over the walk.
+    reshapes without a copy.  The tree walk is integer work: each node is
+    (offset, size, lo, hi) with rows[lo:hi] inside y[offset:offset+size],
+    where rows is a memoryview of idx (no copy), and bisect finds where the
+    halves split.  Leaves have at most `leaf` rows, the largest power of two
+    at most n log2(u+1) / u for u = idx.size.  Rows not in idx are left
+    holding partial sums.  The counter is charged once, with the adds summed
+    over the walk.
     """
-    counter.add(_rows_node(y, 0, len(y), idx.tolist(), 0, idx.size) * y.shape[1])
+    n, u = len(y), idx.size
+    leaf = 1 << (int(n * math.log2(u + 1) / u).bit_length() - 1)
+    adds = _rows_node(y, 0, n, memoryview(idx), 0, u, leaf)
+    counter.add(adds * y.shape[1])
 
 
-def _rows_node(y: np.ndarray, offset: int, size: int, rows: list, lo: int, hi: int) -> int:
+def _rows_node(y: np.ndarray, offset: int, size: int, rows: memoryview, lo: int, hi: int,
+               leaf: int) -> int:
     """Rows rows[lo:hi] of Htilde_size @ y[offset:offset+size], in place; adds per column.
 
     Top down: the halves are combined and a half is entered only when it
     holds requested rows, at size/2 adds per combined half.  A block whose
     rows are all requested is finished level by level, largest stride first,
-    which is the same order of stages.  A module-level function, not a
-    closure, so one call leaves no reference cycle holding y.
+    which is the same order of stages.  A node of at most leaf rows, q of
+    them requested, is finished by one product with its q sign rows, at
+    q (size - 1) adds, while those rows hold at most _CHUNK entries.  A
+    module-level function, not a closure, so one call leaves no reference
+    cycle holding y.
     """
-    if hi - lo == size:
+    q = hi - lo
+    if q == size:
         blk = y[offset:offset + size]
         for s in range(1, size.bit_length()):  # strides size/2, size/4, ..., 1
             lvl = blk.reshape(1 << (s - 1), 2, size >> s, y.shape[1])
             _butterfly(lvl[:, 0], lvl[:, 1], True, True)
         return size * (size.bit_length() - 1)
+    if size <= leaf and q * size <= _CHUNK:
+        want = np.asarray(rows[lo:hi])
+        y[want] = _leaf_signs(want & (size - 1), size) @ y[offset:offset + size]
+        return q * (size - 1)
     half = size >> 1
     mid = offset + half
     split = bisect_left(rows, mid, lo, hi)
@@ -197,9 +265,9 @@ def _rows_node(y: np.ndarray, offset: int, size: int, rows: list, lo: int, hi: i
     _butterfly(y[offset:mid], y[mid:offset + size], want_top, want_bot)
     adds = half * (want_top + want_bot)
     if want_top:
-        adds += _rows_node(y, offset, half, rows, lo, split)
+        adds += _rows_node(y, offset, half, rows, lo, split, leaf)
     if want_bot:
-        adds += _rows_node(y, mid, half, rows, split, hi)
+        adds += _rows_node(y, mid, half, rows, split, hi, leaf)
     return adds
 
 
@@ -257,24 +325,42 @@ def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndar
 
     Zero-padding up to n_pad happens internally.  A 1-d input is treated as a
     single column (left) or single row (right) and returned 1-d with length r;
-    both give the same values.  NaN/Inf in M raise ValueError, checked on the
-    r-row output: H has no zero entry, so one non-finite entry (or overflow)
-    spoils its whole column (row).
+    both give the same values.  On the left, M may also be a tuple of column
+    blocks of equal height, each a matrix or a 1-d column: the result is
+    that of np.column_stack(M), with no stacked copy made, since each block
+    is read once, in place, into the padded buffer.  NaN/Inf in M raise
+    ValueError, checked on the r-row output: H has no zero entry, so one
+    non-finite entry (or overflow) spoils its whole column (row).
     """
-    A = np.ascontiguousarray(M, dtype=np.float64)
-    # X holds the vectors the operator mixes as columns; a 1-d A is one column.
-    X = np.atleast_2d(A if op.side == "right" else A.T).T
-    if X.ndim != 2 or len(X) > op.n_pad:
-        raise ValueError(f"expected a vector or matrix with at most n_pad={op.n_pad} "
-                         f"rows (left) or columns (right), got shape {A.shape}")
-    y = np.zeros((op.n_pad, X.shape[1]))
-    np.multiply(op.signs[:len(X), None], X, out=y[:len(X)])
+    if isinstance(M, tuple):
+        if op.side != "left":
+            raise ValueError("column blocks are taken on side='left' only")
+        blocks = [np.asarray(B, dtype=np.float64) for B in M]
+        vector = False
+    else:
+        A = np.atleast_1d(np.asarray(M, dtype=np.float64))
+        # The vectors the operator mixes are columns; a 1-d A is one column.
+        blocks = [A.T if op.side == "right" else A]
+        vector = A.ndim == 1
+    if not blocks or any(B.ndim not in (1, 2) or len(B) != len(blocks[0]) for B in blocks):
+        raise ValueError("expected a vector or matrix, or column blocks of equal "
+                         f"height, got shapes {[B.shape for B in blocks]}")
+    n = len(blocks[0])
+    if n > op.n_pad:
+        raise ValueError(f"expected at most n_pad={op.n_pad} rows (left) or "
+                         f"columns (right), got {n}")
+    widths = [1 if B.ndim == 1 else B.shape[1] for B in blocks]
+    y = np.zeros((op.n_pad, sum(widths)))
+    col = 0
+    for B, w in zip(blocks, widths):  # einsum: no iterator buffers, unlike a broadcast multiply
+        np.einsum("i,ij->ij", op.signs[:n], B.reshape(n, w), out=y[:n, col:col + w])
+        col += w
     if counter is None:
         counter = OpCounter()
     _hadamard_rows(y, np.unique(op.plan.indices), counter)
     out = y[op.plan.indices] / math.sqrt(op.n_pad) * op.plan.scales[:, None]
     out = as_matrix(out.T if op.side == "right" else out)
-    return out.reshape(-1) if A.ndim == 1 else out
+    return out.reshape(-1) if vector else out
 
 
 def coherence_check(U, op: SrhtOperator) -> tuple[float, float]:

@@ -237,6 +237,22 @@ def test_ops_accounting():
     assert bare.diagnostics is None
 
 
+@pytest.mark.parametrize("diagnostics", [False, True])
+def test_randomized_peak_memory_is_one_padded_buffer(diagnostics):
+    """(A, b) and (U_A, bperp) go into the transform's buffer as they are, with
+    no stacked copy: the solve peaks at about the bytes of [A, b]."""
+    A, b, _ = gen_lsq_instance(16384, 16, 5)
+    svd_A = _exact_solve(A, b)[0] if diagnostics else None
+    rand_least_squares(A, b, 0.5, seed=0, r_override=256, svd_A=svd_A)
+    tracemalloc.start()
+    try:
+        rand_least_squares(A, b, 0.5, seed=0, r_override=256, svd_A=svd_A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * (A.nbytes + b.nbytes)
+
+
 def test_conditions_imply_residual_and_forward_bounds():
     """Both realized-sketch conditions force the accuracy guarantees."""
     eps = 0.5

@@ -35,14 +35,35 @@ def _reference_butterfly(top, bot, want_top, want_bot):
         np.subtract(top, bot, out=bot)
 
 
-def _reference_hadamard_rows(y, idx, counter):
-    """Per-node reference kernel: array bookkeeping, one-pass butterflies."""
+def _closed_form_rows(rows, n):
+    """Rows `rows` of the unnormalized Htilde_n: (-1)^popcount(i & j), by parity folds."""
+    v = rows[:, None] & np.arange(n)
+    for s in (32, 16, 8, 4, 2, 1):
+        v ^= v >> s
+    return 1.0 - 2.0 * (v & 1)
+
+
+def _reference_leaf(n, u):
+    """Largest power of two at most n log2(u + 1) / u."""
+    return 2 ** math.floor(math.log2(n * math.log2(u + 1) / u))
+
+
+def _reference_hadamard_rows(y, idx, counter, leaf=None):
+    """Per-node reference kernel: array bookkeeping, one-pass butterflies, and
+    leaves of at most `leaf` rows finished by one product with closed-form
+    sign rows."""
     n, k = y.shape
+    if leaf is None:
+        leaf = _reference_leaf(n, idx.size)
     if idx.size == n:
         for s in range(1, n.bit_length()):
             blk = y.reshape(1 << (s - 1), 2, n >> s, k)
             _reference_butterfly(blk[:, 0], blk[:, 1], True, True)
             counter.add(n * k)
+        return
+    if n <= leaf and idx.size * n <= srht_module._CHUNK:
+        y[idx] = _closed_form_rows(idx, n) @ y
+        counter.add(idx.size * (n - 1) * k)
         return
     half = n // 2
     split = int(np.searchsorted(idx, half))
@@ -50,9 +71,9 @@ def _reference_hadamard_rows(y, idx, counter):
     _reference_butterfly(y[:half], y[half:], want_top, want_bot)
     counter.add(half * k * (want_top + want_bot))
     if want_top:
-        _reference_hadamard_rows(y[:half], idx[:split], counter)
+        _reference_hadamard_rows(y[:half], idx[:split], counter, leaf)
     if want_bot:
-        _reference_hadamard_rows(y[half:], idx[split:] - half, counter)
+        _reference_hadamard_rows(y[half:], idx[split:] - half, counter, leaf)
 
 
 def _assert_matches_reference(op, M, monkeypatch):
@@ -181,17 +202,106 @@ def test_full_plan_matches_reference_kernel_past_the_chunk(monkeypatch):
 
 
 def test_add_count_level_formula():
-    """Adds = sum over levels of (n_pad >> (s+1)) k |unique(idx >> (L-s-1))|."""
+    """Adds = the levels above the leaf size L, sum over s < log2(n_pad / L) of
+    (n_pad >> (s+1)) k |unique(idx >> (log2(n_pad)-s-1))|, plus, per node of L
+    rows holding q requested rows, q (L - 1) k for a leaf and L log2(L) k when
+    all L rows are requested."""
     rng = make_rng(13)
     for n, r, k in ((1, 1, 2), (2, 1, 1), (8, 3, 2), (100, 7, 3), (1024, 64, 2),
                     (1024, 2048, 1), (5000, 300, 4)):
         op = make_srht(n, r, int(rng.integers(1 << 30)))
-        n_pad, L = op.n_pad, op.n_pad.bit_length() - 1
-        want = sum((n_pad >> (s + 1)) * k * np.unique(op.plan.indices >> (L - s - 1)).size
-                   for s in range(L))
+        idx = np.unique(op.plan.indices)
+        n_pad, lg = op.n_pad, op.n_pad.bit_length() - 1
+        leaf = _reference_leaf(n_pad, idx.size)
+        want = sum((n_pad >> (s + 1)) * k * np.unique(idx >> (lg - s - 1)).size
+                   for s in range(lg - leaf.bit_length() + 1))
+        q = np.unique(idx // leaf, return_counts=True)[1]
+        assert np.all(q * leaf <= srht_module._CHUNK)  # every such node is a leaf or full
+        want += k * sum(leaf * (leaf.bit_length() - 1) if c == leaf else c * (leaf - 1)
+                        for c in q.tolist())
         counter = OpCounter()
         srht_apply(op, rng.standard_normal((n, k)), counter)
         assert counter.adds_subs == want
+
+
+def _clustered_plan(n_pad, r, seed):
+    """r draws from one 256-row window that starts off any node boundary."""
+    width = min(256, n_pad)
+    start = min(n_pad // 3, n_pad - width)
+    idx = start + make_rng(seed).integers(0, width, r)
+    return SamplingPlan(indices=idx, scales=np.full(r, math.sqrt(n_pad / r)), n=n_pad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 4096, 131072])
+def test_kernel_adds_and_peak_memory_are_bounded(n):
+    """At most 2 n_pad log2(r+1) adds per column, uniform or clustered draws.
+    The kernel allocates a temporary of at most _CHUNK elements (a butterfly's
+    difference or a leaf's sign rows) and, per requested row, its k product
+    entries and the two Kronecker factor rows (hi + lo <= 256 entries) that
+    its sign row is built from."""
+    k = 2
+    n_pad = next_pow2(n)
+    srht_module._sylvester(7)  # the sign tables are built once per process
+    for r in sorted({1, 2, 3, n // 2, 2 * n} - {0}):
+        for plan in (make_srht(n, r, r).plan, _clustered_plan(n_pad, r, r)):
+            idx = np.unique(plan.indices)
+            y = make_rng(n).standard_normal((n_pad, k))
+            counter = OpCounter()
+            tracemalloc.start()
+            try:
+                srht_module._hadamard_rows(y, idx, counter)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert counter.adds_subs <= 2 * n_pad * math.log2(r + 1) * k
+            assert peak <= 8 * srht_module._CHUNK + 4096 + 8 * r * (k + 256)
+
+
+def test_apply_matches_reference_kernel_clustered(monkeypatch):
+    """Clustered draws: nodes of at most L rows whose q rows span more than
+    _CHUNK entries are walked on, down to leaves that fit."""
+    n = 131072
+    M = make_rng(15).standard_normal((n, 3))
+    for r in (3, 200, 1000):
+        plan = _clustered_plan(n, r, r)
+        op = SrhtOperator(n_pad=n, signs=make_srht(n, 1, r).signs, plan=plan, side="left")
+        _assert_matches_reference(op, M, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [3, 1000, 1024])
+def test_column_blocks_match_the_stacked_matrix(n):
+    """A tuple of column blocks, read in place, gives np.column_stack's result
+    byte for byte and the same adds: a strided view, 1-d columns, n < n_pad."""
+    rng = make_rng(n)
+    op = make_srht(n, 64, n)
+    A = rng.standard_normal((n, 3))
+    b = rng.standard_normal(n)
+    U = np.linalg.qr(rng.standard_normal((n, 6)))[0][:, :2]
+    assert not U.flags.c_contiguous
+    for blocks in ((A, b), (U, b), (b,), (A,), (b, A, U, b)):
+        ops, stacked_ops = OpCounter(), OpCounter()
+        out = srht_apply(op, blocks, ops)
+        want = srht_apply(op, np.column_stack(blocks), stacked_ops)
+        assert out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+        assert ops.adds_subs == stacked_ops.adds_subs
+
+
+def test_column_blocks_validation():
+    op = make_srht(100, 8, 1)
+    A, b = make_rng(17).standard_normal((100, 3)), make_rng(18).standard_normal(100)
+    for i in range(2):
+        blocks = [A.copy(), b.copy()]
+        blocks[i][7] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            srht_apply(op, tuple(blocks))
+    for bad in ((A, b[:99]), (A[:99], b), (), (A[None], b), (A, np.float64(1.0))):
+        with pytest.raises(ValueError, match="column blocks of equal height"):
+            srht_apply(op, bad)
+    with pytest.raises(ValueError, match="side='left' only"):
+        srht_apply(make_srht(100, 8, 1, side="right"), (A.T,))
+    with pytest.raises(ValueError, match="at most n_pad"):
+        srht_apply(op, (np.zeros((129, 2)), np.zeros(129)))
 
 
 def test_apply_leaves_no_reference_cycle():
