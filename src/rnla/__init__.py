@@ -17,9 +17,9 @@ from .matmul import (enumerate_sketch_moments, entry_variance_bound,
                      sample_size_frobenius, sample_size_spectral)
 from .srht import (OpCounter, SketchRankError, SrhtOperator, coherence_check,
                    fwht, make_srht, next_pow2, srht_apply, subsampled_fwht)
-from .lsq import (ConditionReport, LsqSolution, check_conditions,
+from .lsq import (ConditionReport, ExactLsq, LsqSolution, check_conditions,
                   exact_least_squares, forward_error_bound, ls_sample_size,
-                  rand_least_squares, rand_least_squares_amplified)
+                  rand_least_squares)
 from .lowrank import (LowRankResult, lowrank_sample_size_explicit,
                       rand_low_rank, structural_inequality_check)
 from .generators import gen_lsq_instance, gen_matrix
@@ -45,8 +45,8 @@ __all__ = [
     "OpCounter", "SrhtOperator", "SketchRankError", "fwht", "subsampled_fwht",
     "make_srht", "srht_apply", "coherence_check", "next_pow2",
     # least squares
-    "ConditionReport", "LsqSolution", "exact_least_squares", "ls_sample_size",
-    "check_conditions", "rand_least_squares", "rand_least_squares_amplified",
+    "ConditionReport", "ExactLsq", "LsqSolution", "exact_least_squares",
+    "ls_sample_size", "check_conditions", "rand_least_squares",
     "forward_error_bound",
     # low rank
     "LowRankResult", "lowrank_sample_size_explicit", "rand_low_rank",

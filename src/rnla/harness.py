@@ -3,8 +3,9 @@
 One experiment = one problem instance + `trials` independent algorithm seeds
 base_seed, base_seed+1, ...  Exact oracles are computed once per run, by the
 first trial that needs them: the exact product for matmul, the thin SVD of A
-for lowrank, and for lsq `lsq._exact_solve`'s thin SVD of A, x_opt and Z,
-all from one blocked QR of [A, b].  The solvers take the SVD as an argument.
+for lowrank, and for lsq `lsq._exact_solve`'s `ExactLsq` record (x_opt, Z,
+A's sigma and V, and bperp), all from one R-only blocked QR of [A, b].  The
+solvers take the SVD or the record as an argument.
 
 A matmul instance is validated once, when it is resolved: A and B pass
 `as_matrix` and the inner-dimension check there; each trial draws one plan and
@@ -286,19 +287,19 @@ def _trial_matmul(ctx: dict, params: dict, seed: int, diagnostics: bool) -> Tria
 
 def _trial_lsq(ctx: dict, params: dict, seed: int, diagnostics: bool) -> TrialReport:
     A, b = ctx["A"], ctx["b"]
-    svd_A, x_opt, Z = _oracle(ctx, lambda: _exact_solve(A, b))
+    exact = _oracle(ctx, lambda: _exact_solve(A, b))
     eps = float(params["eps"])
     r = params.get("r")
     sol = rand_least_squares(A, b, eps, seed,
                              r_override=None if r is None else int(r),
-                             svd_A=svd_A if diagnostics else None)
-    bound = (1.0 + eps) * Z + 1e-8
+                             exact=exact if diagnostics else None)
+    bound = (1.0 + eps) * exact.Z + 1e-8
     t = TrialReport(seed=seed)
     t.metrics = {
         "residual": sol.residual_norm,
-        "forward_error": float(np.linalg.norm(sol.x_tilde - x_opt)),
+        "forward_error": float(np.linalg.norm(sol.x_tilde - exact.x_opt)),
     }
-    t.bounds = {"residual_bound": bound, "Z": Z}
+    t.bounds = {"residual_bound": bound, "Z": exact.Z}
     t.flags = {"success": sol.residual_norm <= bound}
     if sol.diagnostics is not None:
         t.flags["cond22"] = sol.diagnostics.cond22_pass
@@ -451,8 +452,9 @@ def _check_lsq(seed: int, *, n: int = 1024, d: int = 5, eps: float = 0.5,
                r: int = 200) -> TrialReport:
     """One randomized solve obeys the one-sided and conditional guarantees."""
     A, b, _ = gen_lsq_instance(n, d, seed, consistent=False)
-    svd_A, _, Z = _exact_solve(A, b)
-    sol = rand_least_squares(A, b, eps, seed + 1, r_override=r, svd_A=svd_A)
+    exact = _exact_solve(A, b)
+    Z = exact.Z
+    sol = rand_least_squares(A, b, eps, seed + 1, r_override=r, exact=exact)
     rep = sol.diagnostics
     one_sided = sol.residual_norm >= Z - 1e-10
     conditional = (not (rep.cond22_pass and rep.cond23_pass)

@@ -158,31 +158,32 @@ def _thin_svd(M: np.ndarray) -> ThinSVD:
                    V=Vt[:rho, :].T.copy(), rank=rho)
 
 
-def _tall_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced Householder QR of a validated m x k M, written over M (TSQR).
+def _tall_qr(blocks: tuple) -> np.ndarray:
+    """R of the reduced Householder QR of M = [B_1, ..., B_j] (TSQR, R only).
 
-    Returns (Q, R) with Q the view M[:, :min(m, k)]: M's storage holds Q
-    afterwards, so a tall M costs no second m x k array.  Each row block
-    holds max(2k, _QR_CHUNK // k) rows, so it stays in cache while LAPACK
-    factors it, Q_i R_i; a tail shorter than k rows joins the block before
-    it.  The stacked k x k factors [R_1; ...; R_p] = Q' R are factored once
-    more, and block i of M becomes Q_i Q'_i.  An M with fewer than two
-    blocks' rows is one block.  (Demmel, Grigori, Hoemmen & Langou, SISC 2012.)
+    The blocks are validated arrays of equal height m, each 2-d or 1-d (one
+    column), k columns in all; M itself is never formed.  Each row block of
+    max(2k, _QR_CHUNK // k) rows is copied from the B_i into one reused
+    buffer, which stays in cache while LAPACK factors it, keeping R_i only; a
+    tail shorter than k rows joins the block before it.  The stacked k x k
+    factors [R_1; ...; R_p] are factored once more for R.  An M with fewer
+    than two blocks' rows is one block.  No Q is formed: R is what geqrf
+    gives with or without it.  (Demmel, Grigori, Hoemmen & Langou, SISC 2012.)
     """
-    m, k = M.shape
+    cols = [B.reshape(B.shape[0], -1) for B in blocks]
+    m, k = cols[0].shape[0], sum(c.shape[1] for c in cols)
     rows = max(2 * k, _QR_CHUNK // k)
-    if m < 2 * rows:
-        Q, R = np.linalg.qr(M)
-        M[:, :Q.shape[1]] = Q
-        return M[:, :Q.shape[1]], R
-    bounds = [*range(0, m - k + 1, rows), m]
-    Rs = np.empty(((len(bounds) - 1) * k, k))
+    bounds = [0, m] if m < 2 * rows else [*range(0, m - k + 1, rows), m]
+    p = len(bounds) - 1
+    buf = np.empty((max(hi - lo for lo, hi in zip(bounds, bounds[1:])), k))
+    Rs = np.empty((p * k, k))
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        M[lo:hi], Rs[i * k:(i + 1) * k] = np.linalg.qr(M[lo:hi])
-    Q2, R = np.linalg.qr(Rs)
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        M[lo:hi] = M[lo:hi] @ Q2[i * k:(i + 1) * k]
-    return M, R
+        block = buf[:hi - lo]
+        np.concatenate([c[lo:hi] for c in cols], axis=1, out=block)
+        if p == 1:
+            return np.linalg.qr(block, mode="r")
+        Rs[i * k:(i + 1) * k] = np.linalg.qr(block, mode="r")
+    return np.linalg.qr(Rs, mode="r")
 
 
 def pseudoinverse(M) -> np.ndarray:

@@ -14,11 +14,15 @@ optimum Z and bound the forward error by sqrt(eps) * Z / sigma_min(A).  The
 ConditionReport carries exactly these quantities; the second threshold gets
 a roundoff floor, so that exact solves of consistent systems (Z ~ 0) pass.
 
-U_A comes from the caller's exact thin SVD of A (svd_A); the solver itself
-touches A only through the sketch, and checks rank on the sketch.  The
-private `_exact_solve` gives that SVD together with x_opt and Z from one
-blocked QR of [A, b]; the harness takes its oracle there, and
-`exact_least_squares` its answer.
+The diagnostics need no basis of range(A).  With A = U_A Sigma V^T,
+X U_A = (X A) V Sigma^-1 comes from the sketch the solve already took, and
+only the single column bperp = b - A x_opt is transformed a second time: the
+shortcut X b - (X A) x_opt cancels catastrophically when Z << ||b||, which
+is the consistent-system case where cond23 compares roundoff with roundoff.
+The caller passes Sigma, V, x_opt, Z and bperp as one `ExactLsq` record,
+which `exact_least_squares` (and the harness's oracle, the private
+`_exact_solve`) computes from one R-only blocked QR of [A, b]; the solver
+itself touches A only through the sketch, and checks rank on the sketch.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_QR_CHUNK, ThinSVD, _tall_qr, _thin_svd, as_matrix, as_vector,
-                     thin_svd)
+from .linalg import _tall_qr, _thin_svd, as_matrix, as_vector, thin_svd
 from .sampling import SampleSize
 from .srht import (OpCounter, SketchRankError, _refuse_default_width,
                    make_srht, srht_apply)
@@ -37,10 +40,10 @@ from .srht import (OpCounter, SketchRankError, _refuse_default_width,
 __all__ = [
     "LsqSolution",
     "ConditionReport",
+    "ExactLsq",
     "exact_least_squares",
     "ls_sample_size",
     "rand_least_squares",
-    "rand_least_squares_amplified",
     "forward_error_bound",
     "check_conditions",
 ]
@@ -70,44 +73,51 @@ class LsqSolution:
     ops: int = 0            # transform adds/subs spent on the sketch
 
 
-def exact_least_squares(A, b) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares solution and its residual norm.
+@dataclass(frozen=True)
+class ExactLsq:
+    """The exact solution of min ||A x - b|| and what the diagnostics read of A.
 
-    Returns (x_opt, Z) with x_opt = pinv(A) @ b and Z = ||A x_opt - b||_2,
-    both from one QR of [A, b] (see `_exact_solve`).
+    sigma and V are A's singular values and right singular vectors, truncated
+    at RANK_RTOL, so sigma.size is A's numerical rank.
     """
-    A, b = as_matrix(A), as_vector(b)
-    _, x_opt, Z = _exact_solve(A, b)
-    return x_opt, Z
+
+    x_opt: np.ndarray       # minimum-norm solution
+    Z: float                # optimal residual ||b - A x_opt||
+    sigma: np.ndarray
+    V: np.ndarray
+    bperp: np.ndarray       # b - A x_opt, the part of b outside range(A)
 
 
-def _exact_solve(A, b) -> tuple[ThinSVD, np.ndarray, float]:
-    """(thin SVD of A, min-norm x_opt, Z) of a validated A and b, from one QR.
+def exact_least_squares(A, b) -> ExactLsq:
+    """Minimum-norm least-squares solution x_opt = pinv(A) @ b, with its
+    residual and A's singular values and right singular vectors, all from one
+    QR of [A, b] (see `_exact_solve`).  Pass it to `rand_least_squares` as
+    `exact` for the sketch diagnostics."""
+    return _exact_solve(as_matrix(A), as_vector(b))
 
-    [A, b] = Q R by linalg's blocked `_tall_qr`.  With k = min(n, d),
-    A = Q[:, :k] R[:k, :d], so the thin SVD U_R diag(sigma) V^T of the small
-    R[:k, :d] gives A's as (Q[:, :k] U_R) diag(sigma) V^T, truncated at the
-    same RANK_RTOL rank, and x_opt = V diag(1/sigma) U_R^T R[:k, d].  A
-    rank-deficient A takes the same path and keeps its min-norm x_opt.
-    Z = ||A x_opt - b|| is computed on A itself.  U_A is written over Q's
-    leading columns one row block at a time, so the only array of A's size
-    that the solve allocates is [A, b], and U_A is a view of it.
 
-    U_A is not taken as A V diag(1/sigma): that basis is orthonormal only to
-    about kappa(A) * u, which is enough to flip the cond23 diagnostic.
+def _exact_solve(A, b) -> ExactLsq:
+    """exact_least_squares of a validated A and b, from one R-only QR.
+
+    R is the triangular factor of [A, b] from linalg's blocked `_tall_qr`.
+    With k = min(n, d), A = Q[:, :k] R[:k, :d], so the thin SVD
+    U_R diag(sigma) V^T of the small R[:k, :d] gives A's sigma and V,
+    truncated at the same RANK_RTOL rank, and x_opt = V diag(1/sigma) U_R^T
+    R[:k, d].  A rank-deficient A takes the same path and keeps its min-norm
+    x_opt.  bperp = b - A x_opt and Z = ||bperp|| are computed on A itself.
+    No array of [A, b]'s size is allocated: bperp is the largest.
     """
     n, d = A.shape
     if n != b.size:
         raise ValueError(f"A has {n} rows but b has length {b.size}")
-    Q, R = _tall_qr(np.column_stack([A, b]))
+    R = _tall_qr((A, b))
     k = min(n, d)
     f = _thin_svd(R[:k, :d])
     x_opt = f.pinv() @ R[:k, d]
-    rows = max(1, _QR_CHUNK // (d + 1))
-    for lo in range(0, n, rows):
-        Q[lo:lo + rows, :f.rank] = Q[lo:lo + rows, :k] @ f.U
-    svd_A = ThinSVD(U=Q[:, :f.rank], sigma=f.sigma, V=f.V, rank=f.rank)
-    return svd_A, x_opt, float(np.linalg.norm(A @ x_opt - b))
+    bperp = A @ x_opt
+    np.subtract(b, bperp, out=bperp)
+    return ExactLsq(x_opt=x_opt, Z=float(np.linalg.norm(bperp)), sigma=f.sigma,
+                    V=f.V, bperp=bperp)
 
 
 def ls_sample_size(n: int, d: int, eps: float) -> SampleSize:
@@ -134,8 +144,9 @@ def check_conditions(sketch_of_UA, sketch_of_bperp, Z: float,
                      bperp_err: float, eps: float) -> ConditionReport:
     """Evaluate both sketch-quality conditions for a realized operator X.
 
-    sketch_of_UA must be X applied to an orthonormal basis U_A of range(A),
-    one column per column of A; sketch_of_bperp must be X applied to
+    sketch_of_UA must be X U_A for an orthonormal basis U_A of range(A), one
+    column per column of A, such as (X A) V diag(1/sigma) from A's thin SVD
+    U_A diag(sigma) V^T; sketch_of_bperp must be X applied to
     bperp = b - U_A U_A^T b, and Z = ||bperp|| is the optimal residual.
     bperp_err = n * u * ||b|| (n rows of A, u the machine epsilon) is the
     roundoff scale of the computed bperp; its square floors the cond23
@@ -159,7 +170,7 @@ def check_conditions(sketch_of_UA, sketch_of_bperp, Z: float,
 
 def rand_least_squares(A, b, eps: float, seed: int,
                        r_override: int | None = None,
-                       svd_A: ThinSVD | None = None) -> LsqSolution:
+                       exact: ExactLsq | None = None) -> LsqSolution:
     """Sketch-and-solve least squares through a fresh left-side SRHT operator.
 
     Parameters
@@ -177,16 +188,16 @@ def rand_least_squares(A, b, eps: float, seed: int,
         Sketch size to use instead of ls_sample_size, which usually exceeds
         n at desk scale; without an override, a theoretical size of at least
         next_pow2(n) raises ValueError.  Must be at least d.
-    svd_A : ThinSVD, optional
-        The caller's exact thin SVD of A.  When given, the ConditionReport is
-        computed from its U_A: a second transform, of the d + 1 columns
-        U_A and bperp, each read in place (a strided U_A view too) with no
-        stacked copy, as A and b are for the first; omit it for timing runs.
+    exact : ExactLsq, optional
+        `exact_least_squares(A, b)`.  When given, the ConditionReport is
+        computed from the sketch X A, its sigma and V (X U_A = (X A) V
+        diag(1/sigma)), and a second transform of its one column bperp;
+        omit it for timing runs.
     """
-    return _sketch_and_solve(as_matrix(A), as_vector(b), eps, seed, r_override, svd_A)
+    return _sketch_and_solve(as_matrix(A), as_vector(b), eps, seed, r_override, exact)
 
 
-def _sketch_and_solve(A, b, eps, seed, r_override, svd_A) -> LsqSolution:
+def _sketch_and_solve(A, b, eps, seed, r_override, exact) -> LsqSolution:
     """rand_least_squares on an already validated A and b."""
     n, d = A.shape
     if A.shape[0] != b.size:
@@ -211,38 +222,16 @@ def _sketch_and_solve(A, b, eps, seed, r_override, svd_A) -> LsqSolution:
     del f  # the sketch's factors are dead; free them before the second transform
     residual = float(np.linalg.norm(A @ x_tilde - b))
     report = None
-    if svd_A is not None:
-        U_A = svd_A.U
-        if U_A.shape != (n, d):
-            raise ValueError(f"svd_A has U of shape {U_A.shape}; A needs {(n, d)}")
-        bperp = b - U_A @ (U_A.T @ b)
-        skd = srht_apply(op, (U_A, bperp), counter)
+    if exact is not None:
+        if exact.V.shape != (d, d) or exact.bperp.shape != (n,):
+            raise ValueError(f"exact is for an A of {exact.bperp.size} rows and rank "
+                             f"{exact.sigma.size}; this A is {n} x {d}")
+        XU = sk[:, :d] @ (exact.V / exact.sigma)
+        Xb = srht_apply(op, exact.bperp, counter)
         bperp_err = n * np.finfo(float).eps * float(np.linalg.norm(b))
-        report = check_conditions(skd[:, :d], skd[:, d],
-                                  float(np.linalg.norm(bperp)), bperp_err, eps)
+        report = check_conditions(XU, Xb, exact.Z, bperp_err, eps)
     return LsqSolution(x_tilde=x_tilde, residual_norm=residual, r_used=r,
                        diagnostics=report, ops=counter.adds_subs)
-
-
-def rand_least_squares_amplified(A, b, eps: float, delta: float, seed: int,
-                                 r_override: int | None = None,
-                                 svd_A: ThinSVD | None = None) -> LsqSolution:
-    """Drive the failure probability below delta by independent repetition.
-
-    Runs ceil(ln(1/delta) / ln 5) independent solves with derived seeds
-    seed, seed+1, ... and keeps the smallest residual (ties go to the lower
-    seed, so concurrent evaluation cannot change the result).
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    reps = max(1, math.ceil(math.log(1.0 / delta) / math.log(5.0)))
-    A, b = as_matrix(A), as_vector(b)
-    best = None
-    for t in range(reps):
-        sol = _sketch_and_solve(A, b, eps, seed + t, r_override, svd_A)
-        if best is None or sol.residual_norm < best.residual_norm:
-            best = sol
-    return best
 
 
 def forward_error_bound(A, b, eps: float, gamma: float) -> float:

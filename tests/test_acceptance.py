@@ -174,12 +174,12 @@ def test_c07_least_squares_conditional_and_rate():
     start = time.perf_counter()
     eps = 0.5
     A, b, _ = gen_lsq_instance(1024, 5, 0, consistent=False)
-    _, Z = exact_least_squares(A, b)
-    svd_A = thin_svd(A)
+    ex = exact_least_squares(A, b)
+    Z = ex.Z
     unconditional = 0
     both_conditions = 0
     for seed in range(200):
-        sol = rand_least_squares(A, b, eps, seed, r_override=200, svd_A=svd_A)
+        sol = rand_least_squares(A, b, eps, seed, r_override=200, exact=ex)
         if sol.residual_norm <= (1.0 + eps) * Z + 1e-8:
             unconditional += 1
         rep = sol.diagnostics
@@ -195,10 +195,10 @@ def test_c08_consistent_system_exactness():
     start = time.perf_counter()
     A, b, x_star = gen_lsq_instance(1024, 5, 1, consistent=True)
     x_norm = float(np.linalg.norm(x_star))
-    svd_A = thin_svd(A)
+    ex = exact_least_squares(A, b)
     embedded = 0
     for seed in range(200):
-        sol = rand_least_squares(A, b, 0.5, seed, r_override=200, svd_A=svd_A)
+        sol = rand_least_squares(A, b, 0.5, seed, r_override=200, exact=ex)
         if sol.diagnostics.cond22_pass:
             embedded += 1
             assert sol.residual_norm <= 1e-8

@@ -13,8 +13,7 @@ import pytest
 
 from rnla import (ExperimentConfig, coherence_check, draw_plan, exact_least_squares,
                   forward_error_bound, fwht, gen_lsq_instance, gen_matrix,
-                  make_srht, rand_least_squares, rand_least_squares_amplified,
-                  rand_low_rank, rand_matrix_multiply,
+                  make_srht, rand_least_squares, rand_low_rank, rand_matrix_multiply,
                   sampled_columns, sampled_rows, srht_apply,
                   run_experiment, structural_inequality_check, subsampled_fwht,
                   thin_svd, uniform_probs, write_matrix)
@@ -24,16 +23,14 @@ A_LR = gen_matrix("lowrank_plus_noise", 64, 48, 2, sigma=(8.0, 6.0, 4.0), eta=0.
 B_MM = gen_matrix("gaussian", 64, 16, 3)
 Z_LR = gen_matrix("gaussian", 48, 12, 4)
 PROBS = uniform_probs(64)
-SVD_LSQ, SVD_LR = thin_svd(A_LSQ), thin_svd(A_LR)  # factored outside the count
+EX_LSQ, SVD_LR = exact_least_squares(A_LSQ, B_LSQ), thin_svd(A_LR)  # outside the count
 X_FWHT = B_LSQ.copy()  # 256 entries, a power of two
 U_COH = np.linalg.qr(gen_matrix("gaussian", 64, 3, 5))[0]
 
 # name -> (call, A, scans of arrays with at least A.size entries)
 SCANS = {
     "rand_least_squares": (lambda: rand_least_squares(
-        A_LSQ, B_LSQ, 0.5, seed=0, r_override=32, svd_A=SVD_LSQ), A_LSQ, 1),
-    "rand_least_squares_amplified": (lambda: rand_least_squares_amplified(
-        A_LSQ, B_LSQ, 0.5, 0.01, seed=0, r_override=32, svd_A=SVD_LSQ), A_LSQ, 1),
+        A_LSQ, B_LSQ, 0.5, seed=0, r_override=32, exact=EX_LSQ), A_LSQ, 1),
     "rand_low_rank": (lambda: rand_low_rank(
         A_LR, 3, 0.25, seed=0, c_override=12, svd_A=SVD_LR), A_LR, 1),
     "rand_low_rank-no-svd": (lambda: rand_low_rank(
@@ -116,8 +113,6 @@ REJECTS = {
         _poison(A_LSQ, v), B_LSQ, 0.5, seed=0, r_override=32),
     "rand_least_squares-b": lambda v: rand_least_squares(
         A_LSQ, _poison(B_LSQ, v), 0.5, seed=0, r_override=32),
-    "rand_least_squares_amplified": lambda v: rand_least_squares_amplified(
-        _poison(A_LSQ, v), B_LSQ, 0.5, 0.01, seed=0, r_override=32),
     "rand_low_rank": lambda v: rand_low_rank(
         _poison(A_LR, v), 3, 0.25, seed=0, c_override=12),
     "rand_matrix_multiply-A": lambda v: rand_matrix_multiply(

@@ -4,25 +4,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rnla.lsq
 from rnla import (SketchRankError, check_conditions, exact_least_squares,
                   forward_error_bound, gen_lsq_instance, gen_matrix, ls_sample_size,
-                  make_rng, rand_least_squares, rand_least_squares_amplified,
-                  thin_svd)
+                  make_rng, make_srht, rand_least_squares, srht_apply, thin_svd)
+from rnla.linalg import _tall_qr
 from rnla.lsq import COND22_THRESHOLD, _exact_solve
 
 
 def test_exact_solver_hand_instance():
     A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    x, Z = exact_least_squares(A, np.array([1.0, 2.0, 2.0]))
-    np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-14)
-    assert Z == pytest.approx(2.0, abs=1e-14)
+    ex = exact_least_squares(A, np.array([1.0, 2.0, 2.0]))
+    np.testing.assert_allclose(ex.x_opt, [1.0, 2.0], atol=1e-14)
+    assert ex.Z == pytest.approx(2.0, abs=1e-14)
+    np.testing.assert_allclose(ex.bperp, [0.0, 0.0, 2.0], atol=1e-14)
 
 
 def test_exact_solver_minimum_norm():
     A = np.array([[1.0, 0.0], [1.0, 0.0]])
-    x, Z = exact_least_squares(A, np.array([1.0, 1.0]))
-    np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-12)
-    assert Z == pytest.approx(0.0, abs=1e-12)
+    ex = exact_least_squares(A, np.array([1.0, 1.0]))
+    np.testing.assert_allclose(ex.x_opt, [1.0, 0.0], atol=1e-12)
+    assert ex.Z == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         exact_least_squares(A, np.ones(3))
 
@@ -55,50 +57,95 @@ def test_exact_solve_matches_lstsq_at_block_boundaries(monkeypatch, n, d, blocks
         return qr(M, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", recording_qr)
-    f, x_opt, Z = _exact_solve(A, b)
+    ex = _exact_solve(A, b)
     k = d + 1
     stacked = [(len(blocks) * k, k)] if len(blocks) > 1 else []
     assert shapes == [(rows, k) for rows in blocks] + stacked
-    assert np.linalg.norm(x_opt - x_l) <= 1e-12 * np.linalg.norm(x_l)
-    assert Z == pytest.approx(Z_l, rel=1e-12, abs=1e-14 * np.linalg.norm(b))
-    assert f.rank == min(n, d)
-    assert np.abs(f.U.T @ f.U - np.eye(f.rank)).max() <= 1e-13
-    assert np.abs(f.reconstruct() - A).max() <= 1e-12 * np.abs(A).max()
-    x_e, Z_e = exact_least_squares(A, b)
-    assert np.array_equal(x_e, x_opt) and Z_e == Z
+    assert np.linalg.norm(ex.x_opt - x_l) <= 1e-12 * np.linalg.norm(x_l)
+    assert ex.Z == pytest.approx(Z_l, rel=1e-12, abs=1e-14 * np.linalg.norm(b))
+    assert np.array_equal(ex.bperp, b - A @ ex.x_opt)
+    assert ex.sigma.size == min(n, d)
+    np.testing.assert_allclose(ex.sigma, np.linalg.svd(A, compute_uv=False)[:ex.sigma.size],
+                               rtol=1e-12)
+    assert np.abs(ex.V.T @ ex.V - np.eye(ex.sigma.size)).max() <= 1e-13
+    assert np.abs(A @ ex.V @ ex.V.T - A).max() <= 1e-12 * np.abs(A).max()
+    ex_e = exact_least_squares(A, b)
+    assert np.array_equal(ex_e.x_opt, ex.x_opt) and ex_e.Z == ex.Z
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_exact_solve_allocates_one_array_of_the_instance_size():
-    """Q is written over [A, b] and U_A over Q: no second n x d array."""
+    """At most one array of [A, b]'s size, and the record keeps nothing larger than b."""
     A, b, _ = gen_lsq_instance(40000, 16, 1)
-    tracemalloc.start()
-    try:
-        f, _, _ = _exact_solve(A, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ex, peak = _peak_bytes(lambda: _exact_solve(A, b))
     assert peak <= 1.25 * (A.nbytes + b.nbytes)
-    assert f.U.shape == A.shape
+    assert max(a.nbytes for a in (ex.x_opt, ex.sigma, ex.V, ex.bperp)) == b.nbytes
+
+
+def test_exact_solve_peaks_below_a_quarter_of_the_instance():
+    """No Q and no copy of [A, b]: row blocks pass through one small buffer, and
+    bperp and A @ x_opt share one array."""
+    A, b, _ = gen_lsq_instance(131072, 16, 2)
+    _, peak = _peak_bytes(lambda: _exact_solve(A, b))
+    assert peak <= 0.25 * (A.nbytes + b.nbytes)
+
+
+def _frozen_tall_qr_solve(A, b):
+    """(R, x_opt, Z) as the Q-forming blocked QR gave them before it kept R only."""
+    M = np.column_stack([A, b])
+    m, k = M.shape
+    rows = max(2 * k, 2 ** 14 // k)
+    if m < 2 * rows:
+        _, R = np.linalg.qr(M)
+    else:
+        bounds = [*range(0, m - k + 1, rows), m]
+        Rs = np.empty(((len(bounds) - 1) * k, k))
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            M[lo:hi], Rs[i * k:(i + 1) * k] = np.linalg.qr(M[lo:hi])
+        _, R = np.linalg.qr(Rs)
+    d = A.shape[1]
+    x_opt = thin_svd(R[:d, :d]).pinv() @ R[:d, d]
+    return R, x_opt, float(np.linalg.norm(A @ x_opt - b))
+
+
+@pytest.mark.parametrize("n", [1925, 1926], ids=["one-block", "two-blocks"])
+def test_r_only_qr_gives_the_q_forming_bits(n):
+    A, b, _ = gen_lsq_instance(n, 16, n)
+    R0, x0, Z0 = _frozen_tall_qr_solve(A, b)
+    ex = _exact_solve(A, b)
+    assert _tall_qr((A, b)).tobytes() == R0.tobytes()
+    assert ex.x_opt.tobytes() == x0.tobytes()
+    assert ex.Z == Z0
 
 
 def test_exact_solve_keeps_the_min_norm_solution_of_a_rank_deficient_A():
     A, b, _ = gen_lsq_instance(8192, 4, 3)
     A = A[:, [0, 1, 2, 0]]
-    f, x_opt, Z = _exact_solve(A, b)
+    ex = _exact_solve(A, b)
     x_l = np.linalg.lstsq(A, b, rcond=None)[0]
-    assert f.rank == 3
-    assert np.linalg.norm(x_opt - x_l) <= 1e-12 * np.linalg.norm(x_l)
-    assert x_opt[0] == pytest.approx(x_opt[3], rel=1e-12)
-    assert Z == pytest.approx(np.linalg.norm(A @ x_l - b), rel=1e-12)
+    assert ex.sigma.size == 3 and ex.V.shape == (4, 3)
+    assert np.linalg.norm(ex.x_opt - x_l) <= 1e-12 * np.linalg.norm(x_l)
+    assert ex.x_opt[0] == pytest.approx(ex.x_opt[3], rel=1e-12)
+    assert ex.Z == pytest.approx(np.linalg.norm(A @ x_l - b), rel=1e-12)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1e6, 1e10])
 def test_condition_flags_agree_with_the_thin_svd_basis(kappa):
-    """The QR oracle's U_A gives the thin SVD's cond22 and cond23 verdicts.
+    """The solver's (X A) V diag(1/sigma) and X bperp give the verdicts of
+    transforming the thin SVD's U_A and bperp = b - U_A U_A^T b.
 
-    The thin SVD of A is the reference.  Residual noise 0 makes the system
-    consistent, where cond23 compares roundoff with roundoff: a basis
-    orthonormal only to kappa * u, such as A V diag(1/sigma), fails there.
+    That second transform of the thin SVD's basis is the reference.  Residual
+    noise 0 makes the system consistent, where cond23 compares roundoff with
+    roundoff: a basis orthonormal only to kappa * u, such as A V diag(1/sigma)
+    transformed, fails there, and so would X b - (X A) x_opt for X bperp.
     """
     n, d, r, eps = 1024, 8, 256, 0.05
     for noise in (1e-2, 1e-8, 0.0):
@@ -107,11 +154,16 @@ def test_condition_flags_agree_with_the_thin_svd_basis(kappa):
                            sigma=np.geomspace(1.0, 1.0 / kappa, d))
             rng = make_rng(seed + 100)
             b = A @ rng.standard_normal(d) + noise * rng.standard_normal(n)
-            reports = [rand_least_squares(A, b, eps, seed=seed, r_override=r,
-                                          svd_A=f).diagnostics
-                       for f in (thin_svd(A), _exact_solve(A, b)[0])]
-            flags = [(rep.cond22_pass, rep.cond23_pass) for rep in reports]
-            assert flags[0] == flags[1], (noise, seed)
+            U = thin_svd(A).U
+            bperp = b - U @ (U.T @ b)
+            sk = srht_apply(make_srht(n, r, seed, side="left"), (U, bperp))
+            ref = check_conditions(sk[:, :d], sk[:, d], float(np.linalg.norm(bperp)),
+                                   n * np.finfo(float).eps * float(np.linalg.norm(b)),
+                                   eps)
+            rep = rand_least_squares(A, b, eps, seed=seed, r_override=r,
+                                     exact=_exact_solve(A, b)).diagnostics
+            assert ((rep.cond22_pass, rep.cond23_pass)
+                    == (ref.cond22_pass, ref.cond23_pass)), (noise, seed)
 
 
 def _branches(n, d, eps):
@@ -202,17 +254,18 @@ def test_randomized_validation():
         rand_least_squares(A[:, [0, 1, 0]], b, 0.5, seed=0, r_override=8)
     with pytest.raises(ValueError, match="A has 16 rows but b has length 15"):
         rand_least_squares(A, b[:15], 0.5, seed=0, r_override=8)
-    with pytest.raises(ValueError, match=r"U of shape \(8, 3\); A needs \(16, 3\)"):
-        rand_least_squares(A, b, 0.5, seed=0, r_override=8, svd_A=thin_svd(A[:8]))
+    with pytest.raises(ValueError, match="exact is for an A of 8 rows and rank 3; "
+                                         "this A is 16 x 3"):
+        rand_least_squares(A, b, 0.5, seed=0, r_override=8,
+                           exact=exact_least_squares(A[:8], b[:8]))
 
 
 def test_randomized_recovers_consistent_solution():
     """b in range(A) means the sketched solve is exact for full-rank sketches."""
     A, b, x_star = gen_lsq_instance(64, 3, 2, consistent=True)
-    svd_A = thin_svd(A)
+    ex = exact_least_squares(A, b)
     for seed in range(5):
-        sol = rand_least_squares(A, b, 0.5, seed=seed, r_override=16,
-                                 svd_A=svd_A)
+        sol = rand_least_squares(A, b, 0.5, seed=seed, r_override=16, exact=ex)
         np.testing.assert_allclose(sol.x_tilde, x_star, atol=1e-8)
         assert sol.residual_norm <= 1e-8
         assert sol.diagnostics.Z == pytest.approx(0.0, abs=1e-10)
@@ -231,25 +284,38 @@ def test_ops_accounting():
     per_apply = cols * 2 * n_pad * math.log2(r + 1)
     bare = rand_least_squares(A, b, 0.5, seed=0, r_override=r)
     full = rand_least_squares(A, b, 0.5, seed=0, r_override=r,
-                              svd_A=thin_svd(A))
+                              exact=exact_least_squares(A, b))
     assert 0 < bare.ops <= per_apply
-    assert bare.ops < full.ops <= 2 * per_apply
+    assert bare.ops < full.ops <= bare.ops + per_apply / cols  # bperp, one column
     assert bare.diagnostics is None
+
+
+def test_diagnostic_solve_transforms_one_column_the_second_time(monkeypatch):
+    """X U_A comes from the first sketch; only bperp is transformed again."""
+    A, b, _ = gen_lsq_instance(100, 4, 4)
+    ex = exact_least_squares(A, b)
+    widths = []
+    apply = rnla.lsq.srht_apply
+
+    def recording_apply(op, M, counter=None):
+        blocks = M if isinstance(M, tuple) else (M,)
+        widths.append(sum(1 if B.ndim == 1 else B.shape[1] for B in blocks))
+        return apply(op, M, counter)
+
+    monkeypatch.setattr(rnla.lsq, "srht_apply", recording_apply)
+    rand_least_squares(A, b, 0.5, seed=0, r_override=32, exact=ex)
+    assert widths == [5, 1]
 
 
 @pytest.mark.parametrize("diagnostics", [False, True])
 def test_randomized_peak_memory_is_one_padded_buffer(diagnostics):
-    """(A, b) and (U_A, bperp) go into the transform's buffer as they are, with
+    """(A, b) and then bperp go into the transform's buffer as they are, with
     no stacked copy: the solve peaks at about the bytes of [A, b]."""
     A, b, _ = gen_lsq_instance(16384, 16, 5)
-    svd_A = _exact_solve(A, b)[0] if diagnostics else None
-    rand_least_squares(A, b, 0.5, seed=0, r_override=256, svd_A=svd_A)
-    tracemalloc.start()
-    try:
-        rand_least_squares(A, b, 0.5, seed=0, r_override=256, svd_A=svd_A)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ex = _exact_solve(A, b) if diagnostics else None
+    rand_least_squares(A, b, 0.5, seed=0, r_override=256, exact=ex)
+    _, peak = _peak_bytes(
+        lambda: rand_least_squares(A, b, 0.5, seed=0, r_override=256, exact=ex))
     assert peak <= 1.3 * (A.nbytes + b.nbytes)
 
 
@@ -257,13 +323,14 @@ def test_conditions_imply_residual_and_forward_bounds():
     """Both realized-sketch conditions force the accuracy guarantees."""
     eps = 0.5
     A, b, _ = gen_lsq_instance(64, 3, 5)
-    x_opt, Z = exact_least_squares(A, b)
+    ex = exact_least_squares(A, b)
+    x_opt, Z = ex.x_opt, ex.Z
     f = thin_svd(A)
     gamma = float(np.linalg.norm(U := f.U @ (f.U.T @ b)) / np.linalg.norm(b))
     del U
     passes = 0
     for seed in range(50):
-        sol = rand_least_squares(A, b, eps, seed=seed, r_override=48, svd_A=f)
+        sol = rand_least_squares(A, b, eps, seed=seed, r_override=48, exact=ex)
         rep = sol.diagnostics
         assert rep.Z == pytest.approx(Z, abs=1e-10)
         if rep.cond22_pass and rep.cond23_pass:
@@ -273,23 +340,6 @@ def test_conditions_imply_residual_and_forward_bounds():
             assert fwd <= math.sqrt(eps) * Z / f.sigma[-1] + 1e-8
             assert fwd <= forward_error_bound(A, b, eps, gamma) + 1e-8
     assert passes >= 20  # non-vacuous: the sweep at this size lands ~30/50
-
-
-def test_amplified_matches_seed_sweep():
-    A, b, _ = gen_lsq_instance(64, 3, 6)
-    amp = rand_least_squares_amplified(A, b, 0.5, delta=0.01, seed=11,
-                                       r_override=16)
-    singles = [rand_least_squares(A, b, 0.5, seed=11 + t, r_override=16)
-               for t in range(3)]  # ceil(ln 100 / ln 5) = 3
-    best = singles[0]
-    for s in singles[1:]:
-        if s.residual_norm < best.residual_norm:
-            best = s
-    assert amp.residual_norm == best.residual_norm
-    assert amp.x_tilde.tobytes() == best.x_tilde.tobytes()
-    assert amp.residual_norm <= min(s.residual_norm for s in singles)
-    with pytest.raises(ValueError):
-        rand_least_squares_amplified(A, b, 0.5, delta=0.0, seed=0)
 
 
 def test_forward_error_bound_frozen_case():
@@ -313,11 +363,9 @@ def test_forward_error_bound_validation():
 
 def test_scale_invariance_of_conditions():
     A, b, _ = gen_lsq_instance(32, 2, 7)
-    f = thin_svd(A)
-    r1 = rand_least_squares(A, b, 0.5, seed=3, r_override=16,
-                            svd_A=f).diagnostics
-    r2 = rand_least_squares(A, b * 10.0, 0.5, seed=3, r_override=16,
-                            svd_A=f).diagnostics
+    r1, r2 = (rand_least_squares(A, bb, 0.5, seed=3, r_override=16,
+                                 exact=exact_least_squares(A, bb)).diagnostics
+              for bb in (b, b * 10.0))
     assert r1.cond22_pass == r2.cond22_pass
     assert r1.cond23_pass == r2.cond23_pass
     assert r2.Z == pytest.approx(10.0 * r1.Z, rel=1e-10)
