@@ -20,8 +20,8 @@ from .srht import (OpCounter, SketchRankError, SrhtOperator, coherence_check,
 from .lsq import (ConditionReport, ExactLsq, LsqSolution, check_conditions,
                   exact_least_squares, forward_error_bound, ls_sample_size,
                   rand_least_squares)
-from .lowrank import (LowRankResult, lowrank_sample_size_explicit,
-                      rand_low_rank, structural_inequality_check)
+from .lowrank import (ExactLowRank, LowRankResult, exact_low_rank, rand_low_rank,
+                      lowrank_sample_size_explicit, structural_inequality_check)
 from .generators import gen_lsq_instance, gen_matrix
 from .matio import (MatrixFileError, read_matrix, read_vector, write_matrix,
                     write_vector)
@@ -49,8 +49,8 @@ __all__ = [
     "ls_sample_size", "check_conditions", "rand_least_squares",
     "forward_error_bound",
     # low rank
-    "LowRankResult", "lowrank_sample_size_explicit", "rand_low_rank",
-    "structural_inequality_check",
+    "ExactLowRank", "LowRankResult", "exact_low_rank",
+    "lowrank_sample_size_explicit", "rand_low_rank", "structural_inequality_check",
     # instances and I/O
     "gen_matrix", "gen_lsq_instance",
     "MatrixFileError", "read_matrix", "write_matrix", "read_vector",

@@ -2,10 +2,10 @@
 
 One experiment = one problem instance + `trials` independent algorithm seeds
 base_seed, base_seed+1, ...  Exact oracles are computed once per run, by the
-first trial that needs them: the exact product for matmul, the thin SVD of A
-for lowrank, and for lsq `lsq._exact_solve`'s `ExactLsq` record (x_opt, Z,
-A's sigma and V, and bperp), all from one R-only blocked QR of [A, b].  The
-solvers take the SVD or the record as an argument.
+first trial that needs them: the exact product for matmul, and the records
+of `lowrank._exact_low_rank` (A's singular values and U_k Sigma_k) and
+`lsq._exact_solve` (x_opt, Z, A's sigma and V, and bperp), each from one
+R-only QR, of A (or A^T) or of [A, b].  The solvers take the record.
 
 A matmul instance is validated once, when it is resolved: A and B pass
 `as_matrix` and the inner-dimension check there; each trial draws one plan and
@@ -71,9 +71,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .generators import gen_lsq_instance, gen_matrix
-from .linalg import _spectral_norm, as_matrix, thin_svd
-from .lowrank import (lowrank_sample_size_explicit, rand_low_rank,
-                      structural_inequality_check)
+from .linalg import _spectral_norm, as_matrix
+from .lowrank import (_exact_low_rank, lowrank_sample_size_explicit,
+                      rand_low_rank, structural_inequality_check)
 from .lsq import _exact_solve, rand_least_squares
 from .matio import read_matrix, read_vector
 from .matmul import (enumerate_sketch_moments, entry_variance_bound,
@@ -236,17 +236,17 @@ def _oracle(ctx: dict, compute):
     return ctx["oracle"]
 
 
-def _low_rank_with_retry(A, k: int, eps: float, seed: int, c: int | None, svd_A):
+def _low_rank_with_retry(A, k: int, eps: float, seed: int, c: int | None, exact):
     """(rand_low_rank result, retried): one retry at twice the first width.
 
     With c None the first width is lowrank_sample_size_explicit(n, k, eps).
     """
     try:
-        return rand_low_rank(A, k, eps, seed, c_override=c, svd_A=svd_A), False
+        return rand_low_rank(A, k, eps, seed, c_override=c, exact=exact), False
     except SketchRankError:
         if c is None:
             c = lowrank_sample_size_explicit(A.shape[1], k, eps).count
-        return rand_low_rank(A, k, eps, seed, c_override=2 * c, svd_A=svd_A), True
+        return rand_low_rank(A, k, eps, seed, c_override=2 * c, exact=exact), True
 
 
 def _spectral_error(A, B, C, R, E) -> float:
@@ -316,10 +316,10 @@ def _trial_lowrank(ctx: dict, params: dict, seed: int, diagnostics: bool) -> Tri
     eps = float(params["eps"])
     c = params.get("c")
     c = int(c) if c is not None else None
-    svd_A = _oracle(ctx, lambda: thin_svd(A))
-    baseline = float(np.sqrt(np.sum(svd_A.sigma[k:] ** 2)))
+    exact = _oracle(ctx, lambda: _exact_low_rank(A, k))
+    baseline = float(np.sqrt(np.sum(exact.sigma[k:] ** 2)))
     res, retried = _low_rank_with_retry(A, k, eps, seed, c,
-                                        svd_A if diagnostics else None)
+                                        exact if diagnostics else None)
     bound = (1.0 + eps) * baseline + 1e-8
     t = TrialReport(seed=seed)
     t.metrics = {"error_fro": res.error_fro, "baseline_fro": baseline}
@@ -472,7 +472,7 @@ def _check_lowrank(seed: int, *, m: int = 24, n: int = 16, k: int = 3,
     """Extraction identity, error split, and the structural inequality (at eps 0.4)."""
     sigma = [1.0] * k + [0.05] * (min(m, n) - k)
     A = gen_matrix("lowrank_plus_noise", m, n, seed, sigma=sigma)
-    res, _ = _low_rank_with_retry(A, k, 0.4, seed, c, thin_svd(A))
+    res, _ = _low_rank_with_retry(A, k, 0.4, seed, c, _exact_low_rank(A, k))
     d = res.diagnostics
     Zmat = make_rng(seed + 1).standard_normal((n, c))
     lhs, rhs = structural_inequality_check(A, Zmat, k)

@@ -162,26 +162,26 @@ def _tall_qr(blocks: tuple) -> np.ndarray:
     """R of the reduced Householder QR of M = [B_1, ..., B_j] (TSQR, R only).
 
     The blocks are validated arrays of equal height m, each 2-d or 1-d (one
-    column), k columns in all; M itself is never formed.  Each row block of
-    max(2k, _QR_CHUNK // k) rows is copied from the B_i into one reused
-    buffer, which stays in cache while LAPACK factors it, keeping R_i only; a
-    tail shorter than k rows joins the block before it.  The stacked k x k
-    factors [R_1; ...; R_p] are factored once more for R.  An M with fewer
-    than two blocks' rows is one block.  No Q is formed: R is what geqrf
-    gives with or without it.  (Demmel, Grigori, Hoemmen & Langou, SISC 2012.)
+    column), k columns in all.  Each row block of max(16k, _QR_CHUNK // k)
+    rows (_QR_CHUNK elements up to k = 32, so it stays in cache; above, the
+    stack stays m/16 rows) is copied from the B_i into one reused buffer and
+    factored, keeping R_i only; a tail shorter than k rows joins the block
+    before it.  The stacked [R_1; ...; R_p] is factored once more for R; an M
+    under two blocks is factored whole, a lone B_1 in place.  No Q is formed,
+    and R is geqrf's either way.  (Demmel, Grigori, Hoemmen & Langou, SISC 2012.)
     """
     cols = [B.reshape(B.shape[0], -1) for B in blocks]
     m, k = cols[0].shape[0], sum(c.shape[1] for c in cols)
-    rows = max(2 * k, _QR_CHUNK // k)
-    bounds = [0, m] if m < 2 * rows else [*range(0, m - k + 1, rows), m]
-    p = len(bounds) - 1
+    rows = max(16 * k, _QR_CHUNK // k)
+    if m < 2 * rows:
+        return np.linalg.qr(cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1),
+                            mode="r")
+    bounds = [*range(0, m - k + 1, rows), m]
     buf = np.empty((max(hi - lo for lo, hi in zip(bounds, bounds[1:])), k))
-    Rs = np.empty((p * k, k))
+    Rs = np.empty(((len(bounds) - 1) * k, k))
     for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         block = buf[:hi - lo]
         np.concatenate([c[lo:hi] for c in cols], axis=1, out=block)
-        if p == 1:
-            return np.linalg.qr(block, mode="r")
         Rs[i * k:(i + 1) * k] = np.linalg.qr(block, mode="r")
     return np.linalg.qr(Rs, mode="r")
 

@@ -7,12 +7,12 @@ Utilde_k = U_C @ U_{W,k} satisfies an exact identity: projecting A onto it is
 the same as keeping the best rank-k part of the projection U_C U_C^T A, which
 is the best rank-k approximation of A inside the captured range.  The
 solver's diagnostics measure that identity and the range/tail error split.
-They take A_k and the tail ||A - A_k||_F^2 from the caller's exact thin SVD
-of A (svd_A); the pipeline itself never factors A.  The identity is measured
-on the solver's own factorization of W and its residual, so W is factored
-once per run.  The diagnostics carry their own verdicts, identity_ok and
-split_ok, at the tolerances documented on LowRankDiagnostics, as lsq's
-ConditionReport carries cond22_pass and cond23_pass.
+They take A_k's left factor U_k Sigma_k and the tail ||A - A_k||_F^2 from the
+caller's `exact_low_rank` record (exact); the pipeline never factors A.  The
+identity is measured on the solver's own factorization of W and its residual,
+so W is factored once per run.  The diagnostics carry their own verdicts,
+identity_ok and split_ok, at the tolerances documented on LowRankDiagnostics,
+as lsq's ConditionReport carries cond22_pass and cond23_pass.
 structural_inequality_check evaluates both sides of the structural
 inequality that drives the approximation guarantee.
 """
@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (ThinSVD, _thin_svd, as_matrix, orthonormal_basis,
+from .linalg import (_tall_qr, _thin_svd, as_matrix, orthonormal_basis,
                      pseudoinverse, thin_svd)
 from .sampling import SampleSize
 from .srht import SketchRankError, _refuse_default_width, make_srht, srht_apply
 
 __all__ = [
+    "ExactLowRank", "exact_low_rank",
     "LowRankResult",
     "LowRankDiagnostics",
     "lowrank_sample_size_explicit",
@@ -40,7 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LowRankDiagnostics:
-    """Per-run identity and decomposition checks (only when svd_A is given)."""
+    """Per-run identity and decomposition checks (only when exact is given)."""
 
     identity_gap: float        # || (A - Uk Uk^T A) - (A - U_C (U_C^T A)_k) ||_F
     projected_tail_sq: float   # || A_k - U_C U_C^T A_k ||_F^2
@@ -58,6 +59,34 @@ class LowRankResult:
     c_used: int
     error_fro: float        # ||A - Utilde_k Utilde_k^T A||_F
     diagnostics: LowRankDiagnostics | None = None
+
+
+@dataclass(frozen=True)
+class ExactLowRank:
+    """A's singular values above RANK_RTOL * sigma_1 (sigma.size is its rank),
+    and Y = U_A[:, :j] diag(sigma[:j]), j = min(k, rank): A_k = Y V_k^T."""
+
+    sigma: np.ndarray
+    Y: np.ndarray
+
+
+def exact_low_rank(A, k: int) -> ExactLowRank:
+    """`_exact_low_rank` of A; pass it to `rand_low_rank` as `exact`."""
+    A = as_matrix(A)
+    if not 1 <= k <= min(A.shape):
+        raise ValueError(f"k={k} out of range for shape {A.shape}")
+    return _exact_low_rank(A, k)
+
+
+def _exact_low_rank(A, k: int) -> ExactLowRank:
+    """The R-SVD (Chan, ACM TOMS 1982), with no Q: M = A if m >= n, else A^T,
+    is (Q U_R) diag(sigma) V_R^T for the R of linalg's `_tall_qr`, and
+    Y = A V_R[:, :j] if m >= n, else V_R[:, :j] diag(sigma[:j]) (U_A = V_R)."""
+    tall = A.shape[0] >= A.shape[1]
+    f = _thin_svd(_tall_qr((A if tall else A.T,)))
+    j = min(k, f.rank)
+    Y = A @ f.V[:, :j] if tall else f.V[:, :j] * f.sigma[:j]
+    return ExactLowRank(sigma=f.sigma, Y=Y)
 
 
 def lowrank_sample_size_explicit(n: int, k: int, eps: float) -> SampleSize:
@@ -80,7 +109,7 @@ def lowrank_sample_size_explicit(n: int, k: int, eps: float) -> SampleSize:
 
 def rand_low_rank(A, k: int, eps: float, seed: int,
                   c_override: int | None = None,
-                  svd_A: ThinSVD | None = None) -> LowRankResult:
+                  exact: ExactLowRank | None = None) -> LowRankResult:
     """Randomized rank-k approximation basis via an SRHT column sketch.
 
     Parameters
@@ -96,9 +125,9 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
         Sketch width instead of lowrank_sample_size_explicit; must be >= k.
         Without it, a theoretical width of at least next_pow2(n) raises
         ValueError.
-    svd_A : ThinSVD, optional
-        The caller's exact thin SVD of A.  When given, also verify the
-        extraction identity and error split for this run.
+    exact : ExactLowRank, optional
+        `exact_low_rank(A, k)`.  When given, also verify the extraction
+        identity and error split for this run; its Y must be m x min(k, rank).
 
     Raises
     ------
@@ -119,25 +148,26 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
         c = int(c_override)
     if c < k:
         raise ValueError(f"sketch width c={c} is below the target rank k={k}")
+    if exact is not None and exact.Y.shape != (m, min(k, exact.sigma.size)):
+        raise ValueError(f"exact.Y is {exact.Y.shape}, not {(m, min(k, exact.sigma.size))}")
     op = make_srht(n, c, seed, side="right")
-    C = srht_apply(op, A)
-    U_C = orthonormal_basis(C)
+    U_C = orthonormal_basis(srht_apply(op, A))
     fw = thin_svd(U_C.T @ A)
     if fw.rank < k:
         raise SketchRankError(
             f"sketch rank deficient: rank(U_C^T A) = {fw.rank} < k = {k} at c = {c}")
     U_tilde = U_C @ fw.U[:, :k]
-    resid = A - U_tilde @ (U_tilde.T @ A)
-    err = float(np.linalg.norm(resid, "fro"))
+    resid = U_tilde @ (U_tilde.T @ A)
+    err = float(np.linalg.norm(np.subtract(A, resid, out=resid), "fro"))
     diag = None
-    if svd_A is not None:
+    if exact is not None:
+        T = U_C @ fw.truncate(k).reconstruct()  # one m x n buffer for the gap
+        np.subtract(A, T, out=T)                # A - U_C (U_C^T A)_k
+        gap = float(np.linalg.norm(np.subtract(resid, T, out=T), "fro"))
         # Y = U_k Sigma_k: V_k has orthonormal columns, so no m x n A_k is needed.
-        top = svd_A.truncate(k)
-        Y = top.U * top.sigma
-        gap = float(np.linalg.norm(resid - (A - U_C @ fw.truncate(k).reconstruct()),
-                                   "fro"))
+        Y = exact.Y
         proj_sq = float(np.linalg.norm(Y - U_C @ (U_C.T @ Y), "fro")) ** 2
-        tail_sq = float(np.sum(svd_A.sigma[k:] ** 2))
+        tail_sq = float(np.sum(exact.sigma[k:] ** 2))
         diag = LowRankDiagnostics(
             gap, proj_sq, tail_sq, U_C.shape[1],
             identity_ok=gap <= 1e-9 * max(1.0, float(np.linalg.norm(A, "fro"))),

@@ -18,7 +18,7 @@ import pytest
 
 from rnla import (ProbVector, coherence_check, draw_plan,
                   enumerate_sketch_moments, entry_variance_bound,
-                  exact_least_squares, expected_frobenius_error,
+                  exact_least_squares, exact_low_rank, expected_frobenius_error,
                   frobenius_norm, gen_lsq_instance, gen_matrix,
                   leverage_probs, make_rng, make_srht, optimal_probs,
                   pseudoinverse, rand_least_squares, rand_low_rank,
@@ -70,8 +70,8 @@ def lowrank_sweep():
     sigma = [10.0, 9.0, 8.0, 7.0] + [0.1] * 60
     A = gen_matrix("lowrank_plus_noise", 128, 64, 3, sigma=sigma)
     start = time.perf_counter()
-    f = thin_svd(A)
-    runs = [rand_low_rank(A, 4, 0.25, seed, c_override=32, svd_A=f)
+    f = exact_low_rank(A, 4)
+    runs = [rand_low_rank(A, 4, 0.25, seed, c_override=32, exact=f)
             for seed in range(200)]
     baseline = float(np.sqrt(np.sum(f.sigma[4:] ** 2)))
     return A, runs, baseline, time.perf_counter() - start

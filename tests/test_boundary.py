@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rnla import (ExperimentConfig, coherence_check, draw_plan, exact_least_squares,
-                  forward_error_bound, fwht, gen_lsq_instance, gen_matrix,
+                  exact_low_rank, forward_error_bound, fwht, gen_lsq_instance, gen_matrix,
                   make_srht, rand_least_squares, rand_low_rank, rand_matrix_multiply,
                   sampled_columns, sampled_rows, srht_apply,
                   run_experiment, structural_inequality_check, subsampled_fwht,
@@ -23,7 +23,7 @@ A_LR = gen_matrix("lowrank_plus_noise", 64, 48, 2, sigma=(8.0, 6.0, 4.0), eta=0.
 B_MM = gen_matrix("gaussian", 64, 16, 3)
 Z_LR = gen_matrix("gaussian", 48, 12, 4)
 PROBS = uniform_probs(64)
-EX_LSQ, SVD_LR = exact_least_squares(A_LSQ, B_LSQ), thin_svd(A_LR)  # outside the count
+EX_LSQ, EX_LR = exact_least_squares(A_LSQ, B_LSQ), exact_low_rank(A_LR, 3)  # outside the count
 X_FWHT = B_LSQ.copy()  # 256 entries, a power of two
 U_COH = np.linalg.qr(gen_matrix("gaussian", 64, 3, 5))[0]
 
@@ -32,12 +32,13 @@ SCANS = {
     "rand_least_squares": (lambda: rand_least_squares(
         A_LSQ, B_LSQ, 0.5, seed=0, r_override=32, exact=EX_LSQ), A_LSQ, 1),
     "rand_low_rank": (lambda: rand_low_rank(
-        A_LR, 3, 0.25, seed=0, c_override=12, svd_A=SVD_LR), A_LR, 1),
+        A_LR, 3, 0.25, seed=0, c_override=12, exact=EX_LR), A_LR, 1),
     "rand_low_rank-no-svd": (lambda: rand_low_rank(
         A_LR, 3, 0.25, seed=0, c_override=12), A_LR, 1),
     "rand_matrix_multiply": (lambda: rand_matrix_multiply(
         B_MM.T, B_MM, 8, PROBS, seed=0), B_MM, 2),
     "exact_least_squares": (lambda: exact_least_squares(A_LSQ, B_LSQ), A_LSQ, 1),
+    "exact_low_rank": (lambda: exact_low_rank(A_LR, 3), A_LR, 1),
     "forward_error_bound": (lambda: forward_error_bound(
         A_LSQ, B_LSQ, 0.5, 0.9), A_LSQ, 1),
     "thin_svd-truncate": (lambda: thin_svd(A_LR).truncate(3).reconstruct(),
@@ -126,6 +127,7 @@ REJECTS = {
     "sampled_rows": lambda v: sampled_rows(_poison(B_MM, v), _plan()),
     "exact_least_squares-A": lambda v: exact_least_squares(_poison(A_LSQ, v), B_LSQ),
     "exact_least_squares-b": lambda v: exact_least_squares(A_LSQ, _poison(B_LSQ, v)),
+    "exact_low_rank": lambda v: exact_low_rank(_poison(A_LR, v), 3),
     "structural_inequality_check-A": lambda v: structural_inequality_check(
         _poison(A_LR, v), Z_LR, 3),
     "structural_inequality_check-Z": lambda v: structural_inequality_check(

@@ -451,37 +451,37 @@ def test_lowrank_retry_doubles_the_default_width(monkeypatch):
 ], ids=["lsq", "lowrank"])
 def test_each_run_factors_its_instance_once(monkeypatch, algorithm, instance,
                                             params, diagnostics):
-    """One exact factorization of the m x n instance per run, whatever the trial count.
+    """One exact oracle per run, whatever the trial count, and no SVD of an
+    m x n (or n x m) array at all.
 
-    Lowrank: one np.linalg.svd of the instance; every thin_svd goes through
-    np.linalg.svd, so counting there also catches a direct factorization.
-    Lsq: one `_exact_solve`, whose oracle is a QR, and no SVD of an m x n
-    array at all.  Sketch sizes differ from the instance's.
+    Lsq: one `_exact_solve`; lowrank: one `_exact_low_rank`.  Both oracles
+    factor the instance by a QR and take the SVD of its small triangular
+    factor only; every thin_svd goes through np.linalg.svd, so counting there
+    also catches a direct factorization.  Sketch sizes differ from the
+    instance's.
     """
-    shapes, solves = [], []
+    shapes, calls = [], []
     svd = np.linalg.svd
-    exact_solve = rnla.harness._exact_solve
+    name = {"lsq": "_exact_solve", "lowrank": "_exact_low_rank"}[algorithm]
+    oracle = getattr(rnla.harness, name)
 
     def counting_svd(M, *args, **kwargs):
         shapes.append(np.shape(M))
         return svd(M, *args, **kwargs)
 
-    def counting_solve(A, b):
-        solves.append(A.shape)
-        return exact_solve(A, b)
+    def counting_oracle(A, *args):
+        calls.append(A.shape)
+        return oracle(A, *args)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(rnla.harness, "_exact_solve", counting_solve)
+    monkeypatch.setattr(rnla.harness, name, counting_oracle)
     cfg = ExperimentConfig(algorithm, instance, params, trials=5, base_seed=0,
                            diagnostics=diagnostics)
     trials = run_trials(cfg)
     assert all(t.ok for t in trials)
-    m_by_n = shapes.count((instance["m"], instance["n"]))
-    if algorithm == "lsq":
-        assert solves == [(instance["m"], instance["n"])]
-        assert m_by_n == 0
-    else:
-        assert solves == [] and m_by_n == 1
+    m, n = instance["m"], instance["n"]
+    assert calls == [(m, n)]
+    assert shapes.count((m, n)) == shapes.count((n, m)) == 0
 
 
 def test_aggregate_hand_values():

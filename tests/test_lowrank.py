@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import rnla.lowrank
-from rnla import (SketchRankError, enumerate_sketch_moments, frobenius_norm,
-                  gen_matrix, lowrank_sample_size_explicit, make_rng, make_srht,
+from rnla import (ExactLowRank, SketchRankError, enumerate_sketch_moments,
+                  exact_low_rank, frobenius_norm, gen_matrix,
+                  lowrank_sample_size_explicit, make_rng, make_srht,
                   orthonormal_basis, rand_low_rank, srht_apply,
                   structural_inequality_check, thin_svd, uniform_probs)
 
@@ -34,17 +37,17 @@ def test_sample_size_validation():
         lowrank_sample_size_explicit(16, 1, 0.0)
 
 
-def _baseline(svd_A, k):
+def _baseline(f, k):
     """The best rank-k error ||A - A_k||_F from the singular tail."""
-    return float(np.sqrt(np.sum(svd_A.sigma[k:] ** 2)))
+    return float(np.sqrt(np.sum(f.sigma[k:] ** 2)))
 
 
 def test_exact_rank_matrix_recovered():
     rng = make_rng(0)
     A = rng.standard_normal((16, 2)) @ rng.standard_normal((2, 12))
-    f = thin_svd(A)
+    f = exact_low_rank(A, 2)
     for seed in range(3):
-        res = rand_low_rank(A, 2, 0.25, seed=seed, c_override=4, svd_A=f)
+        res = rand_low_rank(A, 2, 0.25, seed=seed, c_override=4, exact=f)
         assert _baseline(f, 2) == pytest.approx(0.0, abs=1e-10)
         assert res.error_fro <= 1e-8
         assert res.diagnostics.tail_sq == pytest.approx(0.0, abs=1e-18)
@@ -60,9 +63,9 @@ def test_identity_and_split_on_random_runs():
     ]
     for A in cases:
         scale = max(1.0, frobenius_norm(A))
-        f = thin_svd(A)
+        f, ex = thin_svd(A), exact_low_rank(A, 4)
         for seed in range(5):
-            res = rand_low_rank(A, 4, 0.25, seed=seed, c_override=12, svd_A=f)
+            res = rand_low_rank(A, 4, 0.25, seed=seed, c_override=12, exact=ex)
             d = res.diagnostics
             assert d.identity_gap <= 1e-9 * scale
             op = make_srht(A.shape[1], 12, seed, side="right")
@@ -152,7 +155,7 @@ def test_one_factorization_of_W_per_call(monkeypatch, diagnostics):
     """np.linalg.svd sees C and W = U_C^T A once each; diagnostics reuse W's."""
     A = gen_matrix("lowrank_plus_noise", 32, 24, 2, sigma=(8.0, 6.0, 4.0),
                    eta=0.01)
-    svd_A = thin_svd(A) if diagnostics else None
+    exact = exact_low_rank(A, 3) if diagnostics else None
     shapes = []
     svd = np.linalg.svd
 
@@ -161,7 +164,7 @@ def test_one_factorization_of_W_per_call(monkeypatch, diagnostics):
         return svd(M, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    res = rand_low_rank(A, 3, 0.25, seed=0, c_override=10, svd_A=svd_A)
+    res = rand_low_rank(A, 3, 0.25, seed=0, c_override=10, exact=exact)
     # C is 32 x 10; W has one row per column of U_C, and 24 columns.
     assert len(shapes) == 2 and shapes[0] == (32, 10) and shapes[1][1] == 24
     if diagnostics:
@@ -176,14 +179,85 @@ def test_diagnostics_carry_the_harness_verdicts(scale):
     for seed in range(8):
         A = scale * gen_matrix("lowrank_plus_noise", 40, 24, seed,
                                sigma=(8.0, 6.0, 4.0, 1.0), eta=0.05)
-        svd_A = thin_svd(A)
-        res = rand_low_rank(A, 3, 0.25, seed, c_override=8, svd_A=svd_A)
+        res = rand_low_rank(A, 3, 0.25, seed, c_override=8,
+                            exact=exact_low_rank(A, 3))
         d = res.diagnostics
         norm_A = float(np.linalg.norm(A, "fro"))
         assert d.identity_ok == (d.identity_gap <= 1e-9 * max(1.0, norm_A))
         assert d.split_ok == (res.error_fro ** 2
                               <= d.projected_tail_sq + d.tail_sq + 1e-8)
         assert rand_low_rank(A, 3, 0.25, seed, c_override=8).diagnostics is None
+
+
+def _peak_bytes(call):
+    """call()'s result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# m >= 1.83 n is where LAPACK's own SVD runs a QR first; the rank-2 A has
+# rank below k = 4; the zero A has rank 0 and an empty Y.
+@pytest.mark.parametrize("m, n, rank", [
+    (64, 24, None), (40, 30, None), (24, 24, None), (20, 48, None),
+    (30, 20, 2), (12, 8, 0), (8, 12, 0),
+], ids=["tall-2:1", "tall-4:3", "square", "wide", "rank<k", "zero", "zero-wide"])
+def test_exact_low_rank_matches_the_thin_svd(m, n, rank):
+    rng = make_rng(m * n)
+    if rank is None:
+        A = rng.standard_normal((m, n)) * np.logspace(0, -3, n)
+    else:
+        A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    k = 4
+    f, ex = thin_svd(A), exact_low_rank(A, k)
+    s1 = f.sigma[0] if f.rank else 0.0
+    assert ex.sigma.shape == f.sigma.shape
+    assert np.abs(ex.sigma - f.sigma).max(initial=0.0) <= 1e-13 * s1
+    j = min(k, f.rank)
+    assert ex.Y.shape == (m, j)
+    Y = f.U[:, :j] * f.sigma[:j]
+    assert np.abs(ex.Y @ ex.Y.T - Y @ Y.T).max(initial=0.0) <= 1e-12 * s1 ** 2
+
+
+@pytest.mark.parametrize("m, n", [(1024, 512), (512, 1024)], ids=["tall", "wide"])
+def test_exact_low_rank_keeps_no_factor_of_the_instance_size(m, n):
+    """The record holds sigma and the m x k Y; no m x n U is formed or kept."""
+    A = gen_matrix("gaussian", m, n, 17)
+    ex, peak = _peak_bytes(lambda: exact_low_rank(A, 10))
+    assert ex.sigma.nbytes + ex.Y.nbytes <= 0.05 * A.nbytes
+    assert peak <= 3.2 * A.nbytes
+
+
+def test_diagnostic_solve_peaks_near_two_instances():
+    """The residual and the identity gap each take one m x n buffer.  A first,
+    untraced call builds the transform's cached Hadamard tables."""
+    A = gen_matrix("lowrank_plus_noise", 1024, 512, 18, sigma=[10.0] * 10,
+                   eta=0.01)
+    ex = exact_low_rank(A, 10)
+
+    def solve():
+        return rand_low_rank(A, 10, 0.25, 1, c_override=64, exact=ex)
+
+    solve()
+    res, peak = _peak_bytes(solve)
+    assert res.diagnostics.identity_ok and res.diagnostics.split_ok
+    assert peak <= 2.3 * A.nbytes
+
+
+def test_exact_record_must_fit_the_instance_and_k():
+    A = gen_matrix("gaussian", 16, 12, 19)
+    with pytest.raises(ValueError, match=r"exact.Y is \(10, 3\), not \(16, 3\)"):
+        rand_low_rank(A, 3, 0.25, 0, c_override=6, exact=exact_low_rank(A[:10], 3))
+    with pytest.raises(ValueError, match=r"exact.Y is \(16, 2\), not \(16, 3\)"):
+        rand_low_rank(A, 3, 0.25, 0, c_override=6, exact=exact_low_rank(A, 2))
+    with pytest.raises(ValueError, match=r"k=13 out of range"):
+        exact_low_rank(A, 13)
+    with pytest.raises(ValueError, match=r"k=0 out of range"):
+        exact_low_rank(A, 0)
+    assert isinstance(exact_low_rank(A, 3), ExactLowRank)
 
 
 def test_structural_inequality_random_sketches():

@@ -31,24 +31,29 @@ def test_exact_solver_minimum_norm():
 
 # (n, d, rows of each block _tall_qr factors).  At k = d + 1 = 17 a block has
 # 2**14 // 17 = 963 rows: one row short of two blocks, exactly two, a 16-row
-# tail that joins the block before it, a 17-row tail that does not.  At
-# k = 101, 2k = 202 rows exceed 2**14 // 101 = 162 and set the block, and a
-# 50-row tail joins the last one.  Then a square [A, b] and a wide A.
+# tail that joins the block before it, a 17-row tail that does not.  Above
+# k = 32, 16k rows exceed 2**14 // k and set the block: at k = 65, exactly two
+# blocks of 1040 rows; at k = 101, two of 1616 rows, and a 50-row tail joins
+# the last one.  Then a square [A, b] and a wide A.
 @pytest.mark.parametrize("n, d, blocks", [
     (1925, 16, [1925]),
     (1926, 16, [963, 963]),
     (2905, 16, [963, 963, 979]),
     (2906, 16, [963, 963, 963, 17]),
-    (1060, 100, [202, 202, 202, 202, 252]),
+    (2080, 64, [1040, 1040]),
+    (3282, 100, [1616, 1666]),
     (17, 16, [17]),
     (3, 5, [3]),
-], ids=["one-block", "two-blocks", "short-tail", "k-row-tail", "wide-k", "n=d+1",
-        "wide-A"])
+], ids=["one-block", "two-blocks", "short-tail", "k-row-tail", "two-blocks-k=65",
+        "wide-k", "n=d+1", "wide-A"])
 def test_exact_solve_matches_lstsq_at_block_boundaries(monkeypatch, n, d, blocks):
     rng = make_rng(n + d)
     A, b = rng.standard_normal((n, d)), rng.standard_normal(n)
     x_l = np.linalg.lstsq(A, b, rcond=None)[0]
     Z_l = float(np.linalg.norm(A @ x_l - b))
+    diag_ref = np.abs(np.diag(np.linalg.qr(np.column_stack([A, b]), mode="r")))
+    diag = np.abs(np.diag(_tall_qr((A, b))))
+    assert np.abs(diag - diag_ref).max() <= 1e-13 * diag_ref.max()
     shapes = []
     qr = np.linalg.qr
 

@@ -110,6 +110,7 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         lsq --in L.mtx --eps 0.5 --r 64
         matmul --m 8 --n 6 --c 2 --in-b B.bin
     """)
+    # The last lowrank call is wide (m < n): the oracle factors A^T.
     out["lowrank"] = _split("""
         lowrank --m 64 --n 32 --sigma 3,2,1 --eta 0.01 --k 2 --eps 0.25 --c 8 --trials 4 --seed 5
         lowrank --m 64 --n 32 --sigma 3,2,1 --eta 0.01 --k 2 --eps 0.25 --c 8 --trials 4 --seed 5 --no-diagnostics
@@ -118,6 +119,7 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         lowrank --m 12 --n 10 --sigma 5 --k 2 --eps 0.25 --c 4 --trials 3
         lowrank --m 64 --n 32 --sigma 3,2,1 --k 2 --eps 0.25
         lowrank --family gaussian --m 40 --n 20 --sigma 1 --k 3 --eps 0.25 --c 8
+        lowrank --m 20 --n 48 --sigma 3,2,1 --k 2 --eps 0.25 --c 8 --trials 3
     """)
     out["lsq"] = _split("""
         lsq --m 512 --n 4 --eps 0.5 --r 64 --trials 3 --seed 2 --out l.json --csv l.csv
