@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "as_vector",
-    "frobenius_norm",
     "spectral_norm",
     "ThinSVD",
     "thin_svd",
@@ -58,11 +57,6 @@ def as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("vector entries must be finite (no NaN/Inf)")
     return x
-
-
-def frobenius_norm(M) -> float:
-    """Frobenius norm, sqrt of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(M), "fro"))
 
 
 def spectral_norm(M) -> float:
@@ -154,8 +148,8 @@ def _thin_svd(M: np.ndarray) -> ThinSVD:
         raise ValueError("thin_svd: empty matrix")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     rho = int(np.sum(s > _rank_cutoff(s)))
-    return ThinSVD(U=U[:, :rho].copy(), sigma=s[:rho].copy(),
-                   V=Vt[:rho, :].T.copy(), rank=rho)
+    return ThinSVD(U=np.ascontiguousarray(U[:, :rho]), sigma=s[:rho],
+                   V=Vt[:rho].T.copy(), rank=rho)
 
 
 def _tall_qr(blocks: tuple) -> np.ndarray:

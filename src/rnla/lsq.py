@@ -44,7 +44,6 @@ __all__ = [
     "exact_least_squares",
     "ls_sample_size",
     "rand_least_squares",
-    "forward_error_bound",
     "check_conditions",
 ]
 
@@ -232,21 +231,3 @@ def _sketch_and_solve(A, b, eps, seed, r_override, exact) -> LsqSolution:
         report = check_conditions(XU, Xb, exact.Z, bperp_err, eps)
     return LsqSolution(x_tilde=x_tilde, residual_norm=residual, r_used=r,
                        diagnostics=report, ops=counter.adds_subs)
-
-
-def forward_error_bound(A, b, eps: float, gamma: float) -> float:
-    """Forward-error bound sqrt(eps) * kappa(A) * sqrt(gamma^-2 - 1) * ||x_opt||.
-
-    gamma in (0, 1] is the assumed fraction of b lying in range(A), i.e.
-    ||U_A U_A^T b|| >= gamma ||b||.  Requires full-column-rank A.
-    """
-    A, b = as_matrix(A), as_vector(b)
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    f = _thin_svd(A)
-    if f.rank < A.shape[1]:
-        raise ValueError("condition number undefined: A is rank deficient")
-    kappa = float(f.sigma[0] / f.sigma[-1])
-    x_opt = f.pinv() @ b
-    return math.sqrt(eps) * kappa * math.sqrt(max(0.0, 1.0 / gamma ** 2 - 1.0)) \
-        * float(np.linalg.norm(x_opt))

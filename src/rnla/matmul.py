@@ -3,31 +3,27 @@
 The estimator keeps c rescaled column/row pairs: C = A S and R = S^T B for a
 sampling-and-rescaling plan S, so C @ R = sum_t A_{*i_t} B_{i_t*} / (c p_{i_t})
 is an unbiased estimate of A @ B.  Alongside the estimator live the bound
-evaluators (expected Frobenius error, per-entry variance), the sample-size
-calculators, and an exact-enumeration oracle that tests lean on: at desk scale
-every one of the n^c possible plans is enumerated and weighted by its
-probability, giving exact moments with no Monte Carlo noise.
+evaluators (expected Frobenius error, per-entry variance) and an
+exact-enumeration oracle that tests lean on: at desk scale every one of the
+n^c possible plans is enumerated and weighted by its probability, giving
+exact moments with no Monte Carlo noise.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_matrix
-from .sampling import (ProbVector, SampleSize, SamplingPlan, _columns, _rows,
-                       draw_plan)
+from .sampling import ProbVector, SamplingPlan, _columns, _rows, draw_plan
 
 __all__ = [
     "MatMulSketch",
     "rand_matrix_multiply",
     "expected_frobenius_error",
     "entry_variance_bound",
-    "sample_size_frobenius",
-    "sample_size_spectral",
     "EnumeratedMoments",
     "enumerate_sketch_moments",
 ]
@@ -102,40 +98,6 @@ def entry_variance_bound(A, B, probs: ProbVector, c: int, i: int, j: int) -> flo
     term = A[i, :] ** 2 * B[:, j] ** 2
     live = _zero_prob_guard(term, probs.p)
     return float(np.sum(term[live] / probs.p[live]) / c)
-
-
-def sample_size_frobenius(d: int, beta: float, eps: float) -> SampleSize:
-    """Samples sufficient for relative Frobenius error eps with probability 9/10.
-
-    raw = 10 d^2 / (beta eps^2); the guarantee is Markov on the expected
-    squared error under beta-nearly-optimal probabilities.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    raw = 10.0 * d * d / (beta * eps * eps)
-    return SampleSize(count=math.ceil(raw), raw=raw)
-
-
-def sample_size_spectral(d: int, beta: float, eps: float, delta: float) -> SampleSize:
-    """Samples sufficient for spectral-norm error eps with probability 1 - delta.
-
-    raw = (96 d / (beta eps^2)) * ln(96 d / (beta eps^2 sqrt(delta))).
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    lead = 96.0 * d / (beta * eps * eps)
-    raw = lead * math.log(lead / math.sqrt(delta))
-    return SampleSize(count=math.ceil(raw), raw=raw)
 
 
 @dataclass(frozen=True)

@@ -27,17 +27,13 @@ __all__ = [
     "optimal_probs",
     "colnorm_probs",
     "rownorm_probs",
-    "leverage_probs",
     "uniform_probs",
     "beta_of",
     "draw_plan",
-    "sampled_columns",
-    "sampled_rows",
 ]
 
 RNG_NAME = "philox4x32-10"
 
-ORTHO_TOL = 1e-8  # max |U^T U - I| accepted by leverage_probs and coherence_check
 _KEY_LIMIT = 2 ** 128  # Philox keys lie in [0, 2**128)
 
 
@@ -128,24 +124,6 @@ def rownorm_probs(B) -> ProbVector:
     return _probs(np.sum(B * B, axis=1))
 
 
-def leverage_probs(U) -> ProbVector:
-    """Leverage-score probabilities p_k = ||U_{k*}||_2^2 / d.
-
-    U must have orthonormal columns (max |U^T U - I| <= 1e-8); the row norms
-    of such a U sum to d exactly, so no renormalization is hidden here.
-    """
-    U = as_matrix(U)
-    _require_orthonormal(U, "leverage_probs")
-    return ProbVector(p=np.sum(U * U, axis=1) / U.shape[1])
-
-
-def _require_orthonormal(U: np.ndarray, caller: str) -> None:
-    """Raise ValueError naming caller unless max |U^T U - I| <= ORTHO_TOL."""
-    gram_err = np.max(np.abs(U.T @ U - np.eye(U.shape[1])))
-    if gram_err > ORTHO_TOL:
-        raise ValueError(f"{caller}: columns not orthonormal (|U^T U - I| = {gram_err:.3e})")
-
-
 def uniform_probs(n: int) -> ProbVector:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -187,18 +165,8 @@ def draw_plan(probs: ProbVector, c: int, seed: int) -> SamplingPlan:
     return SamplingPlan(indices=idx, scales=1.0 / np.sqrt(c * probs.p[idx]), n=probs.n)
 
 
-def sampled_columns(A, plan: SamplingPlan) -> np.ndarray:
-    """A @ S for the plan's implicit S: rescaled sampled columns, m x c."""
-    return _columns(as_matrix(A), plan)
-
-
-def sampled_rows(B, plan: SamplingPlan) -> np.ndarray:
-    """S^T @ B for the plan's implicit S: rescaled sampled rows, c x p."""
-    return _rows(as_matrix(B), plan)
-
-
 def _columns(A: np.ndarray, plan: SamplingPlan) -> np.ndarray:
-    """sampled_columns of an already validated matrix; scales its gathered copy."""
+    """A @ S for a validated A and the plan's implicit S: m x c sampled columns."""
     if A.shape[1] != plan.n:
         raise ValueError(f"plan over n={plan.n} cannot sample {A.shape[1]} columns")
     C = A[:, plan.indices]
@@ -207,7 +175,7 @@ def _columns(A: np.ndarray, plan: SamplingPlan) -> np.ndarray:
 
 
 def _rows(B: np.ndarray, plan: SamplingPlan) -> np.ndarray:
-    """sampled_rows of an already validated matrix; scales its gathered copy."""
+    """S^T @ B for a validated B and the plan's implicit S: c x p sampled rows."""
     if B.shape[0] != plan.n:
         raise ValueError(f"plan over n={plan.n} cannot sample {B.shape[0]} rows")
     R = B[plan.indices, :]

@@ -71,8 +71,7 @@ from functools import cache
 import numpy as np
 
 from .linalg import as_matrix
-from .sampling import (SamplingPlan, _draw_indices, _require_orthonormal, make_rng,
-                       uniform_probs)
+from .sampling import SamplingPlan, _draw_indices, make_rng, uniform_probs
 
 __all__ = [
     "SketchRankError",
@@ -84,6 +83,8 @@ __all__ = [
     "srht_apply",
     "coherence_check",
 ]
+
+ORTHO_TOL = 1e-8  # max |U^T U - I| that coherence_check accepts
 
 
 class SketchRankError(ValueError):
@@ -379,7 +380,10 @@ def coherence_check(U, op: SrhtOperator) -> tuple[float, float]:
         raise ValueError(f"U has {n} rows, operator expects {op.n_pad}")
     rotate = SrhtOperator(n_pad=n, signs=op.signs, plan=_full_plan(n), side="left")
     hdu = srht_apply(rotate, U)  # the one NaN/Inf check, before the Gram matrix
-    _require_orthonormal(U, "coherence_check")
+    gram_err = np.max(np.abs(U.T @ U - np.eye(d)))
+    if gram_err > ORTHO_TOL:
+        raise ValueError(f"coherence_check: columns not orthonormal "
+                         f"(|U^T U - I| = {gram_err:.3e})")
     max_row = float(np.max(np.sum(hdu * hdu, axis=1)))
     threshold = 2.0 * d * math.log(40.0 * n * d) / n
     return max_row, threshold

@@ -19,10 +19,9 @@ import pytest
 from rnla import (ProbVector, coherence_check, draw_plan,
                   enumerate_sketch_moments, entry_variance_bound,
                   exact_least_squares, exact_low_rank, expected_frobenius_error,
-                  frobenius_norm, gen_lsq_instance, gen_matrix,
-                  leverage_probs, make_rng, make_srht, optimal_probs,
+                  gen_lsq_instance, gen_matrix, make_rng, make_srht, optimal_probs,
                   pseudoinverse, rand_least_squares, rand_low_rank,
-                  sampled_columns, sampled_rows, spectral_norm,
+                  rand_matrix_multiply, spectral_norm,
                   structural_inequality_check, subsampled_fwht, thin_svd,
                   uniform_probs)
 from rnla.cli import main as cli_main
@@ -120,11 +119,11 @@ def test_c03_optimal_probabilities_minimize_error():
 def test_c04_gram_sketch_expectation():
     start = time.perf_counter()
     U, _ = np.linalg.qr(make_rng(0).standard_normal((256, 4)))
-    probs = leverage_probs(U)
+    probs = ProbVector(p=np.sum(U * U, axis=1) / U.shape[1])  # leverage scores
     d, c = 4, 64
     vals = np.empty(10_000)
     for seed in range(vals.size):
-        R = sampled_rows(U, draw_plan(probs, c, seed))
+        R = rand_matrix_multiply(U.T, U, c, probs, seed).R
         vals[seed] = np.linalg.norm(np.eye(d) - R.T @ R) ** 2
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert vals.mean() <= d * d / c + 3.0 * se
@@ -220,7 +219,7 @@ def test_c09_lowrank_error_rate(lowrank_sweep):
 
 def test_c10_extraction_identity_and_split(lowrank_sweep):
     A, runs, _, _ = lowrank_sweep
-    scale = max(1.0, frobenius_norm(A))
+    scale = max(1.0, np.linalg.norm(A, "fro"))
     for res in runs:
         d = res.diagnostics
         assert d.identity_gap <= 1e-9 * scale
@@ -251,7 +250,7 @@ def test_c12_column_sampling_unbiasedness():
     target = float(np.sum(X * X))
     ests = np.empty(10_000)
     for seed in range(ests.size):
-        S = sampled_columns(X, draw_plan(uniform_probs(64), 8, seed))
+        S = rand_matrix_multiply(X, X.T, 8, uniform_probs(64), seed).C
         ests[seed] = float(np.sum(S * S))
     se = ests.std(ddof=1) / math.sqrt(ests.size)
     assert abs(ests.mean() - target) <= 3.0 * se
@@ -275,14 +274,14 @@ def test_c13_core_linalg_property_suites():
         k = int(rng.integers(1, 5))
         tail = math.sqrt(float(np.sum(thin_svd(A).sigma[k:] ** 2)))
         A_k = thin_svd(A).truncate(k).reconstruct()
-        assert frobenius_norm(A - A_k) == pytest.approx(tail, abs=1e-9)
+        assert np.linalg.norm(A - A_k, "fro") == pytest.approx(tail, abs=1e-9)
 
     for _ in range(100):  # norm splits across a projector and its complement
         A = rng.standard_normal((7, 4))
         Q, _ = np.linalg.qr(rng.standard_normal((7, 3)))
         proj = Q @ (Q.T @ A)
-        assert frobenius_norm(A) ** 2 == pytest.approx(
-            frobenius_norm(proj) ** 2 + frobenius_norm(A - proj) ** 2,
+        assert np.linalg.norm(A, "fro") ** 2 == pytest.approx(
+            np.linalg.norm(proj, "fro") ** 2 + np.linalg.norm(A - proj, "fro") ** 2,
             rel=1e-10, abs=1e-10)
 
     for _ in range(100):  # singular values move at most ||E||_2

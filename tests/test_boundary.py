@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from rnla import (ExperimentConfig, coherence_check, draw_plan, exact_least_squares,
-                  exact_low_rank, forward_error_bound, fwht, gen_lsq_instance, gen_matrix,
-                  make_srht, rand_least_squares, rand_low_rank, rand_matrix_multiply,
-                  sampled_columns, sampled_rows, srht_apply,
+                  exact_low_rank, fwht, gen_lsq_instance, gen_matrix, make_srht,
+                  rand_least_squares, rand_low_rank, rand_matrix_multiply, srht_apply,
                   run_experiment, structural_inequality_check, subsampled_fwht,
                   thin_svd, uniform_probs, write_matrix)
 
@@ -39,8 +38,6 @@ SCANS = {
         B_MM.T, B_MM, 8, PROBS, seed=0), B_MM, 2),
     "exact_least_squares": (lambda: exact_least_squares(A_LSQ, B_LSQ), A_LSQ, 1),
     "exact_low_rank": (lambda: exact_low_rank(A_LR, 3), A_LR, 1),
-    "forward_error_bound": (lambda: forward_error_bound(
-        A_LSQ, B_LSQ, 0.5, 0.9), A_LSQ, 1),
     "thin_svd-truncate": (lambda: thin_svd(A_LR).truncate(3).reconstruct(),
                           A_LR, 1),
     "structural_inequality_check": (lambda: structural_inequality_check(
@@ -104,10 +101,6 @@ def _right(M):
     return make_srht(M.shape[1], 8, 0, side="right")
 
 
-def _plan():
-    return draw_plan(PROBS, 8, 0)
-
-
 # Each entry poisons one caller array and calls the entry point with it.
 REJECTS = {
     "rand_least_squares-A": lambda v: rand_least_squares(
@@ -123,8 +116,6 @@ REJECTS = {
     "srht_apply-left": lambda v: srht_apply(_left(A_LSQ), _poison(A_LSQ, v)),
     "srht_apply-right": lambda v: srht_apply(_right(A_LR), _poison(A_LR, v)),
     "srht_apply-vector": lambda v: srht_apply(_left(A_LSQ), _poison(B_LSQ, v)),
-    "sampled_columns": lambda v: sampled_columns(_poison(B_MM.T, v), _plan()),
-    "sampled_rows": lambda v: sampled_rows(_poison(B_MM, v), _plan()),
     "exact_least_squares-A": lambda v: exact_least_squares(_poison(A_LSQ, v), B_LSQ),
     "exact_least_squares-b": lambda v: exact_least_squares(A_LSQ, _poison(B_LSQ, v)),
     "exact_low_rank": lambda v: exact_low_rank(_poison(A_LR, v), 3),

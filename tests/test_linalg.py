@@ -1,16 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rnla import (as_matrix, as_vector, frobenius_norm, make_rng,
-                  orthonormal_basis, pseudoinverse, spectral_norm, thin_svd)
-
-
-def test_frobenius_norm_values():
-    assert frobenius_norm(np.eye(3)) == pytest.approx(math.sqrt(3), abs=1e-15)
-    assert frobenius_norm(np.zeros((2, 2))) == 0.0
-    assert frobenius_norm([[3.0, 4.0]]) == pytest.approx(5.0, abs=1e-15)
+from rnla import (as_matrix, as_vector, make_rng, orthonormal_basis,
+                  pseudoinverse, spectral_norm, thin_svd)
+from rnla.linalg import _thin_svd
 
 
 def test_spectral_norm_values():
@@ -98,8 +94,8 @@ def test_thin_svd_factor_invariants():
         assert np.max(np.abs(f.U.T @ f.U - np.eye(f.rank))) <= 1e-10
         assert np.max(np.abs(f.V.T @ f.V - np.eye(f.rank))) <= 1e-10
         assert np.all(np.diff(f.sigma) <= 0.0)
-        resid = frobenius_norm(M - f.reconstruct())
-        assert resid <= 1e-10 * max(1.0, frobenius_norm(M))
+        resid = np.linalg.norm(M - f.reconstruct(), "fro")
+        assert resid <= 1e-10 * max(1.0, np.linalg.norm(M, "fro"))
 
 
 def test_thin_svd_rejects_bad_input():
@@ -111,6 +107,20 @@ def test_thin_svd_rejects_bad_input():
         as_vector(np.ones((2, 3)))
     with pytest.raises(ValueError, match="empty matrix"):
         thin_svd(np.zeros((0, 3)))
+
+
+def test_full_rank_thin_svd_keeps_lapacks_u():
+    """At full rank U is numpy's own array, not a copy: U, numpy's Vt and the
+    C-order V are the peak, about 3x M."""
+    M = make_rng(12).standard_normal((512, 512))
+    tracemalloc.start()
+    try:
+        f = _thin_svd(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.rank == 512 and f.U.flags.c_contiguous and f.V.flags.c_contiguous
+    assert peak <= 3.1 * M.nbytes
 
 
 def test_as_vector_flattens_a_single_row_or_column():
@@ -173,14 +183,14 @@ def test_best_rank_k_full_rank_reproduces():
     rng = make_rng(5)
     M = rng.standard_normal((4, 3))
     M_3 = thin_svd(M).truncate(3).reconstruct()
-    assert frobenius_norm(M - M_3) <= 1e-10 * frobenius_norm(M)
+    assert np.linalg.norm(M - M_3, "fro") <= 1e-10 * np.linalg.norm(M, "fro")
 
 
 def test_best_rank_k_error_matches_tail():
     rng = make_rng(6)
     M = rng.standard_normal((6, 4))
     f = thin_svd(M)
-    err_sq = frobenius_norm(M - f.truncate(2).reconstruct()) ** 2
+    err_sq = np.linalg.norm(M - f.truncate(2).reconstruct(), "fro") ** 2
     tail_sq = float(np.sum(f.sigma[2:] ** 2))
     assert abs(err_sq - tail_sq) <= 1e-9 * max(1.0, tail_sq)
 
@@ -211,7 +221,7 @@ def test_norm_chain():
     rng = make_rng(8)
     for _ in range(20):
         M = rng.standard_normal((5, 4))
-        fro, spec = frobenius_norm(M), spectral_norm(M)
+        fro, spec = np.linalg.norm(M, "fro"), spectral_norm(M)
         assert fro + 1e-12 >= spec
         assert spec + 1e-12 >= fro / math.sqrt(thin_svd(M).rank)
 
@@ -223,8 +233,8 @@ def test_matrix_pythagoras():
         Q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
         X = Q @ (Q.T @ A)
         Y = A - X
-        lhs = frobenius_norm(X + Y) ** 2
-        rhs = frobenius_norm(X) ** 2 + frobenius_norm(Y) ** 2
+        lhs = np.linalg.norm(X + Y, "fro") ** 2
+        rhs = np.linalg.norm(X, "fro") ** 2 + np.linalg.norm(Y, "fro") ** 2
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
 

@@ -1,15 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
-from rnla import (ProbVector, draw_plan, entry_variance_bound,
-                  enumerate_sketch_moments, expected_frobenius_error,
-                  frobenius_norm, make_rng, optimal_probs,
-                  rand_matrix_multiply, sample_size_frobenius,
-                  sample_size_spectral, sampled_rows, spectral_norm,
-                  uniform_probs)
-from rnla.sampling import SamplingPlan
+from rnla import (ProbVector, entry_variance_bound, enumerate_sketch_moments,
+                  expected_frobenius_error, make_rng, optimal_probs,
+                  rand_matrix_multiply, spectral_norm, uniform_probs)
+from rnla.sampling import SamplingPlan, _rows
 
 
 def _random_probs(rng, n):
@@ -166,49 +161,23 @@ def test_zero_probability_on_live_term_rejected():
         entry_variance_bound(A, B, bad, 1, 0, 0)
 
 
-def test_sample_size_frobenius_values():
-    assert sample_size_frobenius(1, 1.0, 0.5).count == 40
-    assert sample_size_frobenius(2, 1.0, 0.5).count == 160
-    assert sample_size_frobenius(2, 1.0, 0.5).raw == pytest.approx(160.0)
-    # quadratic in d
-    assert sample_size_frobenius(4, 1.0, 0.5).count == 4 * 160
-    for bad in ((0, 1.0, 0.5), (1, 0.0, 0.5), (1, 1.5, 0.5), (1, 1.0, 1.0),
-                (1, 1.0, 0.0)):
-        with pytest.raises(ValueError):
-            sample_size_frobenius(*bad)
-
-
-def test_sample_size_spectral_values():
-    got = sample_size_spectral(10, 1.0, 0.5, 0.1)
-    lead = 96.0 * 10 / 0.25
-    assert got.raw == pytest.approx(lead * math.log(lead / math.sqrt(0.1)),
-                                    rel=1e-14)
-    assert got.count == 36114
-    assert sample_size_spectral(20, 1.0, 0.5, 0.1).count > 2 * got.count
-    assert sample_size_spectral(10, 1.0, 0.5, 0.01).count > got.count
-    for bad in ((10, 1.0, 0.5, 1.0), (0, 1.0, 0.5, 0.1), (10, 0.0, 0.5, 0.1),
-                (10, 1.5, 0.5, 0.1), (10, 1.0, 0.0, 0.1), (10, 1.0, 1.0, 0.1)):
-        with pytest.raises(ValueError):
-            sample_size_spectral(*bad)
-
-
 def test_gram_sketch_error_full_sample():
     Q, _ = np.linalg.qr(make_rng(9).standard_normal((6, 3)))
     plan = SamplingPlan(indices=np.arange(6), scales=np.ones(6), n=6)
-    R = sampled_rows(Q, plan)
+    R = _rows(Q, plan)
     G = np.eye(3) - R.T @ R
-    spec, fro = spectral_norm(G), frobenius_norm(G)
+    spec, fro = spectral_norm(G), np.linalg.norm(G, "fro")
     assert spec <= 1e-12 and fro <= 1e-12
 
 
 def test_gram_sketch_error_scalar_case():
     u = np.zeros((5, 1))
     u[2, 0] = 1.0
-    plan = draw_plan(uniform_probs(5), 3, 1)
-    R = sampled_rows(u, plan)
+    sk = rand_matrix_multiply(u.T, u, 3, uniform_probs(5), 1)
+    R, plan = sk.R, sk.plan
     want = abs(1.0 - float(np.sum(plan.scales ** 2 * u[plan.indices, 0] ** 2)))
     G = np.eye(1) - R.T @ R
-    spec, fro = spectral_norm(G), frobenius_norm(G)
+    spec, fro = spectral_norm(G), np.linalg.norm(G, "fro")
     assert spec == pytest.approx(want, abs=1e-12)
     assert fro == pytest.approx(want, abs=1e-12)
 
@@ -219,7 +188,7 @@ def test_cauchy_schwarz_relation():
         A = rng.standard_normal((3, 4))
         B = rng.standard_normal((4, 3))
         lhs = (np.linalg.norm(A, axis=0) * np.linalg.norm(B, axis=1)).sum() ** 2
-        rhs = frobenius_norm(A) ** 2 * frobenius_norm(B) ** 2
+        rhs = np.linalg.norm(A, "fro") ** 2 * np.linalg.norm(B, "fro") ** 2
         assert lhs <= rhs * (1.0 + 1e-12)
 
 

@@ -3,8 +3,8 @@ import pytest
 import scipy.stats
 
 from rnla import (ProbVector, SamplingPlan, beta_of, colnorm_probs, draw_plan,
-                  leverage_probs, make_rng, optimal_probs, rownorm_probs,
-                  sampled_columns, sampled_rows, uniform_probs)
+                  make_rng, optimal_probs, rand_matrix_multiply, rownorm_probs,
+                  uniform_probs)
 
 
 def test_optimal_probs_hand_case():
@@ -48,20 +48,6 @@ def test_rownorm_probs():
     np.testing.assert_allclose(rownorm_probs(B).p, [0.1, 0.9], atol=1e-15)
     single = np.array([[0.0, 0.0], [2.0, 1.0]])
     np.testing.assert_allclose(rownorm_probs(single).p, [0.0, 1.0], atol=1e-15)
-
-
-def test_leverage_probs():
-    U = np.zeros((8, 2))
-    U[0, 0] = U[1, 1] = 1.0
-    p = leverage_probs(U)
-    np.testing.assert_allclose(p.p, [0.5, 0.5] + [0.0] * 6, atol=1e-15)
-    # square orthogonal -> uniform
-    Q, _ = np.linalg.qr(make_rng(0).standard_normal((4, 4)))
-    np.testing.assert_allclose(leverage_probs(Q).p, [0.25] * 4, atol=1e-12)
-    Q8, _ = np.linalg.qr(make_rng(1).standard_normal((8, 2)))
-    assert abs(leverage_probs(Q8).p.sum() - 1.0) <= 1e-12
-    with pytest.raises(ValueError, match="orthonormal"):
-        leverage_probs(np.ones((4, 2)))
 
 
 def test_leverage_scores_sum_to_dimension():
@@ -176,16 +162,15 @@ def test_plan_application_helpers():
     rng = make_rng(6)
     A = rng.standard_normal((4, 6))
     B = rng.standard_normal((6, 3))
-    plan = draw_plan(uniform_probs(6), 5, 3)
-    C = sampled_columns(A, plan)
-    R = sampled_rows(B, plan)
+    sk = rand_matrix_multiply(A, B, 5, uniform_probs(6), 3)
+    C, R, plan = sk.C, sk.R, sk.plan
     for t in range(5):
         i = plan.indices[t]
         np.testing.assert_allclose(C[:, t], A[:, i] * plan.scales[t],
                                    atol=1e-15)
         np.testing.assert_allclose(R[t, :], B[i, :] * plan.scales[t],
                                    atol=1e-15)
-    with pytest.raises(ValueError):
-        sampled_columns(A.T, plan)
-    with pytest.raises(ValueError):
-        sampled_rows(B.T, plan)
+    with pytest.raises(ValueError, match="columns"):
+        rand_matrix_multiply(A.T, B, 5, uniform_probs(6), 3)
+    with pytest.raises(ValueError, match="rows"):
+        rand_matrix_multiply(A, B.T, 5, uniform_probs(6), 3)
