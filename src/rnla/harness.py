@@ -18,9 +18,10 @@ Both products are then numpy's symmetric rank-k products, and
 E = A A^T - C C^T is exactly symmetric.
 
 Lsq and lowrank trials still enter through `rand_least_squares` and
-`rand_low_rank`, which scan A on every call: that scan is about 2% of their
-trial, and those public calls are the spans the benchmark times their solves
-by.
+`rand_low_rank`, which scan A on every call: at 131072 x 16 the scan of A
+and b takes about 3 ms of a 35 ms diagnostic lsq solve (one BLAS thread, a
+2-vCPU VM), and those public calls are the spans the benchmark times their
+solves by.
 
 A diagnostic matmul trial reports `spectral_error` = ||A B - C R||_2 without
 an SVD of the m x p error E: from an (n+c) x (n+c) core of two thin QRs when

@@ -219,7 +219,9 @@ def _sketch_and_solve(A, b, eps, seed, r_override, exact) -> LsqSolution:
             f"sketch rank deficient: rank(X A) = {f.rank} < d = {d} at r = {r}")
     x_tilde = f.pinv() @ sk[:, d]
     del f  # the sketch's factors are dead; free them before the second transform
-    residual = float(np.linalg.norm(A @ x_tilde - b))
+    res = A @ x_tilde
+    res -= b
+    residual = float(np.linalg.norm(res))
     report = None
     if exact is not None:
         if exact.V.shape != (d, d) or exact.bperp.shape != (n,):

@@ -58,7 +58,13 @@ buffer straight from the caller's arrays, a tuple of column blocks
 included, so no stacked or contiguous copy of the input is made.
 
 Reproducibility contract: one Philox stream per operator seed, sign draws
-consumed first, index draws second.
+consumed first, index draws second.  Sign i is +1 when the i-th of the n_pad
+deviates u lies below 0.5, else -1.  Index t is floor(u_t n_pad) for the t-th
+of the r deviates that follow.  That is the inverse-CDF draw of
+sampling.draw_plan from uniform_probs(n_pad): n_pad is a power of two, so
+each p_i = 1/n_pad and each cumulative sum (i+1)/n_pad is exact, and
+searchsorted(cum, u, side="right") counts the (i+1)/n_pad <= u, which is
+floor(u n_pad), with u n_pad itself exact.  No table is built.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ from functools import cache
 import numpy as np
 
 from .linalg import as_matrix
-from .sampling import SamplingPlan, _draw_indices, make_rng, uniform_probs
+from .sampling import SamplingPlan, make_rng
 
 __all__ = [
     "SketchRankError",
@@ -123,7 +129,7 @@ class SrhtOperator:
             raise ValueError("n_pad must be a power of two")
         s = np.ascontiguousarray(self.signs, dtype=np.float64)
         object.__setattr__(self, "signs", s)
-        if s.shape != (self.n_pad,) or not np.all(np.abs(s) == 1.0):
+        if s.shape != (self.n_pad,) or not np.all((s == 1.0) | (s == -1.0)):
             raise ValueError("signs must be a +-1 vector of length n_pad")
         if self.plan.n != self.n_pad:
             raise ValueError("plan must be drawn over n_pad")
@@ -309,14 +315,22 @@ def make_srht(n: int, r: int, seed: int, side: str = "left") -> SrhtOperator:
 
     n_pad is the smallest power of two >= n.  One Philox stream keyed on
     seed is consumed in a fixed order: n_pad sign draws first, then the r
-    uniform index draws.
+    uniform index draws.  Index t is floor(u_t n_pad), as
+    (u * n_pad).astype(int64): n_pad is a power of two, so u n_pad is exact,
+    and so are the cumulative sums (i+1)/n_pad of uniform_probs(n_pad), whose
+    inverse-CDF draw therefore gives the same indices (see the module
+    docstring).
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
     n_pad = next_pow2(n)
     rng = make_rng(seed)
-    signs = np.where(rng.random(n_pad) < 0.5, 1.0, -1.0)
-    idx = _draw_indices(rng, uniform_probs(n_pad).p, r)
+    signs = rng.random(n_pad)
+    # In place, np.where(u < 0.5, 1.0, -1.0) bit for bit: the largest double below
+    # 0.5, less u, is >= +0.0 exactly when u < 0.5, and copysign reads that sign.
+    np.subtract(np.nextafter(0.5, 0.0), signs, out=signs)
+    np.copysign(1.0, signs, out=signs)
+    idx = (rng.random(r) * n_pad).astype(np.int64)
     plan = SamplingPlan(indices=idx, scales=np.full(r, math.sqrt(n_pad / r)), n=n_pad)
     return SrhtOperator(n_pad=n_pad, signs=signs, plan=plan, side=side)
 

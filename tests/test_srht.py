@@ -9,7 +9,7 @@ from rnla import (OpCounter, SrhtOperator, coherence_check, draw_plan, fwht,
                   make_rng, make_srht, next_pow2, srht_apply, subsampled_fwht,
                   uniform_probs)
 from rnla import srht as srht_module
-from rnla.sampling import SamplingPlan
+from rnla.sampling import SamplingPlan, _draw_indices
 
 
 def _hadamard(n):
@@ -356,6 +356,67 @@ def test_make_srht_deterministic():
     assert a.r == a.plan.indices.size == 4
     assert np.all(np.abs(a.signs) == 1.0)
     np.testing.assert_allclose(a.plan.scales, math.sqrt(16 / 4), atol=1e-15)
+
+
+def _table_draw(rng, n_pad, r):
+    """make_srht's draw through the inverse-CDF table of uniform_probs(n_pad)."""
+    u = rng.random(n_pad)
+    return np.where(u < 0.5, 1.0, -1.0), _draw_indices(rng, uniform_probs(n_pad).p, r)
+
+
+@pytest.mark.parametrize("bits", range(21))
+def test_make_srht_draws_what_the_probability_table_draws(bits):
+    n_pad = 2 ** bits
+    n = n_pad // 2 + 1 if n_pad > 1 else 1
+    for seed, r in ((0, 1), (5, 37), (2 ** 100 + 3, min(3 * n_pad + 1, 4096))):
+        op = make_srht(n, r, seed)
+        signs, idx = _table_draw(make_rng(seed), n_pad, r)
+        assert op.n_pad == n_pad
+        assert op.signs.tobytes() == signs.tobytes()
+        assert op.plan.indices.tobytes() == idx.tobytes()
+
+
+class _Deviates:
+    """A generator stand-in that hands out the given deviates, in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, k):
+        u = self.draws.pop(0)
+        assert u.shape == (k,)
+        return u.copy()
+
+
+@pytest.mark.parametrize("bits", range(11))
+def test_make_srht_matches_the_table_on_boundary_deviates(bits, monkeypatch):
+    """Every j / n_pad and the deviate just below it, for signs and indices."""
+    n_pad = 2 ** bits
+    j = np.arange(n_pad + 1) / n_pad
+    below = np.nextafter(j, 0.0)
+    index_u = np.concatenate([j[:-1], below[1:]])
+    sign_u = np.resize([0.5, np.nextafter(0.5, 0.0), 0.0, np.nextafter(1.0, 0.0),
+                        np.nextafter(0.5, 1.0)], n_pad)
+    monkeypatch.setattr(srht_module, "make_rng",
+                        lambda seed: _Deviates(sign_u, index_u))
+    op = make_srht(n_pad, index_u.size, 0)
+    signs, idx = _table_draw(_Deviates(sign_u, index_u), n_pad, index_u.size)
+    assert op.signs.tobytes() == signs.tobytes()
+    assert op.plan.indices.tobytes() == idx.tobytes()
+    np.testing.assert_array_equal(idx, np.concatenate([np.arange(n_pad),
+                                                       np.arange(n_pad)]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, 0.5, 2.0, np.nextafter(1.0, 2.0),
+                                 np.nextafter(-1.0, -2.0), np.nan, np.inf, -np.inf])
+def test_operator_refuses_every_sign_outside_plus_minus_one(bad):
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    for i in range(signs.size):
+        poisoned = signs.copy()
+        poisoned[i] = bad
+        with pytest.raises(ValueError, match="signs must be a"):
+            SrhtOperator(n_pad=4, signs=poisoned, plan=_inorder_plan(4), side="left")
+    SrhtOperator(n_pad=4, signs=signs, plan=_inorder_plan(4), side="left")  # accepted
 
 
 def test_operator_validation():

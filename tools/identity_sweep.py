@@ -130,6 +130,15 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         report l.json
         report l.json --csv again.csv
     """)
+    # Padded operators: m (lsq) or n (lowrank) not a power of two, and more
+    # draws than n_pad, so indices repeat.
+    out["padded"] = _split("""
+        lsq --m 300 --n 4 --eps 0.5 --r 600 --trials 3 --seed 2
+        lsq --family consistent_lsq --m 1000 --n 3 --eps 0.5 --r 2000 --trials 2 --seed 4
+        lowrank --m 64 --n 20 --sigma 3,2,1 --eta 0.01 --k 2 --eps 0.25 --c 40 --trials 3 --seed 5
+        lowrank --family gaussian --m 50 --n 12 --k 2 --eps 0.25 --c 20 --trials 2
+        lowrank --m 20 --n 48 --sigma 3,2,1 --k 2 --eps 0.25 --c 70 --trials 2 --seed 1
+    """)
     out["matmul stdout"] = _split("""
         matmul --m 8 --n 6 --c 3 --trials 2 --csv m.csv
         matmul --family lowrank_plus_noise --sigma 2,1 --eta 0 --m 8 --n 6 --c 3 --trials 2
