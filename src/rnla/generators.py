@@ -44,7 +44,8 @@ def gen_matrix(family: str, m: int, n: int, seed: int,
         Noise level for lowrank_plus_noise: eta * standard-normal matrix is
         added after the factored part.
 
-    A sigma or a nonzero eta that the family does not read raises ValueError.
+    A sigma or a nonzero eta that the family does not read raises ValueError,
+    as do a sigma and eta whose matrix overflows float64: every result is finite.
     """
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
@@ -67,9 +68,12 @@ def gen_matrix(family: str, m: int, n: int, seed: int,
         # U block, V block, then noise.
         qu, _ = np.linalg.qr(rng.standard_normal((m, s.size)))
         qv, _ = np.linalg.qr(rng.standard_normal((n, s.size)))
-        A = (qu * s) @ qv.T
-        if eta != 0.0:
-            A = A + eta * rng.standard_normal((m, n))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+            A = (qu * s) @ qv.T
+            if eta != 0.0:
+                A = A + eta * rng.standard_normal((m, n))
+        if not np.isfinite(A).all():
+            raise ValueError("lowrank_plus_noise overflows float64 at this sigma and eta")
         return A
     if n > m:
         raise ValueError("coherent family needs m >= n")

@@ -7,10 +7,11 @@ of `lowrank._exact_low_rank` (A's singular values and U_k Sigma_k) and
 `lsq._exact_solve` (x_opt, Z, A's sigma and V, and bperp), each from one
 R-only QR, of A (or A^T) or of [A, b].  The solvers take the record.
 
-A matmul instance is validated once, when it is resolved: A and B pass
-`as_matrix` and the inner-dimension check there; each trial draws one plan and
-gathers C and R with the validated-input kernels `sampling._columns` and
-`_rows` (R = C.T for the Gram instance), so no trial rescans A or B.
+A run's instance is checked once, where it is made: the generators and the
+file readers return only finite arrays, so `_resolve_instance` validates
+nothing again.  Each matmul trial draws one plan and gathers C and R with
+the validated-input kernels `sampling._columns` and `_rows` (R = C.T for the
+Gram instance), so no trial rescans A or B.
 
 A file instance without its own B is the Gram instance, the product A A^T:
 B is the view A.T, not a copy, and a trial gathers only C and takes R = C.T.
@@ -18,10 +19,8 @@ Both products are then numpy's symmetric rank-k products, and
 E = A A^T - C C^T is exactly symmetric.
 
 Lsq and lowrank trials still enter through `rand_least_squares` and
-`rand_low_rank`, which scan A on every call: at 131072 x 16 the scan of A
-and b takes about 3 ms of a 35 ms diagnostic lsq solve (one BLAS thread, a
-2-vCPU VM), and those public calls are the spans the benchmark times their
-solves by.
+`rand_low_rank`, which scan A on every call; those public calls are the
+spans the benchmark times their solves by.
 
 A diagnostic matmul trial reports `spectral_error` = ||A B - C R||_2 without
 an SVD of the m x p error E: from an (n+c) x (n+c) core of two thin QRs when
@@ -72,7 +71,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .generators import gen_lsq_instance, gen_matrix
-from .linalg import _spectral_norm, as_matrix
+from .linalg import _spectral_norm
 from .lowrank import (_exact_low_rank, lowrank_sample_size_explicit,
                       rand_low_rank, structural_inequality_check)
 from .lsq import _exact_solve, rand_least_squares
@@ -180,44 +179,36 @@ MATMUL_PROBS = {"optimal": lambda A, B: optimal_probs(A, B),
                 "uniform": lambda A, B: uniform_probs(A.shape[1])}
 
 
-def _matrix(inst: dict, iseed: int) -> np.ndarray:
-    """A read from the instance's file, or generated from its family."""
-    if inst.get("family") == "file":
-        return read_matrix(inst["path"])
-    return gen_matrix(inst.get("family"), int(inst["m"]), int(inst["n"]), iseed,
-                      sigma=inst.get("sigma"), eta=float(inst.get("eta", 0.0)))
-
-
 def _resolve_instance(config: ExperimentConfig) -> dict:
-    """Build the problem data once; trials reuse it with fresh seeds."""
+    """Build the problem data once; trials reuse it with fresh seeds.
+
+    Its sources return finite float64 arrays, so it validates nothing.  It checks
+    only a file B's rows against A's columns, which no one source sees, and
+    `probs`; an lsq file b of the wrong length is the oracle's to refuse."""
     inst = config.instance
     fam = inst.get("family")
     iseed = int(inst.get("seed", config.base_seed))
     if config.algorithm == "lsq":
         if fam == "file":
-            A = read_matrix(inst["path"])
-            b = read_vector(inst["rhs"])
-            if A.shape[0] != b.size:
-                raise ValueError(f"A has {A.shape[0]} rows but b has length {b.size}")
-        else:
-            A, b, _ = gen_lsq_instance(int(inst["m"]), int(inst["n"]), iseed,
-                                       consistent=LSQ_FAMILIES.get(fam, False))
-        # Finite float64 as generated or read, so the oracle takes them as they are.
+            return {"A": read_matrix(inst["path"]), "b": read_vector(inst["rhs"])}
+        A, b, _ = gen_lsq_instance(int(inst["m"]), int(inst["n"]), iseed,
+                                   consistent=LSQ_FAMILIES.get(fam, False))
         return {"A": A, "b": b}
-    A = _matrix(inst, iseed)
+    if fam == "file":
+        A = read_matrix(inst["path"])
+    else:
+        A = gen_matrix(fam, int(inst["m"]), int(inst["n"]), iseed,
+                       sigma=inst.get("sigma"), eta=float(inst.get("eta", 0.0)))
     if config.algorithm == "lowrank":
         return {"A": A}
     gram = fam == "file" and "path_b" not in inst
     if gram:
-        B = None
+        B = A.T
     elif fam == "file":
         B = read_matrix(inst["path_b"])
     else:
         B = gen_matrix("gaussian", A.shape[1], int(inst.get("p", A.shape[0])),
                        iseed + 1)
-    # Validated here once: the trials run the matmul kernel on A and B as given.
-    A = as_matrix(A)
-    B = A.T if gram else as_matrix(B)
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"A is {A.shape[0]} x {A.shape[1]} but B is "
                          f"{B.shape[0]} x {B.shape[1]}: inner dimensions differ")
@@ -499,10 +490,14 @@ def run_check_suite(suite: str, params: dict, seed: int) -> TrialReport:
     if suite not in CHECK_SUITES:
         raise ValueError(f"unknown check suite {suite!r}; "
                          f"choose from {sorted(CHECK_SUITES)}")
-    fn = CHECK_SUITES[suite][0]
+    fn, reach = CHECK_SUITES[suite]
     extra = sorted(set(params) - set(fn.__kwdefaults__))
     if extra:
         raise ValueError(f"check suite {suite!r} takes no {', '.join(extra)}")
+    if not 0 <= seed < _KEY_LIMIT - reach:
+        uses = f"seeds seed .. seed + {reach}" if reach else "seed"
+        raise ValueError(f"check {suite} {uses} must lie in [0, 2**128), "
+                         f"got seed = {seed}")
     return fn(seed, **params)
 
 

@@ -65,7 +65,11 @@ def write_matrix(path, M) -> None:
     Raises ValueError, before the file is opened, on an empty matrix:
     neither format reads one back.
     """
-    M = as_matrix(M)
+    _write(path, as_matrix(M))
+
+
+def _write(path, M: np.ndarray) -> None:
+    """write_matrix of an already validated matrix."""
     if M.size == 0:
         raise ValueError(f"{path}: dimensions must be positive, got "
                          f"{M.shape[0]} x {M.shape[1]}")
@@ -87,7 +91,7 @@ def read_matrix(path) -> np.ndarray:
 
 def write_vector(path, v) -> None:
     """Write a vector as an n x 1 matrix."""
-    write_matrix(path, as_vector(v).reshape(-1, 1))
+    _write(path, as_vector(v).reshape(-1, 1))
 
 
 def read_vector(path) -> np.ndarray:

@@ -2,20 +2,24 @@
 
 Each exported function scans each array its caller passes for NaN/Inf once,
 at entry; nothing of A's size is scanned again inside the call, and a
-non-finite caller array is still refused with ValueError.  An experiment is
-one more boundary: the harness validates a matmul instance when it resolves
-it, and the trials then run the private kernel, so a run's scans of A-sized
+non-finite caller array is still refused with ValueError.  An experiment's
+instance is checked where it is made: the generators and the file readers
+return only finite, row-major float64 arrays, the harness validates nothing
+again, and matmul trials run the private kernel, so a run's scans of A-sized
 arrays do not grow with its trial count.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from rnla import (ExperimentConfig, coherence_check, draw_plan, exact_least_squares,
                   exact_low_rank, fwht, gen_lsq_instance, gen_matrix, make_srht,
-                  rand_least_squares, rand_low_rank, rand_matrix_multiply, srht_apply,
-                  run_experiment, structural_inequality_check, subsampled_fwht,
-                  thin_svd, uniform_probs, write_matrix)
+                  rand_least_squares, rand_low_rank, rand_matrix_multiply, read_matrix,
+                  read_vector, srht_apply, run_experiment, structural_inequality_check,
+                  subsampled_fwht, thin_svd, uniform_probs, write_matrix, write_vector)
+from rnla.generators import MATRIX_FAMILIES
 
 A_LSQ, B_LSQ, _ = gen_lsq_instance(256, 4, 1)
 A_LR = gen_matrix("lowrank_plus_noise", 64, 48, 2, sigma=(8.0, 6.0, 4.0), eta=0.01)
@@ -44,6 +48,8 @@ SCANS = {
         A_LR, Z_LR, 3), A_LR, 1),
     "fwht": (lambda: fwht(X_FWHT), X_FWHT, 1),
     "coherence_check": (lambda: coherence_check(U_COH, make_srht(64, 8, 0)), U_COH, 1),
+    "write_matrix": (lambda: write_matrix(os.devnull, A_LR), A_LR, 1),
+    "write_vector": (lambda: write_vector(os.devnull, X_FWHT), X_FWHT, 1),
 }
 
 
@@ -85,6 +91,39 @@ def test_matmul_run_scans_do_not_grow_with_trials(tmp_path, monkeypatch, source)
             "matmul", instance, {"c": 8, "probs": "optimal"}, trials, base_seed=0))
 
     assert _scans(monkeypatch, run(2), A) == _scans(monkeypatch, run(6), A) > 0
+
+
+def _file(tmp_path, name, M):
+    path = tmp_path / name
+    write_matrix(path, M)
+    return path
+
+
+# Every source of a run's instance: the harness takes what these return as is.
+FAMILY_KEYWORDS = {"lowrank_plus_noise": {"sigma": (3.0, 2.0), "eta": 0.1}}
+SOURCES = {
+    **{family: lambda tmp, family=family: gen_matrix(
+        family, 9, 5, 1, **FAMILY_KEYWORDS.get(family, {}))
+       for family in MATRIX_FAMILIES},
+    "lowrank_plus_noise-eta0": lambda tmp: gen_matrix(
+        "lowrank_plus_noise", 5, 9, 1, sigma=(1.0,)),
+    "gen_lsq_instance": lambda tmp: gen_lsq_instance(9, 3, 2),
+    "gen_lsq_instance-consistent": lambda tmp: gen_lsq_instance(9, 3, 2, consistent=True),
+    "read_matrix-text": lambda tmp: read_matrix(_file(tmp, "a.mtx", B_MM)),
+    "read_matrix-binary": lambda tmp: read_matrix(_file(tmp, "a.bin", B_MM)),
+    "read_vector-column": lambda tmp: read_vector(_file(tmp, "v.mtx", B_MM[:, :1])),
+    "read_vector-row": lambda tmp: read_vector(_file(tmp, "v.bin", B_MM[:1])),
+}
+
+
+@pytest.mark.parametrize("name", list(SOURCES))
+def test_instance_sources_return_finite_row_major_float64(tmp_path, name):
+    out = SOURCES[name](tmp_path)
+    arrays = [a for a in (out if isinstance(out, tuple) else (out,)) if a is not None]
+    assert arrays
+    for a in arrays:
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert np.isfinite(a).all()
 
 
 def _poison(M, value):

@@ -435,6 +435,30 @@ def test_lsq_files_of_mismatched_lengths_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+OVERFLOW = ["--m", "16", "--n", "8", "--sigma", "1e308,1e308", "--eta", "1e308"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lowrank", *OVERFLOW, "--k", "1", "--eps", "0.25", "--c", "4"],
+    ["matmul", "--family", "lowrank_plus_noise", *OVERFLOW, "--c", "4"],
+    ["gen", "lowrank_plus_noise", *OVERFLOW],
+], ids=["lowrank", "matmul", "gen"])
+def test_an_instance_that_overflows_is_refused_by_its_generator(
+        tmp_path, capsys, monkeypatch, argv):
+    """Exit 2 with the generator's message and no file; no oracle or trial runs."""
+    calls = []
+    monkeypatch.setattr(rnla.harness, "_exact_low_rank", lambda *a: calls.append(a))
+    for name in rnla.harness._TRIAL_RUNNERS:
+        monkeypatch.setitem(rnla.harness._TRIAL_RUNNERS, name,
+                            lambda *a: calls.append(a))
+    out = tmp_path / "out.mtx"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "rnla: error: lowrank_plus_noise overflows float64 at this sigma and eta\n")
+    assert not out.exists()
+    assert calls == []
+
+
 def test_malformed_sigma_is_usage_error(capsys):
     assert main(["lowrank", "--m", "8", "--n", "6", "--sigma", "1,x", "--k", "1",
                  "--eps", "0.25", "--c", "4"]) == 1

@@ -94,8 +94,11 @@ def test_a_family_keyword_the_family_does_not_read_ends_the_run_before_a_trial(
     (lambda: gen_matrix("cauchy", 4, 3, 0), "unknown family 'cauchy'"),
     (lambda: gen_lsq_instance(3, 4, 0), "need n >= d >= 1"),
     (lambda: gen_lsq_instance(3, 0, 0), "need n >= d >= 1"),
+    (lambda: gen_matrix("lowrank_plus_noise", 16, 8, 0, sigma=(1e308, 1e308),
+                        eta=1e308),
+     "^lowrank_plus_noise overflows float64 at this sigma and eta$"),
 ], ids=["dims", "gaussian-sigma", "coherent-eta", "sigma-negative", "sigma-long",
-        "coherent-wide", "family", "lsq-wide", "lsq-d0"])
+        "coherent-wide", "family", "lsq-wide", "lsq-d0", "overflow"])
 def test_generators_refuse_shapes_they_cannot_build(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -662,6 +665,26 @@ def test_check_suites_pass():
     assert t.flags["success"] and t.flags["identity_ok"] and t.flags["split_ok"]
     with pytest.raises(ValueError, match="unknown check suite"):
         run_check_suite("qr", {}, 0)
+
+
+@pytest.mark.parametrize("suite", sorted(rnla.harness.CHECK_SUITES))
+def test_check_suites_refuse_seeds_outside_the_key_range_before_running(
+        monkeypatch, suite):
+    """Every key a suite derives, seed .. seed + reach, must lie in [0, 2**128):
+    a seed outside is refused before any instance or stream is made."""
+    reach = rnla.harness.CHECK_SUITES[suite][1]
+    uses = "seeds seed .. seed + 1" if reach else "seed"
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in ("gen_matrix", "gen_lsq_instance", "make_rng"):
+            patch.setattr(rnla.harness, name, lambda *a, **k: calls.append(a))
+        for seed in (-1, 2**128 - reach):
+            with pytest.raises(ValueError) as info:
+                run_check_suite(suite, {}, seed)
+            assert str(info.value) == (f"check {suite} {uses} must lie in "
+                                       f"[0, 2**128), got seed = {seed}")
+    assert calls == []
+    assert run_check_suite(suite, {}, 2**128 - reach - 1).seed == 2**128 - reach - 1
 
 
 def test_check_suites_refuse_parameters_they_do_not_take():

@@ -139,6 +139,33 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         lowrank --family gaussian --m 50 --n 12 --k 2 --eps 0.25 --c 20 --trials 2
         lowrank --m 20 --n 48 --sigma 3,2,1 --k 2 --eps 0.25 --c 70 --trials 2 --seed 1
     """)
+    # Each branch of the harness's instance resolution: lsq, lowrank and
+    # matmul from files and from generators, the Gram and file-B matmul, an
+    # lsq right-hand side one entry short (refused by the oracle), a file B
+    # whose rows miss A's columns, and lowrank_plus_noise at large, finite
+    # sigma and eta.
+    out["resolve"] = _split("""
+        gen gaussian --m 40 --n 12 --seed 1 --out A.mtx
+        gen gaussian --m 12 --n 30 --seed 2 --out B.bin
+        gen gaussian --m 11 --n 30 --seed 3 --out B11.mtx
+        gen consistent_lsq --m 64 --n 4 --seed 5 --out L.bin --rhs-out b.mtx
+        gen gaussian --m 63 --n 1 --seed 6 --out short.mtx
+        gen gaussian --m 1 --n 64 --seed 7 --out row.rnla
+        lsq --in L.bin --rhs b.mtx --eps 0.5 --r 32 --trials 2 --seed 1
+        lsq --in L.bin --rhs row.rnla --eps 0.5 --r 32 --trials 2 --out row.json
+        lsq --in L.bin --rhs short.mtx --eps 0.5 --r 32 --trials 2 --out short.json
+        lsq --m 64 --n 4 --eps 0.5 --r 32 --trials 2 --seed 3
+        lsq --family consistent_lsq --m 64 --n 4 --eps 0.5 --r 32 --trials 2 --no-diagnostics
+        lowrank --in A.mtx --k 2 --eps 0.25 --c 6 --trials 2 --seed 2
+        lowrank --m 40 --n 12 --sigma 1e150,1e149 --eta 1e140 --k 1 --eps 0.25 --c 6 --trials 2
+        lowrank --family coherent --m 40 --n 12 --k 2 --eps 0.25 --c 6 --trials 2
+        matmul --in A.mtx --c 8 --trials 2 --probs uniform
+        matmul --in A.mtx --in-b B.bin --c 8 --trials 2 --probs rownorm --out ab.json
+        matmul --in A.mtx --in-b B11.mtx --c 8 --trials 2 --out bad.json
+        matmul --m 12 --n 8 --p 5 --c 4 --trials 2 --probs colnorm
+        matmul --family lowrank_plus_noise --m 12 --n 8 --sigma 1e60,1e50 --eta 1e40 --c 4 --trials 2
+        matmul --family coherent --m 12 --n 8 --c 4 --trials 2
+    """)
     out["matmul stdout"] = _split("""
         matmul --m 8 --n 6 --c 3 --trials 2 --csv m.csv
         matmul --family lowrank_plus_noise --sigma 2,1 --eta 0 --m 8 --n 6 --c 3 --trials 2
