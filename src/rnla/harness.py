@@ -9,14 +9,16 @@ R-only QR, of A (or A^T) or of [A, b].  The solvers take the record.
 
 A run's instance is checked once, where it is made: the generators and the
 file readers return only finite arrays, so `_resolve_instance` validates
-nothing again.  Each matmul trial draws one plan and gathers C and R with
-the validated-input kernels `sampling._columns` and `_rows` (R = C.T for the
-Gram instance), so no trial rescans A or B.
+nothing again.  Each matmul trial draws one plan and gathers R with the
+validated-input kernel `sampling._rows` and C with `_columns` (C = R.T for
+the Gram instance), so no trial rescans A or B.
 
 A file instance without its own B is the Gram instance, the product A A^T:
-B is the view A.T, not a copy, and a trial gathers only C and takes R = C.T.
-Both products are then numpy's symmetric rank-k products, and
-E = A A^T - C C^T is exactly symmetric.
+B is a row-major copy of A.T, made once per run, which the probabilities and
+the bound read without copying it again.  A trial gathers contiguous rows R
+of it and takes C = R.T, a view, so it never gathers A's strided columns.
+The exact product A @ A.T (on the view A.T) and C @ R are then numpy's
+symmetric rank-k products, and E = A A^T - C C^T is exactly symmetric.
 
 Lsq and lowrank trials still enter through `rand_least_squares` and
 `rand_low_rank`, which scan A on every call; those public calls are the
@@ -203,7 +205,7 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
         return {"A": A}
     gram = fam == "file" and "path_b" not in inst
     if gram:
-        B = A.T
+        B = np.ascontiguousarray(A.T)
     elif fam == "file":
         B = read_matrix(inst["path_b"])
     else:
@@ -261,10 +263,13 @@ def _trial_matmul(ctx: dict, params: dict, seed: int, diagnostics: bool) -> Tria
     A, B, probs = ctx["A"], ctx["B"], ctx["probs"]
     c = int(params["c"])
     plan = draw_plan(probs, c, seed)
-    C = _columns(A, plan)
-    # B = A.T: R = C.T, so A @ B and C @ R are symmetric products.
-    R = C.T if ctx["gram"] else _rows(B, plan)
-    AB, bound = _oracle(ctx, lambda: (A @ B, expected_frobenius_error(A, B, c, probs)))
+    R = _rows(B, plan)
+    # The Gram B is a row-major copy of A.T: C = R.T gathers nothing, and
+    # A @ A.T (on the view) and C @ R are numpy's symmetric products.
+    gram = ctx["gram"]
+    C = R.T if gram else _columns(A, plan)
+    AB, bound = _oracle(ctx, lambda: (A @ A.T if gram else A @ B,
+                                      expected_frobenius_error(A, B, c, probs)))
     E = C @ R
     np.subtract(AB, E, out=E)
     fro_sq = float(np.sum(E * E))
@@ -357,6 +362,29 @@ def run_trials(config: ExperimentConfig) -> list[TrialReport]:
     return out
 
 
+def _mean_se(vals: list) -> tuple[float, float]:
+    """Mean and standard error of finite values.
+
+    Each is the plain formula unless its sum overflows; that one is then
+    taken over the values scaled by their largest magnitude, so it is finite.
+    """
+    n = len(vals)
+    scale = max(abs(v) for v in vals)
+    mean = sum(vals) / n
+    if not math.isfinite(mean):
+        mean = sum(v / scale for v in vals) / n * scale
+    if n < 2:
+        return mean, 0.0
+    try:
+        var = sum((v - mean) ** 2 for v in vals) / (n - 1)
+    except OverflowError:
+        var = math.inf
+    if math.isfinite(var):
+        return mean, math.sqrt(var / n)
+    var = sum((v / scale - mean / scale) ** 2 for v in vals) / (n - 1)
+    return mean, scale * math.sqrt(var / n)
+
+
 def aggregate(trials: list[TrialReport]) -> AggregateReport:
     """Deterministic fold over trials in index order."""
     succ = sum(1 for t in trials if t.ok and t.flags.get("success", False))
@@ -365,13 +393,7 @@ def aggregate(trials: list[TrialReport]) -> AggregateReport:
     stats = {}
     for name in names:
         vals = [t.metrics[name] for t in ok_trials if name in t.metrics]
-        n = len(vals)
-        mean = sum(vals) / n
-        if n >= 2:
-            var = sum((v - mean) ** 2 for v in vals) / (n - 1)
-            se = math.sqrt(var / n)
-        else:
-            se = 0.0
+        mean, se = _mean_se(vals)
         stats[name] = {"mean": mean, "se": se, "min": min(vals), "max": max(vals)}
     return AggregateReport(
         success_rate=succ / len(trials),

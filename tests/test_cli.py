@@ -459,6 +459,17 @@ def test_an_instance_that_overflows_is_refused_by_its_generator(
     assert calls == []
 
 
+def test_a_run_whose_metric_deviations_overflow_a_float_is_reported(tmp_path):
+    """Every metric is finite, but (v - mean)**2 of fro_error_sq is not."""
+    out = tmp_path / "r.json"
+    assert main(["matmul", "--family", "lowrank_plus_noise", "--m", "12", "--n", "8",
+                 "--sigma", "1e150,1e140", "--eta", "1e130", "--c", "4",
+                 "--trials", "2", "--out", str(out)]) == 0
+    fro = load_report(out)["aggregate"]["metrics"]["fro_error_sq"]
+    assert fro["max"] > 1e300
+    assert fro["se"] == pytest.approx((fro["max"] - fro["min"]) / 2, rel=1e-12)
+
+
 def test_malformed_sigma_is_usage_error(capsys):
     assert main(["lowrank", "--m", "8", "--n", "6", "--sigma", "1,x", "--k", "1",
                  "--eps", "0.25", "--c", "4"]) == 1

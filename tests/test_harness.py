@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -131,9 +132,11 @@ def test_unknown_probs_family_is_fatal():
 def test_matmul_file_instance_defaults_to_gram(tmp_path):
     """With no B file a trial samples A A^T as C C^T: bit for bit the public
     product with B = A.T, whose R is exactly C.T.  (3, 4, 3) takes the
-    symmetric rule of `_spectral_error`, (40, 3, 4) the factored core."""
-    for m, n, c in [(3, 4, 3), (40, 3, 4)]:
-        path = tmp_path / f"a{m}.mtx"
+    symmetric rule of `_spectral_error`, (40, 3, 4) the factored core, and
+    the benchmark's (256, 4096, 256) the symmetric rule with every product
+    formed by numpy's blocked kernels."""
+    for m, n, c in [(3, 4, 3), (40, 3, 4), (256, 4096, 256)]:
+        path = tmp_path / f"a{m}.bin"
         write_matrix(path, gen_matrix("gaussian", m, n, m))
         A = read_matrix(path)
         cfg = ExperimentConfig("matmul", {"family": "file", "path": str(path)},
@@ -149,6 +152,45 @@ def test_matmul_file_instance_defaults_to_gram(tmp_path):
             assert t.bounds == {"expected_fro_err_sq": bound}
             assert t.metrics == {"fro_error_sq": float(np.sum(E * E)),
                                  "spectral_error": _spectral_error(A, A.T, C, C.T, E)}
+
+
+def test_gram_trials_gather_rows_of_a_row_major_a_transpose(tmp_path, monkeypatch):
+    """The Gram B is a C-contiguous copy of A.T; no trial gathers A's columns.
+    A file B takes `_columns` once per trial, so the counter does count."""
+    calls = []
+    columns = rnla.harness._columns
+    monkeypatch.setattr(rnla.harness, "_columns",
+                        lambda A, plan: calls.append(A.shape) or columns(A, plan))
+    path, path_b = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    write_matrix(path, gen_matrix("gaussian", 12, 20, 1))
+    write_matrix(path_b, gen_matrix("gaussian", 20, 12, 2))
+    gram = ExperimentConfig("matmul", {"family": "file", "path": str(path)},
+                            {"c": 30, "probs": "optimal"}, trials=3, base_seed=0)
+    ctx = rnla.harness._resolve_instance(gram)
+    assert ctx["gram"] and ctx["B"].flags.c_contiguous
+    assert np.array_equal(ctx["B"], read_matrix(path).T)
+    assert all(t.ok for t in run_trials(gram))
+    assert calls == []
+    inst = {"family": "file", "path": str(path), "path_b": str(path_b)}
+    run_trials(ExperimentConfig("matmul", inst, {"c": 30}, trials=3, base_seed=0))
+    assert calls == [(12, 20)] * 3
+
+
+def test_gram_run_peak_memory_is_bounded(tmp_path):
+    """A run on the bench's Gram instance holds at most 3.2x A at its peak:
+    A, its row-major transpose, and one trial's gathers and products."""
+    path = tmp_path / "a.bin"
+    write_matrix(path, gen_matrix("gaussian", 256, 4096, 1))
+    cfg = ExperimentConfig("matmul", {"family": "file", "path": str(path)},
+                           {"c": 256, "probs": "optimal"}, trials=3, base_seed=1)
+    run_trials(cfg)  # the first run in a process also pays one-time lazy imports
+    tracemalloc.start()
+    try:
+        run_trials(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * 256 * 4096 * 8
 
 
 @pytest.mark.parametrize("probs", ["optimal", "colnorm", "rownorm", "uniform"])
@@ -520,6 +562,25 @@ def test_aggregate_edge_cases():
     assert agg.metrics["m"]["se"] == 0.0
     assert agg.metrics["extra"]["se"] == 0.0  # single observation
     assert agg.metrics["extra"]["mean"] == 7.0
+
+
+def test_aggregate_scales_the_sums_that_overflow():
+    """Finite metrics whose squared deviations (or plain sum) overflow a float
+    still give a finite mean and se, from the values over their largest one."""
+    def stats(*vals):
+        trials = [TrialReport(seed=i, metrics={"m": v}) for i, v in enumerate(vals)]
+        return aggregate(trials).metrics["m"]
+
+    # (v - mean)**2 = 1e400: se = |v1 - v2| / 2 for two values.
+    assert stats(1e200, -1e200) == {"mean": 0.0, "se": 1e200, "min": -1e200,
+                                    "max": 1e200}
+    # The sum is 3e308: mean = 1.5e308 from (1 + 1) / 2 scaled back, se = 0.
+    assert stats(1.5e308, 1.5e308) == {"mean": 1.5e308, "se": 0.0,
+                                       "min": 1.5e308, "max": 1.5e308}
+    # Both sums overflow: deviations +-0.75e308 give se = 0.75e308.
+    s = stats(1.5e308, 0.0, 1.5e308, 0.0)
+    assert s["mean"] == 0.75e308
+    assert s["se"] == pytest.approx(0.75e308 / math.sqrt(3.0), rel=1e-15)
 
 
 def test_report_round_trip_exact(tmp_path):

@@ -96,12 +96,17 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         gen gaussian --m 6 --n 4 --sigma 1 --out bad.mtx
         gen consistent_lsq --m 9 --n 3 --out bad.mtx
     """)
+    # Gram calls (a file A with no B) take the symmetric rule, the factored
+    # core (F.mtx: n + c < m) and more draws than columns (c = 30 > n = 12).
     out["file instances"] = _split("""
         gen gaussian --m 40 --n 12 --seed 1 --out A.mtx
         gen gaussian --m 12 --n 30 --seed 2 --out B.bin
         gen gaussian --m 11 --n 30 --seed 3 --out B11.mtx
         gen consistent_lsq --m 256 --n 4 --seed 5 --out L.mtx --rhs-out b.mtx
+        gen gaussian --m 40 --n 3 --seed 4 --out F.mtx
         matmul --in A.mtx --c 8 --trials 3 --seed 2 --out gram.json
+        matmul --in F.mtx --c 4 --trials 3 --seed 2 --out gram_core.json
+        matmul --in A.mtx --c 30 --trials 3 --seed 2 --out gram_repeats.json
         matmul --in A.mtx --in-b B.bin --c 8 --trials 3 --seed 2 --out ab.json --csv ab.csv
         matmul --in A.mtx --in-b B11.mtx --c 8 --trials 3 --out mismatched.json
         lsq --in L.mtx --rhs b.mtx --eps 0.5 --r 64 --trials 3 --seed 1 --out l.json
