@@ -45,10 +45,12 @@ except for wall-time fields.
 A check suite's parameters are its keyword-only defaults, which are also the
 CLI's check flags; `run_check_suite` refuses any other.  An experiment's
 params are `ALGORITHM_PARAMS`, which are also the CLI's algorithm flags;
-`ExperimentConfig` refuses any other.  It also refuses an unknown lsq family
-and an instance key that its algorithm does not read (`_INSTANCE_KEYS`), and
-`gen_matrix` refuses a family keyword its family does not read.  The CLI's
-lsq families and matmul probabilities are `LSQ_FAMILIES` and `MATMUL_PROBS`.
+`ExperimentConfig` refuses any other.  It also refuses an unknown lsq family,
+an instance key that its algorithm does not read (`_INSTANCE_KEYS`), and a
+config without a key its run needs (`_INSTANCE_NEEDS`, `_PARAM_NEEDS`), so
+no generator, reader or oracle runs first; `gen_matrix` refuses a family
+keyword its family does not read.  The CLI's lsq families and matmul
+probabilities are `LSQ_FAMILIES` and `MATMUL_PROBS`.
 
 `run_experiment` is the one way to run an experiment; the CLI renders the
 dict it returns with `dumps_report` and writes the text itself.  The record
@@ -73,7 +75,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .generators import gen_lsq_instance, gen_matrix
-from .linalg import _spectral_norm
+from .linalg import _hstack_f, _spectral_norm
 from .lowrank import (_exact_low_rank, lowrank_sample_size_explicit,
                       rand_low_rank, structural_inequality_check)
 from .lsq import _exact_solve, rand_least_squares
@@ -132,6 +134,15 @@ class ExperimentConfig:
         if extra:
             raise ValueError(f"a {fam or 'generated'} {self.algorithm} instance "
                              f"reads no {', '.join(extra)}")
+        generated, from_file = _INSTANCE_NEEDS[self.algorithm]
+        missing = [k for k in (from_file if fam == "file" else generated)
+                   if k not in self.instance]
+        if missing:
+            raise ValueError(f"a {fam or 'generated'} {self.algorithm} instance "
+                             f"needs {', '.join(missing)}")
+        missing = [k for k in _PARAM_NEEDS[self.algorithm] if k not in self.params]
+        if missing:
+            raise ValueError(f"{self.algorithm} needs param {', '.join(missing)}")
         # The instance seed defaults to base_seed; a generated matmul B uses it + 1.
         iseed = int(self.instance.get("seed", self.base_seed))
         reach = int(self.algorithm == "matmul" and fam != "file")
@@ -173,6 +184,9 @@ _INSTANCE_KEYS = {
     "lsq": (("family", "m", "n", "seed"), ("family", "seed", "path", "rhs")),
     "lowrank": (("family", "m", "n", "seed", "sigma", "eta"), ("family", "seed", "path")),
 }
+# The instance keys each algorithm cannot run without: (generated, from files).
+_INSTANCE_NEEDS = {"matmul": (("m", "n"), ("path",)), "lsq": (("m", "n"), ("path", "rhs")),
+                   "lowrank": (("m", "n"), ("path",))}
 
 # Matmul probabilities of the validated A and B; each looks its callee up by name.
 MATMUL_PROBS = {"optimal": lambda A, B: optimal_probs(A, B),
@@ -248,13 +262,14 @@ def _spectral_error(A, B, C, R, E) -> float:
 
     E = [A, C] @ [B; -R] has rank at most n + c.  When n + c < min(m, p), the
     triangular factors R1 of [A, C] and R2 of [B^T, -R^T] give an (n+c) x (n+c)
-    core R1 @ R2^T with E's singular values.  Otherwise E or its min(m, p)^2
+    core R1 @ R2^T with E's singular values; both stacks are built
+    column-major, the layout LAPACK reads.  Otherwise E or its min(m, p)^2
     Gram is the smallest, and `spectral_norm`'s kernel takes E.  No m x p
     matrix is factored.
     """
     if A.shape[1] + C.shape[1] < min(E.shape):
-        R1 = np.linalg.qr(np.hstack([A, C]), mode="r")
-        R2 = np.linalg.qr(np.hstack([B.T, -R.T]), mode="r")
+        R1 = np.linalg.qr(_hstack_f([A, C]), mode="r")
+        R2 = np.linalg.qr(_hstack_f([B.T, -R.T]), mode="r")
         return float(np.linalg.svd(R1 @ R2.T, compute_uv=False)[0])
     return _spectral_norm(E)
 
@@ -336,9 +351,11 @@ _TRIAL_RUNNERS = {
     "lsq": _trial_lsq,
     "lowrank": _trial_lowrank,
 }
-# The params each trial runner reads; a config with any other is refused.
+# The params each trial runner reads; a config with any other is refused, and
+# so is one without those it cannot run without.
 ALGORITHM_PARAMS = {"matmul": ("c", "probs"), "lsq": ("eps", "r"),
                     "lowrank": ("k", "eps", "c")}
+_PARAM_NEEDS = {"matmul": ("c",), "lsq": ("eps",), "lowrank": ("k", "eps")}
 
 
 def run_trials(config: ExperimentConfig) -> list[TrialReport]:

@@ -3,8 +3,10 @@ and a row-blocked QR of tall matrices.
 
 Every randomized routine in this package is judged against these deterministic
 kernels, so they carry the tightest tolerances in the library.  Matrices are
-plain 2-d float64 ndarrays in row-major (C) order.  Exported functions call
-``as_matrix`` once at entry; private kernels take validated arrays.
+plain 2-d float64 ndarrays in row-major (C) order, except those built only to
+be handed to LAPACK, which are built column-major, the order it reads.
+Exported functions call ``as_matrix`` once at entry; private kernels take
+validated arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ RANK_ZERO_FLOOR = 1e-300
 # Elements per row block of _tall_qr (128 KiB of float64), so a block stays in
 # cache while it is factored.
 _QR_CHUNK = 2 ** 14
+# Full-size row blocks of _tall_qr per stacked np.linalg.qr call.
+_QR_GROUP = 8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -79,15 +83,17 @@ def _spectral_norm(M: np.ndarray) -> float:
     m, n = M.shape
     if M.size == 0:
         return 0.0
+    # M and its Gram are exactly symmetric, so each is passed transposed: the
+    # same values, column-major, which LAPACK reads without a transposing copy.
     if m == n and np.array_equal(M, M.T):
-        return float(np.max(np.abs(np.linalg.eigvalsh(M))))
+        return float(np.max(np.abs(np.linalg.eigvalsh(M.T))))
     e = int(np.frexp(max(M.max(), -M.min()))[1])
     if abs(e) > 256:
         M = np.ldexp(M, -e)
     else:
         e = 0
     G = M @ M.T if m <= n else M.T @ M
-    return math.ldexp(math.sqrt(max(0.0, float(np.linalg.eigvalsh(G)[-1]))), e)
+    return math.ldexp(math.sqrt(max(0.0, float(np.linalg.eigvalsh(G.T)[-1]))), e)
 
 
 @dataclass(frozen=True)
@@ -156,28 +162,57 @@ def _tall_qr(blocks: tuple) -> np.ndarray:
     """R of the reduced Householder QR of M = [B_1, ..., B_j] (TSQR, R only).
 
     The blocks are validated arrays of equal height m, each 2-d or 1-d (one
-    column), k columns in all.  Each row block of max(16k, _QR_CHUNK // k)
-    rows (_QR_CHUNK elements up to k = 32, so it stays in cache; above, the
-    stack stays m/16 rows) is copied from the B_i into one reused buffer and
-    factored, keeping R_i only; a tail shorter than k rows joins the block
-    before it.  The stacked [R_1; ...; R_p] is factored once more for R; an M
-    under two blocks is factored whole, a lone B_1 in place.  No Q is formed,
-    and R is geqrf's either way.  (Demmel, Grigori, Hoemmen & Langou, SISC 2012.)
+    column), k columns in all.  M is cut into row blocks of max(16k,
+    _QR_CHUNK // k) rows (_QR_CHUNK elements up to k = 32, so a block stays in
+    cache; above, the stack stays m/16 rows), and a tail shorter than k rows
+    joins the block before it.  The full-size blocks are copied from the B_i,
+    _QR_GROUP at a time, into one reused buffer and factored by one stacked
+    np.linalg.qr call; the last block is factored on its own.  Only each R_i
+    is kept, and the stacked [R_1; ...; R_p] is factored once more for R.  An
+    M under two blocks is factored whole.  No Q is formed.  (Demmel, Grigori,
+    Hoemmen & Langou, SISC 2012.)
+
+    Every matrix built here for LAPACK is column-major: np.linalg.qr copies
+    its operand in the operand's own layout and LAPACK reads columns, so a
+    row-major block would be transposed on the way in and again on the way
+    out.  geqrf sees the same values either way, so R is bit-identical to
+    factoring row-major blocks.  A lone B_1 factored whole is passed as it
+    is: a column-major copy of the low-rank oracle's A costs about what it
+    saves in the QR, and raises the oracle's traced peak from 2.0x to 2.6x A.
     """
     cols = [B.reshape(B.shape[0], -1) for B in blocks]
     m, k = cols[0].shape[0], sum(c.shape[1] for c in cols)
     rows = max(16 * k, _QR_CHUNK // k)
     if m < 2 * rows:
-        return np.linalg.qr(cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1),
-                            mode="r")
-    bounds = [*range(0, m - k + 1, rows), m]
-    buf = np.empty((max(hi - lo for lo, hi in zip(bounds, bounds[1:])), k))
-    Rs = np.empty(((len(bounds) - 1) * k, k))
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        block = buf[:hi - lo]
-        np.concatenate([c[lo:hi] for c in cols], axis=1, out=block)
-        Rs[i * k:(i + 1) * k] = np.linalg.qr(block, mode="r")
+        if len(cols) == 1:
+            return np.linalg.qr(cols[0], mode="r")
+        return np.linalg.qr(_hstack_f(cols), mode="r")
+    # full full-size blocks, then the last one, rows full * rows:m, with the tail.
+    full = (m - k) // rows
+    Rs = np.empty((k, (full + 1) * k)).T
+    buf = np.empty((min(_QR_GROUP, full), k, rows)).transpose(0, 2, 1)  # column-major
+    for i in range(0, full, _QR_GROUP):
+        group = _gather(cols, i * rows, buf[:full - i])
+        Rs[i * k:(i + len(group)) * k] = np.linalg.qr(group, mode="r").reshape(-1, k)
+    Rs[-k:] = np.linalg.qr(_hstack_f([c[full * rows:] for c in cols]), mode="r")
     return np.linalg.qr(Rs, mode="r")
+
+
+def _hstack_f(cols: list) -> np.ndarray:
+    """np.hstack of 2-d blocks of equal height, built column-major for LAPACK."""
+    return _gather(cols, 0, np.empty((sum(c.shape[1] for c in cols), len(cols[0]))).T)
+
+
+def _gather(cols: list, lo: int, out: np.ndarray) -> np.ndarray:
+    """Fill out, (rows, k) or a stack (g, rows, k), with the next g * rows rows
+    of [B_1, ..., B_j] from row lo, in order; return out."""
+    rows = math.prod(out.shape[:-1])
+    j = 0
+    for c in cols:
+        w = c.shape[1]
+        out[..., j:j + w] = c[lo:lo + rows].reshape(*out.shape[:-1], w)
+        j += w
+    return out
 
 
 def pseudoinverse(M) -> np.ndarray:

@@ -41,11 +41,12 @@ def test_config_validation():
         ExperimentConfig("lsq", {}, {}, trials=2, base_seed=-1)
     with pytest.raises(ValueError, match="2\\*\\*128"):
         ExperimentConfig("lsq", {}, {}, trials=2, base_seed=2**128 - 1)
-    ExperimentConfig("lsq", {}, {}, trials=2, base_seed=2**128 - 2)
+    ExperimentConfig("lsq", {"m": 64, "n": 3}, {"eps": 0.5}, trials=2,
+                     base_seed=2**128 - 2)
     big = {"family": "gaussian", "m": 4, "n": 6, "seed": 2**128 - 1}
     with pytest.raises(ValueError, match="B uses seed \\+ 1"):
         ExperimentConfig("matmul", big, {"c": 3}, trials=1, base_seed=0)
-    ExperimentConfig("lowrank", big, {"k": 1}, trials=1, base_seed=0)
+    ExperimentConfig("lowrank", big, {"k": 1, "eps": 0.5}, trials=1, base_seed=0)
     with pytest.raises(ValueError, match="seed = -1"):
         ExperimentConfig("lsq", {"family": "gaussian", "m": 64, "n": 3, "seed": -1},
                          {"eps": 0.5, "r": 32}, trials=2, base_seed=1)
@@ -66,7 +67,32 @@ def test_a_config_with_a_param_its_algorithm_does_not_read_is_refused():
     with pytest.raises(ValueError, match="matmul takes no param eps, k"):
         ExperimentConfig("matmul", {}, {"c": 2, "k": 1, "eps": 0.5}, 1, 0)
     for algorithm, params in rnla.harness.ALGORITHM_PARAMS.items():
-        ExperimentConfig(algorithm, {}, dict.fromkeys(params, 1), 1, 0)
+        ExperimentConfig(algorithm, {"m": 8, "n": 6}, dict.fromkeys(params, 1), 1, 0)
+
+
+@pytest.mark.parametrize("algorithm, instance, params, message", [
+    ("matmul", {"family": "gaussian", "n": 8}, {"c": 2},
+     "a gaussian matmul instance needs m$"),
+    ("lsq", {"family": "gaussian", "m": 64, "n": 3}, {"r": 32}, "lsq needs param eps$"),
+    ("lowrank", {"m": 8}, {"k": 1, "eps": 0.5}, "a generated lowrank instance needs n$"),
+    ("matmul", {"family": "file", "path_b": "B.mtx"}, {"c": 2},
+     "a file matmul instance needs path$"),
+    ("lsq", {"family": "file", "path": "A.mtx"}, {"eps": 0.5},
+     "a file lsq instance needs rhs$"),
+    ("lsq", {"family": "file"}, {"eps": 0.5}, "a file lsq instance needs path, rhs$"),
+    ("matmul", {"m": 8, "n": 6}, {"probs": "uniform"}, "matmul needs param c$"),
+    ("lowrank", {"m": 8, "n": 6}, {"c": 4}, "lowrank needs param k, eps$"),
+], ids=["matmul-m", "lsq-eps", "lowrank-n", "matmul-path", "lsq-rhs", "lsq-path-rhs",
+        "matmul-c", "lowrank-k-eps"])
+def test_a_config_without_a_key_its_run_reads_is_refused_before_any_work(
+        monkeypatch, algorithm, instance, params, message):
+    calls = []
+    for name in ("gen_matrix", "gen_lsq_instance", "read_matrix", "read_vector",
+                 "_exact_solve", "_exact_low_rank"):
+        monkeypatch.setattr(rnla.harness, name, lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=message):
+        run_experiment(ExperimentConfig(algorithm, instance, params, 1, 0))
+    assert calls == []
 
 
 def test_a_family_keyword_the_family_does_not_read_ends_the_run_before_a_trial(
@@ -297,6 +323,17 @@ def test_spectral_error_matches_the_full_svd(monkeypatch, case, repeat):
             dominant.add("negative" if -w[0] > w[-1] else "positive")
     if case == "sym-gram":
         assert dominant == {"negative", "positive"}
+
+
+@pytest.mark.parametrize("case", sorted(c for c in _SPECTRAL_CASES if c.startswith("core")))
+def test_spectral_error_core_gives_the_row_major_bits(case):
+    """The column-major stacks give the bits of np.hstack's row-major ones."""
+    m, n, p, c = _SPECTRAL_CASES[case]
+    A, B, C, R, E = _product_error_case(m, n, p, c, 0)
+    R1 = np.linalg.qr(np.hstack([A, C]), mode="r")
+    R2 = np.linalg.qr(np.hstack([B.T, -R.T]), mode="r")
+    assert _spectral_error(A, B, C, R, E) == float(
+        np.linalg.svd(R1 @ R2.T, compute_uv=False)[0])
 
 
 @pytest.mark.parametrize("case", ["gram-square", "core-square", "sym-gram"])

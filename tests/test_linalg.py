@@ -52,6 +52,21 @@ def test_spectral_norm_matches_numpy_without_an_svd(monkeypatch, case):
         assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
+@pytest.mark.parametrize("shape", [(64, 64), (40, 90), (90, 40), (1, 1)],
+                         ids=["symmetric", "wide-gram", "tall-gram", "1x1"])
+def test_spectral_norm_passes_lapack_the_transpose_with_the_same_bits(shape):
+    """eigvalsh of the transposed symmetric M or Gram gives the bits of the
+    row-major call."""
+    M = make_rng(shape[0] + shape[1]).standard_normal(shape)
+    if shape[0] == shape[1]:
+        M = M + M.T
+        want = float(np.max(np.abs(np.linalg.eigvalsh(M))))
+    else:
+        G = M @ M.T if shape[0] < shape[1] else M.T @ M
+        want = math.sqrt(max(0.0, float(np.linalg.eigvalsh(G)[-1])))
+    assert spectral_norm(M) == want
+
+
 def test_spectral_norm_randomized_maximization():
     # Oracle: max ||Mx|| over random unit x, polished by power iteration on
     # the Gram matrix so the comparison is meaningful at 1e-6.

@@ -58,7 +58,8 @@ def test_exact_solve_matches_lstsq_at_block_boundaries(monkeypatch, n, d, blocks
     qr = np.linalg.qr
 
     def recording_qr(M, *args, **kwargs):
-        shapes.append(M.shape)
+        # A stacked (g, rows, k) call factors g blocks of (rows, k).
+        shapes.extend([M.shape[-2:]] * (M.shape[0] if M.ndim == 3 else 1))
         return qr(M, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", recording_qr)
@@ -76,6 +77,42 @@ def test_exact_solve_matches_lstsq_at_block_boundaries(monkeypatch, n, d, blocks
     assert np.abs(A @ ex.V @ ex.V.T - A).max() <= 1e-12 * np.abs(A).max()
     ex_e = exact_least_squares(A, b)
     assert np.array_equal(ex_e.x_opt, ex.x_opt) and ex_e.Z == ex.Z
+
+
+def _frozen_row_major_tall_qr(blocks):
+    """_tall_qr as it factored row-major blocks one np.linalg.qr call at a time."""
+    cols = [B.reshape(B.shape[0], -1) for B in blocks]
+    m, k = cols[0].shape[0], sum(c.shape[1] for c in cols)
+    rows = max(16 * k, 2 ** 14 // k)
+    if m < 2 * rows:
+        return np.linalg.qr(cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1),
+                            mode="r")
+    bounds = [*range(0, m - k + 1, rows), m]
+    buf = np.empty((max(hi - lo for lo, hi in zip(bounds, bounds[1:])), k))
+    Rs = np.empty(((len(bounds) - 1) * k, k))
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        block = buf[:hi - lo]
+        np.concatenate([c[lo:hi] for c in cols], axis=1, out=block)
+        Rs[i * k:(i + 1) * k] = np.linalg.qr(block, mode="r")
+    return np.linalg.qr(Rs, mode="r")
+
+
+# The block-boundary shapes, then k = 4 (4096-row blocks): exactly 8 full
+# blocks and a 100-row tail; 8 and a 4098-row last block that took in a 2-row
+# tail; 10 and a 4040-row tail; 16, two stacked calls, and a 4099-row last block.
+@pytest.mark.parametrize("n, d", [(1925, 16), (1926, 16), (2905, 16), (2906, 16),
+                                  (2080, 64), (3282, 100), (17, 16), (3, 5),
+                                  (8 * 4096 + 100, 3), (9 * 4096 + 2, 3), (45000, 3),
+                                  (17 * 4096 + 3, 3)])
+def test_column_major_tall_qr_gives_the_row_major_bits(n, d):
+    """Column-major and stacked blocks hand geqrf the same values: R byte for
+    byte, for a tuple, a lone matrix and a lone vector."""
+    rng = make_rng(n * d)
+    A, b = rng.standard_normal((n, d)), rng.standard_normal(n)
+    for blocks in ((A, b), (A,), (b,)):
+        R = _tall_qr(blocks)
+        assert R.flags.c_contiguous
+        assert R.tobytes() == _frozen_row_major_tall_qr(blocks).tobytes()
 
 
 def _peak_bytes(call):

@@ -304,6 +304,87 @@ def test_column_blocks_validation():
         srht_apply(op, (np.zeros((129, 2)), np.zeros(129)))
 
 
+def _frozen_fill(op, M):
+    """The padded buffer as one whole-block einsum per block filled it, before
+    the right side went by blocks of rows and 1-d columns by np.multiply."""
+    if isinstance(M, tuple):
+        blocks = [np.asarray(B, dtype=np.float64) for B in M]
+    else:
+        A = np.atleast_1d(np.asarray(M, dtype=np.float64))
+        blocks = [A.T if op.side == "right" else A]
+    n = len(blocks[0])
+    widths = [1 if B.ndim == 1 else B.shape[1] for B in blocks]
+    y = np.zeros((op.n_pad, sum(widths)))
+    col = 0
+    for B, w in zip(blocks, widths):
+        np.einsum("i,ij->ij", op.signs[:n], B.reshape(n, w), out=y[:n, col:col + w])
+        col += w
+    return y
+
+
+def _filled_buffer(op, M, monkeypatch):
+    """srht_apply's padded buffer as its kernel receives it, and the call's output."""
+    seen = []
+    kernel = srht_module._hadamard_rows
+    with monkeypatch.context() as m:
+        m.setattr(srht_module, "_hadamard_rows",
+                  lambda y, idx, counter: (seen.append(y.copy()), kernel(y, idx, counter)))
+        out = srht_apply(op, M)
+    return seen[0], out
+
+
+@pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
+def test_right_fill_by_row_blocks_gives_the_whole_einsum_bits(m, monkeypatch):
+    """Rows of A one below, at and one above a _FILL_COLS block, and past two,
+    plus a wide A and a 1-d row: the buffer of the whole-block einsum, byte for
+    byte, and so the same output."""
+    rng = make_rng(m)
+    shapes = [(m, 200)] + ([(64, 3000), (200,)] if m == 1 else [])
+    for shape in shapes:
+        A = rng.standard_normal(shape)
+        op = make_srht(shape[-1], 16, m, side="right")
+        y, out = _filled_buffer(op, A, monkeypatch)
+        assert y.tobytes() == _frozen_fill(op, A).tobytes()
+        with monkeypatch.context() as mp:
+            mp.setattr(srht_module, "_FILL_COLS", 1 << 20)  # the whole block at once
+            assert out.tobytes() == srht_apply(op, A).tobytes()
+
+
+def test_column_fill_gives_the_whole_einsum_bits(monkeypatch):
+    """1-d columns, filled by np.multiply, and a zero-width block: the
+    whole-block einsum's buffer, byte for byte."""
+    rng = make_rng(19)
+    A, b = rng.standard_normal((1000, 4)), rng.standard_normal(1000)
+    op = make_srht(1000, 32, 19)
+    for M in ((A, b), (b,), b, (b, A.T.copy().T, b), A[:, :0]):
+        y, _ = _filled_buffer(op, M, monkeypatch)
+        assert y.tobytes() == _frozen_fill(op, M).tobytes()
+
+
+@pytest.mark.parametrize("m", [129, 2048])
+def test_right_fill_allocates_nothing_beyond_the_buffer_and_the_output(m, monkeypatch):
+    """When the kernel starts, the traced peak is the (n_pad, m) buffer and a
+    few KiB of views; the whole call adds only the r x m output's temporaries
+    and a leaf's sign rows (at most _CHUNK entries)."""
+    op = make_srht(1024, 64, 3, side="right")
+    A = make_rng(3).standard_normal((m, 1024))
+    buffer, output = op.n_pad * m * 8, op.r * m * 8
+    at_kernel = []
+    kernel = srht_module._hadamard_rows
+    srht_apply(op, A)  # the first call in a process also pays one-time lazy imports
+    with monkeypatch.context() as mp:
+        mp.setattr(srht_module, "_hadamard_rows", lambda y, idx, counter: (
+            at_kernel.append(tracemalloc.get_traced_memory()[1]), kernel(y, idx, counter)))
+        tracemalloc.start()
+        try:
+            srht_apply(op, A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert at_kernel[0] <= buffer + 16384
+    assert peak <= buffer + 2.25 * output + 8 * srht_module._CHUNK + 16384
+
+
 def test_apply_leaves_no_reference_cycle():
     """The transform's buffer is freed on return, not left to the cyclic GC."""
     left = make_srht(1000, 30, 1)

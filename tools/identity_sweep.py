@@ -171,6 +171,17 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         matmul --family lowrank_plus_noise --m 12 --n 8 --sigma 1e60,1e50 --eta 1e40 --c 4 --trials 2
         matmul --family coherent --m 12 --n 8 --c 4 --trials 2
     """)
+    # Matrices built column-major for LAPACK: an lsq oracle of 10 full TSQR
+    # blocks and a tail (k = 4, 4096-row blocks), right-side fills of 300 rows
+    # (blocks of 128, 128, 44) and of 200, and a generated matmul whose
+    # spectral error takes the factored core.
+    out["layout"] = _split("""
+        lsq --m 45000 --n 3 --eps 0.5 --r 256 --trials 2 --seed 1
+        lsq --family consistent_lsq --m 45000 --n 3 --eps 0.5 --r 256 --trials 2 --no-diagnostics
+        lowrank --family gaussian --m 300 --n 200 --k 3 --eps 0.25 --c 16 --trials 2 --seed 2
+        lowrank --m 200 --n 300 --sigma 3,2,1 --eta 0.01 --k 2 --eps 0.25 --c 16 --trials 2
+        matmul --m 400 --n 6 --p 300 --c 20 --trials 2 --seed 3
+    """)
     out["matmul stdout"] = _split("""
         matmul --m 8 --n 6 --c 3 --trials 2 --csv m.csv
         matmul --family lowrank_plus_noise --sigma 2,1 --eta 0 --m 8 --n 6 --c 3 --trials 2
