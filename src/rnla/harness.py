@@ -9,14 +9,19 @@ R-only QR, of A (or A^T) or of [A, b].  The solvers take the record.
 
 A run's instance is checked once, where it is made: the generators and the
 file readers return only finite arrays, so `_resolve_instance` validates
-nothing again.  Each matmul trial draws one plan and gathers R with the
-validated-input kernel `sampling._rows` and C with `_columns` (C = R.T for
-the Gram instance), so no trial rescans A or B.
+nothing again.  A matmul run holds A, B and two norm vectors, A's squared
+column norms and B's squared row norms, which `_resolve_instance` computes
+once with `sampling._sq_norms`, 128 KiB of rows at a time.  The run's
+probabilities and its `expected_fro_err_sq` bound come from those vectors
+alone, and a run whose weights or bound overflow float64 is refused there.
+Each matmul trial draws one plan and gathers R with the validated-input
+kernel `sampling._rows` and C with `_columns` (C = R.T for the Gram
+instance), so no trial rescans A or B.
 
 A file instance without its own B is the Gram instance, the product A A^T:
-B is a row-major copy of A.T, made once per run, which the probabilities and
-the bound read without copying it again.  A trial gathers contiguous rows R
-of it and takes C = R.T, a view, so it never gathers A's strided columns.
+B is a row-major copy of A.T, made once per run.  A trial gathers contiguous
+rows R of it and takes C = R.T, a view, so it never gathers A's strided
+columns.
 The exact product A @ A.T (on the view A.T) and C @ R are then numpy's
 symmetric rank-k products, and E = A A^T - C C^T is exactly symmetric.
 
@@ -80,10 +85,10 @@ from .lowrank import (_exact_low_rank, lowrank_sample_size_explicit,
                       rand_low_rank, structural_inequality_check)
 from .lsq import _exact_solve, rand_least_squares
 from .matio import read_matrix, read_vector
-from .matmul import (enumerate_sketch_moments, entry_variance_bound,
+from .matmul import (_frobenius_bound, enumerate_sketch_moments, entry_variance_bound,
                      expected_frobenius_error)
-from .sampling import (_KEY_LIMIT, RNG_NAME, _columns, _rows, colnorm_probs,
-                       draw_plan, make_rng, optimal_probs, rownorm_probs, uniform_probs)
+from .sampling import (_KEY_LIMIT, RNG_NAME, _columns, _optimal, _probs, _rows,
+                       _sq_norms, draw_plan, make_rng, optimal_probs, uniform_probs)
 from .srht import OpCounter, SketchRankError, next_pow2, subsampled_fwht
 
 __all__ = [
@@ -188,11 +193,12 @@ _INSTANCE_KEYS = {
 _INSTANCE_NEEDS = {"matmul": (("m", "n"), ("path",)), "lsq": (("m", "n"), ("path", "rhs")),
                    "lowrank": (("m", "n"), ("path",))}
 
-# Matmul probabilities of the validated A and B; each looks its callee up by name.
-MATMUL_PROBS = {"optimal": lambda A, B: optimal_probs(A, B),
-                "colnorm": lambda A, B: colnorm_probs(A),
-                "rownorm": lambda A, B: rownorm_probs(B),
-                "uniform": lambda A, B: uniform_probs(A.shape[1])}
+# Matmul probabilities from A's squared column norms a and B's squared row
+# norms b, the kernels of optimal_probs, colnorm_probs and rownorm_probs.
+MATMUL_PROBS = {"optimal": _optimal,
+                "colnorm": lambda a, b: _probs(a),
+                "rownorm": lambda a, b: _probs(b),
+                "uniform": lambda a, b: uniform_probs(a.size)}
 
 
 def _resolve_instance(config: ExperimentConfig) -> dict:
@@ -200,7 +206,9 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
 
     Its sources return finite float64 arrays, so it validates nothing.  It checks
     only a file B's rows against A's columns, which no one source sees, and
-    `probs`; an lsq file b of the wrong length is the oracle's to refuse."""
+    `probs`; an lsq file b of the wrong length is the oracle's to refuse.
+    A matmul run's norms, probabilities and bound are taken here, once, and
+    weights or a bound that overflow float64 are refused before any trial."""
     inst = config.instance
     fam = inst.get("family")
     iseed = int(inst.get("seed", config.base_seed))
@@ -229,10 +237,16 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
         raise ValueError(f"A is {A.shape[0]} x {A.shape[1]} but B is "
                          f"{B.shape[0]} x {B.shape[1]}: inner dimensions differ")
     kind = config.params.get("probs", "optimal")
-    probs = MATMUL_PROBS.get(kind)
-    if probs is None:
+    family = MATMUL_PROBS.get(kind)
+    if family is None:
         raise ValueError(f"unknown probability family {kind!r}")
-    return {"A": A, "B": B, "probs": probs(A, B), "gram": gram}
+    a, b = _sq_norms(A, 0), _sq_norms(B, 1)
+    probs = family(a, b)
+    bound = _frobenius_bound(a, b, int(config.params["c"]), probs)
+    if not math.isfinite(bound):
+        raise ValueError("the expected error bound overflows float64: the "
+                         "instance's squared norms are too large")
+    return {"A": A, "B": B, "probs": probs, "bound": bound, "gram": gram}
 
 
 # ------------------------------------------------------------------- trials
@@ -275,16 +289,15 @@ def _spectral_error(A, B, C, R, E) -> float:
 
 
 def _trial_matmul(ctx: dict, params: dict, seed: int, diagnostics: bool) -> TrialReport:
-    A, B, probs = ctx["A"], ctx["B"], ctx["probs"]
-    c = int(params["c"])
-    plan = draw_plan(probs, c, seed)
+    A, B = ctx["A"], ctx["B"]
+    plan = draw_plan(ctx["probs"], int(params["c"]), seed)
     R = _rows(B, plan)
     # The Gram B is a row-major copy of A.T: C = R.T gathers nothing, and
     # A @ A.T (on the view) and C @ R are numpy's symmetric products.
     gram = ctx["gram"]
     C = R.T if gram else _columns(A, plan)
-    AB, bound = _oracle(ctx, lambda: (A @ A.T if gram else A @ B,
-                                      expected_frobenius_error(A, B, c, probs)))
+    AB = _oracle(ctx, lambda: A @ A.T if gram else A @ B)
+    bound = ctx["bound"]
     E = C @ R
     np.subtract(AB, E, out=E)
     fro_sq = float(np.sum(E * E))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-from .sampling import ProbVector, SamplingPlan, _columns, _rows, draw_plan
+from .sampling import ProbVector, SamplingPlan, _columns, _rows, _sq_norms, draw_plan
 
 __all__ = [
     "MatMulSketch",
@@ -75,16 +75,34 @@ def _zero_prob_guard(term: np.ndarray, p: np.ndarray) -> np.ndarray:
     return live
 
 
+def _frobenius_bound(a: np.ndarray, b: np.ndarray, c: int, probs: ProbVector) -> float:
+    """(1/c) * sum_k a_k b_k / p_k over the positive terms a_k b_k.
+
+    a and b are A's squared column norms and B's squared row norms.  A term
+    or sum that overflows float64 makes the bound inf, with no warning.  An
+    overflowed norm meeting a zero one gives inf * 0, a NaN term; it is not
+    counted, as that product of a column and a row is zero.
+    """
+    if c < 1:
+        raise ValueError("c must be >= 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = a * b
+        live = _zero_prob_guard(term, probs.p)
+        return float(np.sum(term[live] / probs.p[live]) / c)
+
+
 def expected_frobenius_error(A, B, c: int, probs: ProbVector) -> float:
     """Upper bound on E ||A B - C R||_F^2 for the c-sample estimator.
 
     Returns (1/c) * sum_k ||A_{*k}||^2 ||B_{k*}||^2 / p_k.  At the optimal
     probabilities this collapses to (1/c) * (sum_k ||A_{*k}|| ||B_{k*}||)^2.
+    It reads only A's squared column norms and B's squared row norms, which
+    `sampling._sq_norms` takes with no temporary of A's or B's size.  A
+    matmul run computes the two vectors once, where its instance is made,
+    and takes its bound from the same kernel, `_frobenius_bound`.
     """
     A, B = _factors(A, B, probs)
-    term = np.sum(A * A, axis=0) * np.sum(B * B, axis=1)
-    live = _zero_prob_guard(term, probs.p)
-    return float(np.sum(term[live] / probs.p[live]) / c)
+    return _frobenius_bound(_sq_norms(A, 0), _sq_norms(B, 1), c, probs)
 
 
 def entry_variance_bound(A, B, probs: ProbVector, c: int, i: int, j: int) -> float:

@@ -7,10 +7,19 @@ generator) so identical (probs, c, seed) give byte-identical plans on every
 platform.  Categorical draws use inverse-CDF lookup: binary search of uniform
 deviates in a precomputed cumulative array from which exact zeros are dropped,
 so zero-probability indices are never drawn and never produce 1/sqrt(0).
+
+The norm families read only A's squared column norms and B's squared row
+norms, which `_sq_norms` takes 128 KiB of rows at a time, with no temporary
+of A's or B's size.  A matmul run holds A, B (for the Gram instance, the
+row-major copy of A^T) and those two vectors, computed and checked once,
+where its instance is made; its probabilities come from the kernels the
+public functions call after validation, `_probs` and `_optimal`.  Weights
+that overflow float64 are refused with ValueError and no RuntimeWarning.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,6 +44,9 @@ __all__ = [
 RNG_NAME = "philox4x32-10"
 
 _KEY_LIMIT = 2 ** 128  # Philox keys lie in [0, 2**128)
+
+# Elements per row block of _sq_norms (128 KiB of float64).
+_NORM_CHUNK = 2 ** 14
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -92,36 +104,75 @@ class SampleSize(NamedTuple):
     raw: float
 
 
+def _sq_norms(M: np.ndarray, axis: int) -> np.ndarray:
+    """np.sum(M * M, axis=axis) of a validated M, bit for bit, by row blocks.
+
+    A block is _NORM_CHUNK elements (128 KiB), and at least one row; no
+    temporary is larger than one block.  Under axis 1 the rows are
+    independent.  Under axis 0 numpy adds the rows of a row-major M in order,
+    so each block is reduced with the running sums stacked as its first row.
+    A single column is the exception: numpy sums it pairwise, so it is
+    reduced as one row.  A square that overflows is inf, with no warning.
+    """
+    m, n = M.shape
+    if axis == 0 and n == 1:
+        return _sq_norms(M.reshape(1, m), 1)
+    rows = max(1, _NORM_CHUNK // max(n, 1))
+    with np.errstate(over="ignore"):
+        if axis == 1:
+            out = np.empty(m)
+            for i in range(0, m, rows):
+                block = M[i:i + rows]
+                np.sum(block * block, axis=1, out=out[i:i + rows])
+            return out
+        # Row 0 holds the running sums; 0 + x is x, so the first block needs no case.
+        stack = np.zeros((min(rows, m) + 1, n))
+        for i in range(0, m, rows):
+            block = M[i:i + rows]
+            np.multiply(block, block, out=stack[1:len(block) + 1])
+            stack[0] = np.sum(stack[:len(block) + 1], axis=0)
+        return stack[0].copy()
+
+
 def _probs(raw: np.ndarray) -> ProbVector:
-    total = float(raw.sum())
+    """raw / raw.sum(), refusing weights that overflow or are all zero."""
+    with np.errstate(over="ignore"):
+        total = float(raw.sum())
+    if not math.isfinite(total):
+        raise ValueError("sampling weights overflow float64: the instance's "
+                         "squared norms are too large")
     if total <= 0.0:
         raise ValueError("degenerate distribution: all sampling weights are zero")
     return ProbVector(p=raw / total)
+
+
+def _optimal(a: np.ndarray, b: np.ndarray) -> ProbVector:
+    """optimal_probs from A's squared column norms a and B's squared row norms b."""
+    with np.errstate(invalid="ignore"):  # inf * 0 is a NaN weight; _probs refuses it
+        return _probs(np.sqrt(a) * np.sqrt(b))
 
 
 def optimal_probs(A, B) -> ProbVector:
     """Variance-minimizing probabilities for the sampled product A @ B.
 
     p_k is proportional to ||A_{*k}||_2 * ||B_{k*}||_2.  Raises ValueError
-    ("degenerate distribution") when every product is zero.
+    ("degenerate distribution") when every product is zero, and when the
+    norms overflow float64.
     """
     A, B = as_matrix(A), as_matrix(B)
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"inner dimensions differ: {A.shape} x {B.shape}")
-    w = np.linalg.norm(A, axis=0) * np.linalg.norm(B, axis=1)
-    return _probs(w)
+    return _optimal(_sq_norms(A, 0), _sq_norms(B, 1))
 
 
 def colnorm_probs(A) -> ProbVector:
     """p_k = ||A_{*k}||_2^2 / ||A||_F^2; requires a nonzero matrix."""
-    A = as_matrix(A)
-    return _probs(np.sum(A * A, axis=0))
+    return _probs(_sq_norms(as_matrix(A), 0))
 
 
 def rownorm_probs(B) -> ProbVector:
     """p_k = ||B_{k*}||_2^2 / ||B||_F^2; requires a nonzero matrix."""
-    B = as_matrix(B)
-    return _probs(np.sum(B * B, axis=1))
+    return _probs(_sq_norms(as_matrix(B), 1))
 
 
 def uniform_probs(n: int) -> ProbVector:

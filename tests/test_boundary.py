@@ -77,7 +77,9 @@ def test_one_finiteness_scan_per_caller_array(monkeypatch, name):
 @pytest.mark.parametrize("source", ["generated", "file"])
 def test_matmul_run_scans_do_not_grow_with_trials(tmp_path, monkeypatch, source):
     """A is 16 x 48 and the error matrix 16 x 16, so only instance-sized
-    arrays count."""
+    arrays count.  The generated Gaussian instance is never scanned: the
+    probabilities and the bound read A's and B's squared norms, taken once
+    without validation.  A file instance is scanned by its reader only."""
     A = gen_matrix("gaussian", 16, 48, 6)
     if source == "file":
         path = tmp_path / "a.mtx"
@@ -90,7 +92,9 @@ def test_matmul_run_scans_do_not_grow_with_trials(tmp_path, monkeypatch, source)
         return lambda: run_experiment(ExperimentConfig(
             "matmul", instance, {"c": 8, "probs": "optimal"}, trials, base_seed=0))
 
-    assert _scans(monkeypatch, run(2), A) == _scans(monkeypatch, run(6), A) > 0
+    scans = _scans(monkeypatch, run(2), A)
+    assert scans == _scans(monkeypatch, run(6), A)
+    assert scans == 0 if source == "generated" else scans > 0
 
 
 def _file(tmp_path, name, M):

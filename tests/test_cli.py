@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -455,6 +456,29 @@ def test_an_instance_that_overflows_is_refused_by_its_generator(
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr() == (
         "", "rnla: error: lowrank_plus_noise overflows float64 at this sigma and eta\n")
+    assert not out.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("probs, message", [
+    ("optimal", "sampling weights overflow float64"),
+    ("uniform", "the expected error bound overflows float64"),
+])
+def test_a_matmul_run_whose_squared_norms_overflow_exits_two_before_any_trial(
+        tmp_path, capsys, monkeypatch, probs, message):
+    """A's entries are finite but their squares are not: exit 2 with one error
+    line naming the overflow, no RuntimeWarning, no trial and no report."""
+    calls = []
+    monkeypatch.setitem(rnla.harness._TRIAL_RUNNERS, "matmul",
+                        lambda *a: calls.append(a))
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["matmul", "--family", "lowrank_plus_noise", "--m", "12", "--n", "8",
+                     "--sigma", "1e160", "--c", "4", "--trials", "2", "--probs", probs,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"rnla: error: {message}: the instance's squared norms are too large\n")
     assert not out.exists()
     assert calls == []
 

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -203,8 +204,9 @@ def test_gram_trials_gather_rows_of_a_row_major_a_transpose(tmp_path, monkeypatc
 
 
 def test_gram_run_peak_memory_is_bounded(tmp_path):
-    """A run on the bench's Gram instance holds at most 3.2x A at its peak:
-    A, its row-major transpose, and one trial's gathers and products."""
+    """A run on the bench's Gram instance holds at most 2.4x A at its peak:
+    A, its row-major transpose, two norm vectors, and one trial's gathers and
+    products.  No squared copy of A or B is made."""
     path = tmp_path / "a.bin"
     write_matrix(path, gen_matrix("gaussian", 256, 4096, 1))
     cfg = ExperimentConfig("matmul", {"family": "file", "path": str(path)},
@@ -216,7 +218,30 @@ def test_gram_run_peak_memory_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.2 * 256 * 4096 * 8
+    assert peak <= 2.4 * 256 * 4096 * 8
+
+
+@pytest.mark.parametrize("probs", ["rownorm", "uniform"])
+def test_an_overflowed_column_meeting_a_zero_row_still_runs(tmp_path, probs):
+    """A's first column squares to inf, but B's first row is zero, so that
+    term of the bound is zero and the run's bound is finite."""
+    A = gen_matrix("gaussian", 5, 3, 0)
+    A[:, 0] *= 1e160
+    B = gen_matrix("gaussian", 3, 4, 1)
+    B[0] = 0.0
+    paths = [tmp_path / "a.mtx", tmp_path / "b.mtx"]
+    write_matrix(paths[0], A)
+    write_matrix(paths[1], B)
+    cfg = ExperimentConfig("matmul", {"family": "file", "path": str(paths[0]),
+                                      "path_b": str(paths[1])},
+                           {"c": 4, "probs": probs}, trials=3, base_seed=1)
+    dist = rownorm_probs(B) if probs == "rownorm" else uniform_probs(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trials = run_trials(cfg)
+        bound = expected_frobenius_error(A, B, 4, dist)
+    assert math.isfinite(bound)
+    assert all(t.ok and t.bounds == {"expected_fro_err_sq": bound} for t in trials)
 
 
 @pytest.mark.parametrize("probs", ["optimal", "colnorm", "rownorm", "uniform"])

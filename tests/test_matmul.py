@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,16 @@ def test_enumeration_cap():
     B = np.ones((50, 2))
     with pytest.raises(ValueError, match="cap"):
         enumerate_sketch_moments(A, B, 3, uniform_probs(50))
+
+
+def test_frobenius_bound_overflow_reads_inf_and_a_zero_row_hides_it():
+    """An overflowing term makes the bound inf; an overflowed column meeting a
+    zero row of B contributes nothing, as its product is zero.  Neither warns."""
+    A = np.array([[1e200, 1.0], [2.0, 3.0]])
+    B = np.array([[1.0, 1.0], [1.0, 2.0]])
+    probs = uniform_probs(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expected_frobenius_error(A, B, 2, probs) == np.inf
+        B[0] = 0.0
+        assert expected_frobenius_error(A, B, 2, probs) == 10.0 * 5.0 / 0.5 / 2

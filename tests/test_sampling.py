@@ -1,10 +1,14 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from rnla import (ProbVector, SamplingPlan, beta_of, colnorm_probs, draw_plan,
-                  make_rng, optimal_probs, rand_matrix_multiply, rownorm_probs,
-                  uniform_probs)
+                  expected_frobenius_error, make_rng, optimal_probs,
+                  rand_matrix_multiply, rownorm_probs, uniform_probs)
+from rnla.sampling import _NORM_CHUNK, _sq_norms
 
 
 def test_optimal_probs_hand_case():
@@ -174,3 +178,63 @@ def test_plan_application_helpers():
         rand_matrix_multiply(A.T, B, 5, uniform_probs(6), 3)
     with pytest.raises(ValueError, match="rows"):
         rand_matrix_multiply(A, B.T, 5, uniform_probs(6), 3)
+
+
+# 4097 x 4 takes blocks of 4096 rows and a last block of one; 300 x 100 takes
+# blocks of 163 and 137 rows; 20000 x 1 is a column longer than one block.
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (37, 50), (5000, 3),
+                                   (3, 5000), (4097, 4), (300, 100), (20000, 1)])
+def test_sq_norms_equal_numpy_sum_bit_for_bit(shape):
+    M = make_rng(3).standard_normal(shape)
+    for axis in (0, 1):
+        got = _sq_norms(M, axis)
+        assert got.tobytes() == np.sum(M * M, axis=axis).tobytes()
+        assert np.sqrt(got).tobytes() == np.linalg.norm(M, axis=axis).tobytes()
+
+
+def test_sq_norms_of_an_overflowing_entry_are_inf_without_a_warning():
+    M = np.array([[1e200, 1.0], [2.0, 3.0]])
+    with np.errstate(all="raise"):
+        assert _sq_norms(M, 0).tolist() == [np.inf, 10.0]
+        assert _sq_norms(M, 1).tolist() == [np.inf, 13.0]
+
+
+@pytest.mark.parametrize("family", [lambda A: optimal_probs(A, A.T), colnorm_probs,
+                                    rownorm_probs], ids=["optimal", "colnorm", "rownorm"])
+def test_weights_that_overflow_are_refused_without_a_warning(family):
+    A = np.array([[1e200, 1.0], [2.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sampling weights overflow float64"):
+            family(A)
+
+
+def _traced_peak(call) -> int:
+    call()  # outside the count: one-time imports and caches
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+M_PEAK = make_rng(4).standard_normal((512, 2048))
+MT_PEAK = np.ascontiguousarray(M_PEAK.T)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_sq_norms_hold_no_temporary_larger_than_a_block(axis):
+    assert _NORM_CHUNK * 8 < 0.1 * M_PEAK.nbytes
+    assert _traced_peak(lambda: _sq_norms(M_PEAK, axis)) < 0.1 * M_PEAK.nbytes
+
+
+@pytest.mark.parametrize("name", ["optimal_probs", "expected_frobenius_error"])
+def test_public_norm_consumers_square_no_copy_of_the_matrix(name):
+    """Beyond 0.1x M, only the entry check's one-byte-per-entry NaN/Inf mask
+    (`as_matrix`, at the public boundary) is allowed."""
+    probs = optimal_probs(M_PEAK, MT_PEAK)
+    call = {"optimal_probs": lambda: optimal_probs(M_PEAK, MT_PEAK),
+            "expected_frobenius_error": lambda: expected_frobenius_error(
+                M_PEAK, MT_PEAK, 64, probs)}[name]
+    assert _traced_peak(call) < 0.1 * M_PEAK.nbytes + M_PEAK.size

@@ -55,13 +55,18 @@ def _split(lines: str) -> list[list[str]]:
     return [shlex.split(line) for line in lines.strip().splitlines()]
 
 
+def _every_probs(argv: str) -> list[list[str]]:
+    """The matmul call under every probability family, with and without
+    diagnostics."""
+    return [[*shlex.split(argv), "--probs", probs, *extra]
+            for probs in ("optimal", "colnorm", "rownorm", "uniform")
+            for extra in ([], ["--no-diagnostics"])]
+
+
 def _matmul_shape(m, n, p, c) -> list[list[str]]:
     """Generated matmul under every probability family, with and without
     diagnostics, two trials each."""
-    return [["matmul", "--m", str(m), "--n", str(n), "--p", str(p), "--c", str(c),
-             "--probs", probs, "--trials", "2", "--seed", "3", *extra]
-            for probs in ("optimal", "colnorm", "rownorm", "uniform")
-            for extra in ([], ["--no-diagnostics"])]
+    return _every_probs(f"matmul --m {m} --n {n} --p {p} --c {c} --trials 2 --seed 3")
 
 
 def groups(readme: Path) -> dict[str, list[list[str]]]:
@@ -182,6 +187,21 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         lowrank --m 200 --n 300 --sigma 3,2,1 --eta 0.01 --k 2 --eps 0.25 --c 16 --trials 2
         matmul --m 400 --n 6 --p 300 --c 20 --trials 2 --seed 3
     """)
+    # A's squared column norms and B's squared row norms, taken by 128 KiB row
+    # blocks: a Gram instance of a 37x50 A, a file B with a tall A (5000x3,
+    # one block), and two that cross blocks under both axes (a 20x1000 Gram:
+    # blocks of 16 and 819 rows; a 12000x3 A: blocks of 5461 rows).
+    out["norms"] = _split("""
+        gen gaussian --m 37 --n 50 --seed 1 --out G.mtx
+        gen gaussian --m 5000 --n 3 --seed 2 --out T.bin
+        gen gaussian --m 3 --n 40 --seed 3 --out B.mtx
+        gen gaussian --m 20 --n 1000 --seed 4 --out W.bin
+        gen gaussian --m 12000 --n 3 --seed 5 --out L.bin
+    """) + [call for argv in ("matmul --in G.mtx --c 8 --trials 2 --seed 2",
+                              "matmul --in T.bin --in-b B.mtx --c 4 --trials 2 --seed 2",
+                              "matmul --in W.bin --c 30 --trials 2 --seed 2",
+                              "matmul --in L.bin --in-b B.mtx --c 4 --trials 2 --seed 2")
+            for call in _every_probs(argv)]
     out["matmul stdout"] = _split("""
         matmul --m 8 --n 6 --c 3 --trials 2 --csv m.csv
         matmul --family lowrank_plus_noise --sigma 2,1 --eta 0 --m 8 --n 6 --c 3 --trials 2
