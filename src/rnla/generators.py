@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _first_nonfinite
 from .sampling import make_rng
 
 __all__ = ["gen_matrix", "gen_lsq_instance", "MATRIX_FAMILIES"]
@@ -72,7 +73,7 @@ def gen_matrix(family: str, m: int, n: int, seed: int,
             A = (qu * s) @ qv.T
             if eta != 0.0:
                 A = A + eta * rng.standard_normal((m, n))
-        if not np.isfinite(A).all():
+        if _first_nonfinite(A.reshape(-1)) is not None:
             raise ValueError("lowrank_plus_noise overflows float64 at this sigma and eta")
         return A
     if n > m:

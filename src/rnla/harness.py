@@ -18,12 +18,15 @@ Each matmul trial draws one plan and gathers R with the validated-input
 kernel `sampling._rows` and C with `_columns` (C = R.T for the Gram
 instance), so no trial rescans A or B.
 
-A file instance without its own B is the Gram instance, the product A A^T:
-B is a row-major copy of A.T, made once per run.  A trial gathers contiguous
-rows R of it and takes C = R.T, a view, so it never gathers A's strided
-columns.
-The exact product A @ A.T (on the view A.T) and C @ R are then numpy's
-symmetric rank-k products, and E = A A^T - C C^T is exactly symmetric.
+A file instance without its own B is the Gram instance, the product A A^T.
+The run holds the matrix once: B is A^T, which `read_matrix(path,
+transpose=True)` returns row-major (for a text file, whose entries run down
+columns, that is the parsed body with no copy), and A is the view B.T.  A
+trial gathers contiguous rows R of B and takes C = R.T, a view, so it never
+gathers A's strided columns.  The exact product A @ B and C @ R, each a
+matrix times its own transpose, are then numpy's symmetric rank-k products,
+and E = A A^T - C C^T is exactly symmetric.  A's squared column norms have
+the bits of its row-major copy (see `sampling._sq_norms`).
 
 Lsq and lowrank trials still enter through `rand_least_squares` and
 `rand_low_rank`, which scan A on every call; those public calls are the
@@ -218,21 +221,24 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
         A, b, _ = gen_lsq_instance(int(inst["m"]), int(inst["n"]), iseed,
                                    consistent=LSQ_FAMILIES.get(fam, False))
         return {"A": A, "b": b}
-    if fam == "file":
-        A = read_matrix(inst["path"])
-    else:
+    gram = config.algorithm == "matmul" and fam == "file" and "path_b" not in inst
+    if fam != "file":
         A = gen_matrix(fam, int(inst["m"]), int(inst["n"]), iseed,
                        sigma=inst.get("sigma"), eta=float(inst.get("eta", 0.0)))
+    elif gram:
+        # The run holds the matrix once: B is the file's A^T, read row-major,
+        # and A is its view.
+        B = read_matrix(inst["path"], transpose=True)
+        A = B.T
+    else:
+        A = read_matrix(inst["path"])
     if config.algorithm == "lowrank":
         return {"A": A}
-    gram = fam == "file" and "path_b" not in inst
-    if gram:
-        B = np.ascontiguousarray(A.T)
-    elif fam == "file":
-        B = read_matrix(inst["path_b"])
-    else:
+    if fam != "file":
         B = gen_matrix("gaussian", A.shape[1], int(inst.get("p", A.shape[0])),
                        iseed + 1)
+    elif not gram:
+        B = read_matrix(inst["path_b"])
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"A is {A.shape[0]} x {A.shape[1]} but B is "
                          f"{B.shape[0]} x {B.shape[1]}: inner dimensions differ")
@@ -292,11 +298,11 @@ def _trial_matmul(ctx: dict, params: dict, seed: int, diagnostics: bool) -> Tria
     A, B = ctx["A"], ctx["B"]
     plan = draw_plan(ctx["probs"], int(params["c"]), seed)
     R = _rows(B, plan)
-    # The Gram B is a row-major copy of A.T: C = R.T gathers nothing, and
-    # A @ A.T (on the view) and C @ R are numpy's symmetric products.
-    gram = ctx["gram"]
-    C = R.T if gram else _columns(A, plan)
-    AB = _oracle(ctx, lambda: A @ A.T if gram else A @ B)
+    # The Gram B is the row-major A^T and A is its view: C = R.T gathers
+    # nothing, and A @ B and C @ R, each a matrix times its own transpose,
+    # are numpy's symmetric products.
+    C = R.T if ctx["gram"] else _columns(A, plan)
+    AB = _oracle(ctx, lambda: A @ B)
     bound = ctx["bound"]
     E = C @ R
     np.subtract(AB, E, out=E)

@@ -36,6 +36,23 @@ RANK_ZERO_FLOOR = 1e-300
 _QR_CHUNK = 2 ** 14
 # Full-size row blocks of _tall_qr per stacked np.linalg.qr call.
 _QR_GROUP = 8
+# Entries per block of _first_nonfinite, whose NaN/Inf mask is one block.
+_SCAN_CHUNK = 2 ** 14
+
+
+def _first_nonfinite(x: np.ndarray) -> int | None:
+    """Flat index of the first NaN or Inf in a contiguous 1-d array, or None.
+
+    x is scanned _SCAN_CHUNK entries at a time into one reused mask, so no
+    mask of x's size is made.
+    """
+    mask = np.empty(min(x.size, _SCAN_CHUNK), dtype=bool)
+    for i in range(0, x.size, _SCAN_CHUNK):
+        block = x[i:i + _SCAN_CHUNK]
+        finite = np.isfinite(block, out=mask[:block.size])
+        if not finite.all():
+            return i + int(finite.argmin())
+    return None
 
 
 def as_matrix(a) -> np.ndarray:
@@ -46,7 +63,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.ascontiguousarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if _first_nonfinite(m.reshape(-1)) is not None:
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
 
@@ -58,7 +75,7 @@ def as_vector(v) -> np.ndarray:
         x = x.reshape(-1)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got ndim={x.ndim}")
-    if not np.all(np.isfinite(x)):
+    if _first_nonfinite(x) is not None:
         raise ValueError("vector entries must be finite (no NaN/Inf)")
     return x
 

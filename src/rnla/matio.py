@@ -11,15 +11,24 @@ Two formats, chosen by content on read and by extension on write:
 Readers reject NaN/Inf with the offending line (text) or flat index (binary)
 and report parse errors with line numbers.
 
-Both text paths work in bulk.  The writer formats one block of about 64K
-entries per write.  The reader parses the header line by line and hands the rest of the file to one ``np.loadtxt`` call, whose float
-parser accepts a subset of what ``float()`` accepts and gives the same bits.
-The bulk result is kept only when it holds exactly rows x cols finite
-entries, one per line.  Anything else -- a comment line or an inline comment
-in the body, ``1_0``, a NaN or an Inf, two numbers on one line, too few or
-too many entries, a header that is not plain -- sends the whole file to the
-line scanner, which decides what the file holds or which error to raise.
-The binary reader reads the payload straight into the returned array.
+Both text paths work in bulk.  The writer formats one block of 2**14 entries
+(128 KiB of float64) per write, so its Python floats and their text stay
+small next to the matrix.  The reader parses the header line by line and
+hands the rest of the file to one ``np.loadtxt`` call, sized by the header,
+whose float parser accepts a subset of what ``float()`` accepts and gives
+the same bits.  The bulk result is kept only when it holds exactly
+rows x cols finite entries, one per line.  Anything else -- a comment line
+or an inline comment in the body, ``1_0``, a NaN or an Inf, two numbers on
+one line, too few or too many entries, a header that is not plain -- sends
+the whole file to the line scanner, which decides what the file holds or
+which error to raise.  The binary reader reads the payload straight into the
+returned array.  NaN/Inf checks scan 2**14 entries at a time
+(`linalg._first_nonfinite`), with no mask of the matrix's size.
+
+Both readers return row-major arrays.  ``read_matrix(path, transpose=True)``
+returns the file's matrix transposed: a text file's column-major body,
+reshaped, is that array with no copy; a binary file's row-major matrix is
+copied once, transposed, and dropped.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import _first_nonfinite, as_matrix, as_vector
 
 __all__ = [
     "BINARY_MAGIC",
@@ -46,9 +55,9 @@ BINARY_MAGIC = b"RNLADNS1"
 
 _BANNER = "%%MatrixMarket matrix array real general"
 
-# Entries formatted per write by the text writer; memory is bounded by one
-# block of Python floats and their text.
-_WRITE_BLOCK = 65536
+# Entries formatted per write by the text writer (128 KiB of float64); memory
+# is bounded by one block of Python floats and their text.
+_WRITE_BLOCK = 2 ** 14
 
 
 class MatrixFileError(ValueError):
@@ -79,14 +88,21 @@ def _write(path, M: np.ndarray) -> None:
         _write_text(path, M)
 
 
-def read_matrix(path) -> np.ndarray:
-    """Read a matrix, sniffing binary vs text by the leading magic bytes."""
+def read_matrix(path, transpose: bool = False) -> np.ndarray:
+    """Read a matrix, sniffing binary vs text by the leading magic bytes.
+
+    The result is row-major.  With transpose=True it is the file's matrix
+    transposed: for a text file, whose entries run down columns, that is the
+    parsed body itself, with no copy.
+    """
     p = Path(path)
     with open(p, "rb") as fh:
         head = fh.read(len(BINARY_MAGIC))
     if head == BINARY_MAGIC:
-        return _read_binary(p)
-    return _read_text(p)
+        M = _read_binary(p)
+        return np.ascontiguousarray(M.T) if transpose else M
+    M_T = _read_text(p)  # stored column-major: the rows of M^T
+    return M_T if transpose else M_T.T.copy()
 
 
 def write_vector(path, v) -> None:
@@ -116,6 +132,7 @@ def _write_text(path, M: np.ndarray) -> None:
 
 
 def _read_text(path) -> np.ndarray:
+    """The file's matrix transposed, row-major: its body as read."""
     try:
         with open(path, "r") as fh:
             m, n, _ = _read_size(path, _plain_lines(fh))
@@ -126,7 +143,7 @@ def _read_text(path) -> np.ndarray:
         values = None
     if values is None:
         m, n, values = _scan_text(path)
-    return values.reshape((n, m)).T.copy()  # stored column-major
+    return values.reshape((n, m))
 
 
 def _plain_lines(fh):
@@ -172,14 +189,23 @@ def _read_size(path, lines) -> tuple[int, int, int]:
 
 def _bulk_values(fh, count: int) -> np.ndarray | None:
     """The rest of fh as `count` finite floats, one per line, or None."""
+    # A file of size bytes holds at most (size + 1) // 2 entries, a digit and
+    # a line break each but the last; a header that claims more is the
+    # scanner's to report.  max_rows = count + 1 sizes loadtxt's result from
+    # the header, where it would grow it by quarters (up to 1.25x), and
+    # still shows a longer body.
+    if count > (os.fstat(fh.fileno()).st_size + 1) // 2:
+        return None
     with warnings.catch_warnings():
         # An empty body is the scanner's to report, not a warning.
         warnings.simplefilter("ignore", UserWarning)
         # ndmin=2 keeps a lone line "1 2" as one row of two, not two entries.
-        values = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2)
-    if values.shape != (count, 1) or not np.isfinite(values).all():
+        values = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=2,
+                            max_rows=count + 1)
+    if values.shape != (count, 1):
         return None
-    return values.reshape(count)
+    values = values.reshape(count)
+    return None if _first_nonfinite(values) is not None else values
 
 
 def _scan_text(path) -> tuple[int, int, np.ndarray]:
@@ -242,8 +268,7 @@ def _read_binary(path) -> np.ndarray:
         # One read into the returned array; astype copies only on a
         # big-endian host.
         data = np.fromfile(fh, dtype="<f8", count=m * n).astype(np.float64, copy=False)
-    finite = np.isfinite(data)
-    if not finite.all():
-        raise MatrixFileError(
-            f"{path}: non-finite value at flat index {int(finite.argmin())}")
+    bad = _first_nonfinite(data)
+    if bad is not None:
+        raise MatrixFileError(f"{path}: non-finite value at flat index {bad}")
     return data.reshape((int(m), int(n)))

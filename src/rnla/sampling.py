@@ -10,11 +10,13 @@ so zero-probability indices are never drawn and never produce 1/sqrt(0).
 
 The norm families read only A's squared column norms and B's squared row
 norms, which `_sq_norms` takes 128 KiB of rows at a time, with no temporary
-of A's or B's size.  A matmul run holds A, B (for the Gram instance, the
-row-major copy of A^T) and those two vectors, computed and checked once,
-where its instance is made; its probabilities come from the kernels the
-public functions call after validation, `_probs` and `_optimal`.  Weights
-that overflow float64 are refused with ValueError and no RuntimeWarning.
+of A's or B's size and with bits that do not depend on the layout.  A matmul
+run holds A, B and those two vectors, computed and checked once, where its
+instance is made.  The Gram instance holds its matrix once: B is the
+row-major A^T its reader returns, and A is a view of B.  A run's
+probabilities come from the kernels the public functions call after
+validation, `_probs` and `_optimal`.  Weights that overflow float64 are
+refused with ValueError and no RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -105,14 +107,17 @@ class SampleSize(NamedTuple):
 
 
 def _sq_norms(M: np.ndarray, axis: int) -> np.ndarray:
-    """np.sum(M * M, axis=axis) of a validated M, bit for bit, by row blocks.
+    """np.sum(M * M, axis=axis) of a row-major M, bit for bit, by row blocks.
 
     A block is _NORM_CHUNK elements (128 KiB), and at least one row; no
     temporary is larger than one block.  Under axis 1 the rows are
-    independent.  Under axis 0 numpy adds the rows of a row-major M in order,
-    so each block is reduced with the running sums stacked as its first row.
-    A single column is the exception: numpy sums it pairwise, so it is
-    reduced as one row.  A square that overflows is inf, with no warning.
+    independent, and each block is summed row-major.  Under axis 0 numpy adds
+    the rows of a row-major M in order, so each block is squared into a
+    row-major stack and reduced with the running sums as its first row.  A
+    single column is the exception: numpy sums it pairwise, so it is reduced
+    as one row.  So the bits do not depend on M's layout: a column-major M,
+    such as the Gram instance's A (a view of the row-major A^T), gives those
+    of its row-major copy.  A square that overflows is inf, with no warning.
     """
     m, n = M.shape
     if axis == 0 and n == 1:
@@ -122,7 +127,7 @@ def _sq_norms(M: np.ndarray, axis: int) -> np.ndarray:
         if axis == 1:
             out = np.empty(m)
             for i in range(0, m, rows):
-                block = M[i:i + rows]
+                block = np.ascontiguousarray(M[i:i + rows])
                 np.sum(block * block, axis=1, out=out[i:i + rows])
             return out
         # Row 0 holds the running sums; 0 + x is x, so the first block needs no case.

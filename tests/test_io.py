@@ -143,6 +143,35 @@ def test_binary_errors(tmp_path):
                         + struct.pack("<2d", 1.0, float("nan"))))
 
 
+# The flat index of the first NaN/Inf in a 5 x 10000 matrix (scan blocks of
+# 2**14 entries, the last one ragged) and a 1 x 40000 row wider than a block.
+NONFINITE_AT = {"first-block": ((5, 10000), 3),
+                "middle-block": ((5, 10000), 2 ** 14 + 7),
+                "ragged-last-block": ((5, 10000), 3 * 2 ** 14 + 100),
+                "row-wider-than-a-block": ((1, 40000), 2 ** 15 + 1)}
+
+
+@pytest.mark.parametrize("case", list(NONFINITE_AT))
+def test_non_finite_entries_are_refused_in_every_scan_block(tmp_path, case):
+    shape, flat = NONFINITE_AT[case]
+    M = np.ones(shape)
+    M.flat[flat] = np.inf
+    M.flat[-1] = np.nan  # a later one does not hide the first
+    p = tmp_path / "n.bin"
+    p.write_bytes(BINARY_MAGIC + struct.pack("<QQ", *shape) + M.astype("<f8").tobytes())
+    with pytest.raises(MatrixFileError,
+                       match=f"n.bin: non-finite value at flat index {flat}$"):
+        read_matrix(p)
+    # The text file lists M column-major, one entry a line after two header lines.
+    q = tmp_path / "n.mtx"
+    q.write_text(HEAD + f"{shape[0]} {shape[1]}\n"
+                 + "".join(f"{x!r}\n" for x in M.T.ravel().tolist()))
+    i, j = np.unravel_index(flat, shape)
+    with pytest.raises(MatrixFileError,
+                       match=f"n.mtx: line {3 + j * shape[0] + i}: non-finite entry 'inf'$"):
+        read_matrix(q, transpose=True)
+
+
 def test_error_messages_carry_path(tmp_path):
     p = tmp_path / "named.mtx"
     p.write_text("junk\n")
@@ -270,10 +299,10 @@ def test_text_writer_golden_bytes(tmp_path, monkeypatch, block):
     assert read_vector(pv).tobytes() == v.tobytes()
 
 
-def _read_peak(path) -> int:
+def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        read_matrix(path)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -284,4 +313,41 @@ def test_read_peak_memory_is_bounded(tmp_path, name, bound):
     M = make_rng(2).standard_normal((256, 1024))
     p = tmp_path / name
     write_matrix(p, M)
-    assert _read_peak(p) <= bound * M.nbytes
+    assert _traced_peak(lambda: read_matrix(p)) <= bound * M.nbytes
+
+
+def _scanner_file(p, M):
+    """A text file of M with a comment line in its body, which only the line
+    scanner reads."""
+    write_matrix(p, M)
+    lines = p.read_text().splitlines(keepends=True)
+    p.write_text("".join(lines[:3] + ["% note\n"] + lines[3:]))
+
+
+# A single row, a single column and a ragged shape, from each read path.
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (37, 50)], ids=["1x9", "9x1", "37x50"])
+@pytest.mark.parametrize("path", ["text-bulk", "text-scanner", "binary"])
+def test_transposed_read_is_the_row_major_transpose(tmp_path, scans, shape, path):
+    M = make_rng(3).standard_normal(shape)
+    p = tmp_path / ("m.bin" if path == "binary" else "m.mtx")
+    if path == "text-scanner":
+        _scanner_file(p, M)
+    else:
+        write_matrix(p, M)
+    T = read_matrix(p, transpose=True)
+    assert T.shape == shape[::-1] and T.dtype == np.float64
+    assert T.flags.c_contiguous and T.flags.writeable
+    assert T.tobytes() == np.ascontiguousarray(read_matrix(p).T).tobytes()
+    assert T.tobytes() == np.ascontiguousarray(M.T).tobytes()
+    assert len(scans) == (2 if path == "text-scanner" else 0)
+
+
+def test_text_write_and_transposed_read_peaks_at_the_bench_shape(tmp_path):
+    """At 256 x 4096 the writer holds one 128 KiB block of entries as Python
+    floats and text, at most 0.2x M, and the transposed read holds the
+    parsed body it returns, at most 1.1x M (the plain read adds M's
+    row-major copy, 2x)."""
+    M = make_rng(4).standard_normal((256, 4096))
+    p = tmp_path / "m.mtx"
+    assert _traced_peak(lambda: write_matrix(p, M)) <= 0.2 * M.nbytes
+    assert _traced_peak(lambda: read_matrix(p, transpose=True)) <= 1.1 * M.nbytes

@@ -6,7 +6,7 @@ import pytest
 
 from rnla import (as_matrix, as_vector, make_rng, orthonormal_basis,
                   pseudoinverse, spectral_norm, thin_svd)
-from rnla.linalg import _thin_svd
+from rnla.linalg import _SCAN_CHUNK, _first_nonfinite, _thin_svd
 
 
 def test_spectral_norm_values():
@@ -142,6 +142,43 @@ def test_as_vector_flattens_a_single_row_or_column():
     for shape in ((3, 1), (1, 3)):
         v = as_vector(np.arange(3.0).reshape(shape))
         assert v.shape == (3,) and v.tolist() == [0.0, 1.0, 2.0]
+
+
+# 5 x 10000 holds three full scan blocks and a ragged last one of 848
+# entries; a 1 x 40000 row is wider than two blocks.
+NONFINITE_AT = {"first-block": ((5, 10000), 3),
+                "middle-block": ((5, 10000), _SCAN_CHUNK + 7),
+                "ragged-last-block": ((5, 10000), 3 * _SCAN_CHUNK + 100),
+                "row-wider-than-a-block": ((1, 40000), 2 * _SCAN_CHUNK + 1)}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("case", list(NONFINITE_AT))
+def test_non_finite_entries_are_refused_in_every_scan_block(case, value):
+    shape, flat = NONFINITE_AT[case]
+    M = np.ones(shape)
+    assert _first_nonfinite(M.reshape(-1)) is None
+    M.flat[flat] = value
+    M.flat[-1] = value  # a later one does not hide the first
+    assert _first_nonfinite(M.reshape(-1)) == flat
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        as_matrix(M)
+    with pytest.raises(ValueError, match="vector entries must be finite"):
+        as_vector(M.reshape(-1))
+
+
+def test_as_matrix_scan_holds_no_mask_of_the_matrix():
+    """The NaN/Inf check of a row-major float64 matrix copies nothing and
+    holds one block's mask, not one byte per entry (0.125x M)."""
+    M = make_rng(4).standard_normal((512, 2048))
+    as_matrix(M)
+    tracemalloc.start()
+    try:
+        assert as_matrix(M) is M
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * M.nbytes
 
 
 def test_numerical_rank_cutoff():

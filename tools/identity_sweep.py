@@ -102,14 +102,25 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         gen consistent_lsq --m 9 --n 3 --out bad.mtx
     """)
     # Gram calls (a file A with no B) take the symmetric rule, the factored
-    # core (F.mtx: n + c < m) and more draws than columns (c = 30 > n = 12).
+    # core (F.mtx: n + c < m) and more draws than columns (c = 30 > n = 12),
+    # from text and binary files, under every probability family, and on a
+    # single row and a single column.
     out["file instances"] = _split("""
         gen gaussian --m 40 --n 12 --seed 1 --out A.mtx
         gen gaussian --m 12 --n 30 --seed 2 --out B.bin
         gen gaussian --m 11 --n 30 --seed 3 --out B11.mtx
         gen consistent_lsq --m 256 --n 4 --seed 5 --out L.mtx --rhs-out b.mtx
         gen gaussian --m 40 --n 3 --seed 4 --out F.mtx
+        gen gaussian --m 1 --n 30 --seed 6 --out R1.mtx
+        gen gaussian --m 30 --n 1 --seed 7 --out C1.mtx
         matmul --in A.mtx --c 8 --trials 3 --seed 2 --out gram.json
+        matmul --in B.bin --c 8 --trials 3 --seed 2 --out gram_bin.json
+        matmul --in A.mtx --c 8 --trials 3 --seed 2 --probs colnorm --out gram_col.json
+        matmul --in A.mtx --c 8 --trials 3 --seed 2 --probs rownorm --out gram_row.json
+        matmul --in A.mtx --c 8 --trials 3 --seed 2 --probs uniform --out gram_uni.json
+        matmul --in A.mtx --c 8 --trials 3 --seed 2 --no-diagnostics --out gram_nodiag.json
+        matmul --in R1.mtx --c 8 --trials 3 --seed 2 --out gram_row1.json
+        matmul --in C1.mtx --c 8 --trials 3 --seed 2 --out gram_col1.json
         matmul --in F.mtx --c 4 --trials 3 --seed 2 --out gram_core.json
         matmul --in A.mtx --c 30 --trials 3 --seed 2 --out gram_repeats.json
         matmul --in A.mtx --in-b B.bin --c 8 --trials 3 --seed 2 --out ab.json --csv ab.csv
