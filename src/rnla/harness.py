@@ -9,35 +9,11 @@ R-only QR, of A (or A^T) or of [A, b].  The solvers take the record.
 
 A run's instance is checked once, where it is made: the generators and the
 file readers return only finite arrays, so `_resolve_instance` validates
-nothing again.  A matmul run holds A, B and two norm vectors, A's squared
-column norms and B's squared row norms, which `_resolve_instance` computes
-once with `sampling._sq_norms`, 128 KiB of rows at a time.  The run's
-probabilities and its `expected_fro_err_sq` bound come from those vectors
-alone, and a run whose weights or bound overflow float64 is refused there.
-Each matmul trial draws one plan and gathers R with the validated-input
-kernel `sampling._rows` and C with `_columns` (C = R.T for the Gram
-instance), so no trial rescans A or B.
-
-A file instance without its own B is the Gram instance, the product A A^T.
-The run holds the matrix once: B is A^T, which `read_matrix(path,
-transpose=True)` returns row-major (for a text file, whose entries run down
-columns, that is the parsed body with no copy), and A is the view B.T.  A
-trial gathers contiguous rows R of B and takes C = R.T, a view, so it never
-gathers A's strided columns.  The exact product A @ B and C @ R, each a
-matrix times its own transpose, are then numpy's symmetric rank-k products,
-and E = A A^T - C C^T is exactly symmetric.  A's squared column norms have
-the bits of its row-major copy (see `sampling._sq_norms`).
-
-Lsq and lowrank trials still enter through `rand_least_squares` and
-`rand_low_rank`, which scan A on every call; those public calls are the
-spans the benchmark times their solves by.
-
-A diagnostic matmul trial reports `spectral_error` = ||A B - C R||_2 without
-an SVD of the m x p error E: from an (n+c) x (n+c) core of two thin QRs when
-n + c < min(m, p) (E has rank at most n + c), else from linalg's spectral
-norm of E.  See `_spectral_error`.  `fro_error_sq` and the success flag are
-read from E itself.  A lowrank trial copies the verdicts its solver's
-diagnostics carry; the harness holds no threshold of its own.
+nothing again, and no matmul trial rescans A or B.  Lsq and lowrank trials
+still enter through `rand_least_squares` and `rand_low_rank`, which scan A
+on every call; those public calls are the spans the benchmark times their
+solves by.  A lowrank trial copies the verdicts its solver's diagnostics
+carry; the harness holds no threshold of its own.
 
 A run has two endings.  Either every trial runs and the report is whole: a
 trial whose realized sketch misses the subspace (`SketchRankError`, the
@@ -68,9 +44,8 @@ AggregateReport, and `meta` holds `_meta`'s keys.
 `build_report` writes those and `load_report` checks against the same
 definitions, so a new report field is one field added to one of them.
 
-Reports are serialized by a local writer that prints every float with 17
-significant digits and fixed key order; stdlib json cannot control float
-formatting.
+Reports are stdlib JSON: two-space indents, fields in record order, and each
+float in its shortest exact form.
 """
 
 from __future__ import annotations
@@ -111,7 +86,7 @@ __all__ = [
     "ALGORITHM_PARAMS", "LSQ_FAMILIES", "MATMUL_PROBS",
 ]
 
-VERSION = "0.1.0"
+VERSION = "0.2.0"
 
 
 @dataclass(frozen=True)
@@ -157,7 +132,7 @@ class ExperimentConfig:
         if not 0 <= iseed < _KEY_LIMIT - reach:
             bound = "2**128 - 1), since a generated B uses seed + 1" if reach else "2**128)"
             raise ValueError(f"instance seed must lie in [0, {bound}; got seed = {iseed}")
-        _write_json(asdict(self), [], 0)  # the report's config block must be writable
+        dumps_report(asdict(self))  # the report's config block must be writable
 
 
 @dataclass
@@ -575,54 +550,20 @@ def build_report(config: ExperimentConfig, trials: list[TrialReport],
     }
 
 
-def _write_json(obj, out: list, level: int) -> None:
-    pad = "  " * level
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            out.append(pad + "  " + json.dumps(str(k)) + ": ")
-            _write_json(v, out, level + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _write_json(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError("reports must contain finite numbers only")
-        out.append(format(x, ".17g"))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _write_json(obj.tolist(), out, level)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _plain(obj):
+    """The JSON value of a numpy array or scalar; anything else is refused."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps_report(report: dict) -> str:
-    """Serialize with 17-significant-digit floats and stable key order."""
-    out: list[str] = []
-    _write_json(report, out, 0)
-    out.append("\n")
-    return "".join(out)
+    """Serialize with two-space indents, fields in record order and each float
+    in its shortest exact form."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False, default=_plain) + "\n"
+    except ValueError as e:
+        raise ValueError("reports must contain finite numbers only") from e
 
 
 _TOP_KEYS = {"config", "trials", "aggregate", "meta"}
@@ -633,7 +574,9 @@ def _field_names(record) -> set:
 
 
 def load_report(path) -> dict:
-    """Read a report back, rejecting fields the record types do not define."""
+    """Read a report back, rejecting fields the record types do not define.
+
+    A 0.1.0 report, whose floats have 17 digits, loads as well."""
     with open(path, "r") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -661,7 +604,12 @@ def load_report(path) -> dict:
 
 
 def report_to_csv(report: dict) -> str:
-    """Flatten the aggregate block only: one row per metric plus the rate."""
+    """Flatten the aggregate block only: one row per metric plus the rate.
+
+    Numbers print with 17 significant digits, which print a 0.1.0 report's
+    integral float `5` and a 0.2.0 report's `5.0` alike, so a report gives
+    the same CSV bytes in either format.
+    """
     lines = ["metric,mean,se,min,max"]
     agg = report["aggregate"]
     for name, s in agg["metrics"].items():

@@ -163,7 +163,7 @@ def check_conditions(sketch_of_UA, sketch_of_bperp, Z: float,
         cross_term=cross,
         Z=Z,
         cond22_pass=sigma_min_sq >= COND22_THRESHOLD,
-        cond23_pass=cross <= eps * Z * Z / 2.0 + bperp_err * bperp_err,
+        cond23_pass=bool(cross <= eps * Z * Z / 2.0 + bperp_err * bperp_err),
     )
 
 

@@ -11,24 +11,10 @@ Two formats, chosen by content on read and by extension on write:
 Readers reject NaN/Inf with the offending line (text) or flat index (binary)
 and report parse errors with line numbers.
 
-Both text paths work in bulk.  The writer formats one block of 2**14 entries
-(128 KiB of float64) per write, so its Python floats and their text stay
-small next to the matrix.  The reader parses the header line by line and
-hands the rest of the file to one ``np.loadtxt`` call, sized by the header,
-whose float parser accepts a subset of what ``float()`` accepts and gives
-the same bits.  The bulk result is kept only when it holds exactly
-rows x cols finite entries, one per line.  Anything else -- a comment line
-or an inline comment in the body, ``1_0``, a NaN or an Inf, two numbers on
-one line, too few or too many entries, a header that is not plain -- sends
-the whole file to the line scanner, which decides what the file holds or
-which error to raise.  The binary reader reads the payload straight into the
-returned array.  NaN/Inf checks scan 2**14 entries at a time
-(`linalg._first_nonfinite`), with no mask of the matrix's size.
-
-Both readers return row-major arrays.  ``read_matrix(path, transpose=True)``
-returns the file's matrix transposed: a text file's column-major body,
-reshaped, is that array with no copy; a binary file's row-major matrix is
-copied once, transposed, and dropped.
+The text reader keeps its bulk parse of the body only when that is exactly
+rows x cols finite entries, one per line, with the bits ``float()`` gives;
+anything else goes to the line scanner, which decides what the file holds
+or which error to raise.
 """
 
 from __future__ import annotations
@@ -249,7 +235,7 @@ def _write_binary(path, M: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(BINARY_MAGIC)
         fh.write(struct.pack("<QQ", m, n))
-        fh.write(np.ascontiguousarray(M, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(M, dtype="<f8"))  # its buffer, not a copy
 
 
 def _read_binary(path) -> np.ndarray:

@@ -10,10 +10,7 @@ so zero-probability indices are never drawn and never produce 1/sqrt(0).
 
 The norm families read only A's squared column norms and B's squared row
 norms, which `_sq_norms` takes 128 KiB of rows at a time, with no temporary
-of A's or B's size and with bits that do not depend on the layout.  A matmul
-run holds A, B and those two vectors, computed and checked once, where its
-instance is made.  The Gram instance holds its matrix once: B is the
-row-major A^T its reader returns, and A is a view of B.  A run's
+of A's or B's size and with bits that do not depend on the layout.  A run's
 probabilities come from the kernels the public functions call after
 validation, `_probs` and `_optimal`.  Weights that overflow float64 are
 refused with ValueError and no RuntimeWarning.

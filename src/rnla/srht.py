@@ -40,27 +40,9 @@ spend more of that budget than walking them down to single rows would
 r = 1024), but as a few hundred BLAS products instead of thousands of
 Python-level nodes.
 
-The walk's bookkeeping is integer work: the requested rows are a memoryview
-of one sorted array, a node is an integer offset and size into the one
-buffer plus the bounds of its rows in that view, bisect splits the rows
-between the halves, and the adds are summed as the walk returns and charged
-to the counter once per call.  The kernel slices and reshapes row ranges of
-its buffer, so the buffer must be C-contiguous for those to stay views.
-
-A butterfly that keeps both halves needs their difference while it adds
-them; that goes through a temporary of at most _CHUNK elements (128 KiB),
-piece by piece, never one as large as the half, and a leaf's sign rows are
-no larger.  So the kernel's only large allocation is srht_apply's padded
-buffer, and no butterfly maps and faults in fresh pages.  Each element
-still gets the same subtraction and addition of the same operands, so
-outputs are bit-identical to one whole-half pass.  srht_apply fills that
-buffer straight from the caller's arrays, a tuple of column blocks
-included, so no stacked or contiguous copy of the input is made: a 1-d
-column by np.multiply, a row-major block by one einsum, and any other block,
-such as the right side's A.T, by einsums over _FILL_COLS columns at a time,
-so the transposing copy reads cache-sized runs of rows of A.  Each entry is
-the one product sign * a either way, so the buffer's bits do not depend on
-the path.
+Butterflies and leaves go through temporaries of at most _CHUNK elements
+(128 KiB), so the kernel's one large allocation is srht_apply's padded
+buffer, and its outputs are bit-identical to one whole-half pass.
 
 Reproducibility contract: one Philox stream per operator seed, sign draws
 consumed first, index draws second.  Sign i is +1 when the i-th of the n_pad
@@ -322,13 +304,8 @@ def subsampled_fwht(x, plan: SamplingPlan, counter: OpCounter | None = None) -> 
 def make_srht(n: int, r: int, seed: int, side: str = "left") -> SrhtOperator:
     """Draw a fresh SRHT operator for logical dimension n with r samples.
 
-    n_pad is the smallest power of two >= n.  One Philox stream keyed on
-    seed is consumed in a fixed order: n_pad sign draws first, then the r
-    uniform index draws.  Index t is floor(u_t n_pad), as
-    (u * n_pad).astype(int64): n_pad is a power of two, so u n_pad is exact,
-    and so are the cumulative sums (i+1)/n_pad of uniform_probs(n_pad), whose
-    inverse-CDF draw therefore gives the same indices (see the module
-    docstring).
+    n_pad is the smallest power of two >= n.  The draws follow the module's
+    reproducibility contract: n_pad signs, then r indices floor(u n_pad).
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be >= 1")
@@ -384,7 +361,8 @@ def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndar
             continue
         # einsum, not a broadcast multiply, which allocates iterator buffers.  A
         # B that is not row-major, such as the right side's B = A.T, goes by
-        # _FILL_COLS columns: cache-sized transposes of rows of A.
+        # _FILL_COLS columns: cache-sized transposes of rows of A.  Each entry is
+        # the one product sign * a on every path, so the buffer's bits agree.
         step = max(w, 1) if B.flags.c_contiguous else _FILL_COLS
         for j in range(0, w, step):
             np.einsum("i,ij->ij", signs, B[:, j:j + step], out=dst[:, j:j + step])

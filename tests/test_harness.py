@@ -1,5 +1,7 @@
+import json
 import math
 import re
+import struct
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -720,12 +722,153 @@ def test_dumps_report_formatting():
                     "npf": np.float64(0.5), "npi": np.int64(4),
                     "npb": np.bool_(False)}}
     text = dumps_report(rep)
-    assert "0.10000000000000001" in text
+    assert '"x": 0.1\n' in text
+    assert '"npf": 0.5' in text
     assert '"flag": true' in text
     assert '"none": null' in text
     assert '"npi": 4' in text
     assert '"npb": false' in text
     assert text.endswith("\n")
+
+
+def _leaves(obj, path="") -> list:
+    """(key path, leaf) of every leaf in order: a float as its bits, any other
+    leaf as (type, value)."""
+    if isinstance(obj, dict):
+        return [x for k, v in obj.items() for x in _leaves(v, f"{path}.{k}")]
+    if isinstance(obj, list):
+        return [x for v in obj for x in _leaves(v, path)]
+    return [(path, struct.pack("<d", obj) if type(obj) is float else (type(obj), obj))]
+
+
+def test_reports_read_back_with_every_float_bit_for_bit():
+    """json.loads of dumps_report gives the report back: each float as a float
+    with the same bits, each integer as an integer."""
+    configs = [
+        ExperimentConfig("lsq", {"family": "gaussian", "m": 512, "n": 4, "seed": 1},
+                         {"eps": 0.5, "r": 64}, trials=3, base_seed=2),
+        ExperimentConfig("lowrank", {"family": "lowrank_plus_noise", "m": 40, "n": 20,
+                                     "sigma": [3.0, 2.0, 1.0], "eta": 0.01},
+                         {"k": 2, "eps": 0.25, "c": 8}, trials=3, base_seed=5),
+        _matmul_config(trials=3),
+    ]
+    reports = [run_experiment(cfg) for cfg in configs]
+    reports.append({"config": {}, "trials": [], "meta": {}, "aggregate": {
+        "tiny": 5e-324, "huge": 1.7976931348623157e308, "negzero": -0.0,
+        "whole": 5.0, "tenth": 0.1, "count": 5}})
+    for rep in reports:
+        text = dumps_report(rep)
+        back = json.loads(text)
+        assert back == rep
+        assert _leaves(back) == _leaves(rep)
+    for want in ('"tiny": 5e-324', '"huge": 1.7976931348623157e+308',
+                 '"negzero": -0.0', '"whole": 5.0', '"tenth": 0.1', '"count": 5\n'):
+        assert want in text
+
+
+# A 0.1.0 report: floats with 17 significant digits, and the integral floats
+# (sigma 5.0, success_rate 1.0, mean 2.0, se 0.0) written as integers.
+OLD_REPORT = """{
+  "config": {
+    "algorithm": "lowrank",
+    "instance": {
+      "family": "lowrank_plus_noise",
+      "m": 12,
+      "n": 10,
+      "sigma": [
+        5
+      ],
+      "seed": 0
+    },
+    "params": {
+      "k": 2,
+      "eps": 0.25,
+      "c": 4
+    },
+    "trials": 1,
+    "base_seed": 0,
+    "diagnostics": true
+  },
+  "trials": [
+    {
+      "seed": 0,
+      "ok": true,
+      "error": null,
+      "metrics": {
+        "error_fro": 0.10000000000000001
+      },
+      "bounds": {},
+      "flags": {
+        "success": true
+      },
+      "ops": {},
+      "wall_time": 0.0012345678901234567
+    }
+  ],
+  "aggregate": {
+    "success_rate": 1,
+    "trials_ok": 1,
+    "trials_total": 1,
+    "metrics": {
+      "error_fro": {
+        "mean": 2,
+        "se": 0,
+        "min": 0.10000000000000001,
+        "max": 65.136007304498804
+      }
+    }
+  },
+  "meta": {
+    "rng": "philox4x32-10",
+    "version": "0.1.0",
+    "wall_time": 0.012345678901234568
+  }
+}
+"""
+
+
+def test_a_0_1_0_report_loads_and_gives_the_same_csv(tmp_path):
+    old = tmp_path / "old.json"
+    old.write_text(OLD_REPORT)
+    rep = load_report(old)
+    assert rep["config"]["instance"]["sigma"] == [5.0]
+    assert rep["aggregate"]["metrics"]["error_fro"]["max"] == 65.136007304498804
+    # The same values as a 0.2.0 report holds them: each float a float.
+    values = json.loads(OLD_REPORT)
+    values["config"]["instance"]["sigma"] = [5.0]
+    values["aggregate"]["success_rate"] = 1.0
+    values["aggregate"]["metrics"]["error_fro"].update(mean=2.0, se=0.0)
+    new = tmp_path / "new.json"
+    new.write_text(dumps_report(values))
+    assert '"sigma": [\n        5.0\n' in new.read_text()
+    assert '"max": 65.1360073044988\n' in new.read_text()
+    assert load_report(new) == rep
+    for path in (old, new):
+        assert cli_main(["report", str(path), "--csv", str(path) + ".csv"]) == 0
+    csv = (tmp_path / "old.json.csv").read_bytes()
+    assert csv == (tmp_path / "new.json.csv").read_bytes()
+    assert csv == (b"metric,mean,se,min,max\n"
+                   b"error_fro,2,0,0.10000000000000001,65.136007304498804\n"
+                   b"success_rate,1,,,\n")
+
+
+def test_every_trial_flag_is_a_python_bool():
+    """A report needs no numpy-aware encoder: stdlib json writes it as is."""
+    configs = [
+        ExperimentConfig("lsq", {"family": "gaussian", "m": 512, "n": 4, "seed": 1},
+                         {"eps": 0.5, "r": 64}, trials=3, base_seed=0),
+        ExperimentConfig("lsq", {"family": "consistent_lsq", "m": 512, "n": 4},
+                         {"eps": 0.5, "r": 64}, trials=2, base_seed=0),
+        ExperimentConfig("lowrank", {"family": "lowrank_plus_noise", "m": 40, "n": 20,
+                                     "sigma": [3.0, 2.0]},
+                         {"k": 2, "eps": 0.25, "c": 8}, trials=3, base_seed=0),
+        _matmul_config(trials=3),
+    ]
+    for cfg in configs:
+        rep = run_experiment(cfg)
+        flags = [v for t in rep["trials"] for v in t["flags"].values()]
+        assert flags and all(type(v) is bool for v in flags)
+        json.dumps(rep, allow_nan=False)
 
 
 def test_dumps_report_rejects_bad_values():

@@ -351,3 +351,12 @@ def test_text_write_and_transposed_read_peaks_at_the_bench_shape(tmp_path):
     p = tmp_path / "m.mtx"
     assert _traced_peak(lambda: write_matrix(p, M)) <= 0.2 * M.nbytes
     assert _traced_peak(lambda: read_matrix(p, transpose=True)) <= 1.1 * M.nbytes
+
+
+def test_binary_write_holds_no_copy_of_the_matrix(tmp_path):
+    """The binary writer hands the array's own buffer to the file."""
+    M = make_rng(5).standard_normal((256, 1024))
+    p = tmp_path / "w.bin"
+    write_matrix(p, M)  # warm up the first call's one-time allocations
+    assert _traced_peak(lambda: write_matrix(p, M)) <= 0.05 * M.nbytes
+    assert read_matrix(p).tobytes() == M.tobytes()

@@ -23,3 +23,11 @@ def test_identity_sweep_names_each_differing_field_with_its_largest_gap():
     change[2] = ("s.json", b"")
     assert sweep._differences(parent, change)[2:] == [
         "  r.csv: Z.mean 0.2", "  files r.json vs s.json"]
+
+
+def test_identity_sweep_says_when_only_the_bytes_differ():
+    parent = [("r.json", b'{"x": 5, "y": 0.10000000000000001}\n')]
+    change = [("r.json", b'{\n  "x": 5.0,\n  "y": 0.1\n}\n')]
+    assert sweep._differences(parent, change) == [
+        "  exit code identical; stdout identical; stderr identical; flags identical",
+        "  r.json: same values, different bytes"]

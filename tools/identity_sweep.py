@@ -14,8 +14,9 @@ prints one line per group and a summary, and exits 1 if any group differs.
 Under a differing group it says whether any exit code, stdout, stderr or
 report flag (a true/false field) differs, then names each differing JSON or
 CSV document, file or stdout, with every field that differs and the largest
-relative difference of its values.  A field is the document's key path with
-list indices dropped, so one line covers a field over all trials.
+relative difference of its values, or "same values, different bytes" when
+every parsed field matches.  A field is the document's key path with list
+indices dropped, so one line covers a field over all trials.
 The benchmark's calls come from this checkout's `bench/workloads.py`; the
 script does not import rnla itself.
 """
@@ -287,8 +288,8 @@ def _relative(x, y) -> float | None:
 
 
 def _field_line(name: str, a: bytes, b: bytes) -> tuple[str, bool]:
-    """A line naming each differing field of the document, and whether a
-    true/false field differs."""
+    """A line naming each differing field of the document (or saying that
+    none differs), and whether a true/false field differs."""
     fa, fb = _fields(a), _fields(b)
     if fa is None or fb is None:
         return f"  {name}: differs (not JSON or CSV)", False
@@ -301,7 +302,7 @@ def _field_line(name: str, a: bytes, b: bytes) -> tuple[str, bool]:
         rel = ([_relative(x, y) for x, y in zip(va, vb)] if len(va) == len(vb)
                else [None])
         parts.append(f"{field} " + ("differs" if None in rel else f"{max(rel):.2g}"))
-    return f"  {name}: {', '.join(parts)}", flags
+    return f"  {name}: {', '.join(parts) or 'same values, different bytes'}", flags
 
 
 def _differences(a: list[tuple], b: list[tuple]) -> list[str]:
