@@ -29,12 +29,13 @@ except for wall-time fields.
 A check suite's parameters are its keyword-only defaults, which are also the
 CLI's check flags; `run_check_suite` refuses any other.  An experiment's
 params are `ALGORITHM_PARAMS`, which are also the CLI's algorithm flags;
-`ExperimentConfig` refuses any other.  It also refuses an unknown lsq family,
-an instance key that its algorithm does not read (`_INSTANCE_KEYS`), and a
-config without a key its run needs (`_INSTANCE_NEEDS`, `_PARAM_NEEDS`), so
-no generator, reader or oracle runs first; `gen_matrix` refuses a family
-keyword its family does not read.  The CLI's lsq families and matmul
-probabilities are `LSQ_FAMILIES` and `MATMUL_PROBS`.
+`ExperimentConfig` refuses any other.  It also refuses an unknown lsq family
+or matmul `probs`, a matmul c below 1, an instance key that its algorithm
+does not read (`_INSTANCE_KEYS`), and a config without a key its run needs
+(`_INSTANCE_NEEDS`, `_PARAM_NEEDS`), so no generator, reader or oracle runs
+first; `gen_matrix` refuses a family keyword its family does not read.  The
+CLI's lsq families and matmul probabilities are `LSQ_FAMILIES` and
+`MATMUL_PROBS`.
 
 `run_experiment` is the one way to run an experiment; the CLI renders the
 dict it returns with `dumps_report` and writes the text itself.  The record
@@ -112,6 +113,9 @@ class ExperimentConfig:
         fam = self.instance.get("family")
         if self.algorithm == "lsq" and fam not in (None, "file", *LSQ_FAMILIES):
             raise ValueError(f"unknown lsq family {fam!r}")
+        kind = self.params.get("probs", "optimal")
+        if self.algorithm == "matmul" and kind not in MATMUL_PROBS:
+            raise ValueError(f"unknown probability family {kind!r}")
         generated, from_file = _INSTANCE_KEYS[self.algorithm]
         extra = sorted(set(self.instance) - set(from_file if fam == "file" else generated))
         if extra:
@@ -133,6 +137,8 @@ class ExperimentConfig:
             bound = "2**128 - 1), since a generated B uses seed + 1" if reach else "2**128)"
             raise ValueError(f"instance seed must lie in [0, {bound}; got seed = {iseed}")
         dumps_report(asdict(self))  # the report's config block must be writable
+        if self.algorithm == "matmul" and int(self.params["c"]) < 1:
+            raise ValueError("c must be >= 1")
 
 
 @dataclass
@@ -183,8 +189,8 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
     """Build the problem data once; trials reuse it with fresh seeds.
 
     Its sources return finite float64 arrays, so it validates nothing.  It checks
-    only a file B's rows against A's columns, which no one source sees, and
-    `probs`; an lsq file b of the wrong length is the oracle's to refuse.
+    only a file B's rows against A's columns, which no one source sees; an lsq
+    file b of the wrong length is the oracle's to refuse.
     A matmul run's norms, probabilities and bound are taken here, once, and
     weights or a bound that overflow float64 are refused before any trial."""
     inst = config.instance
@@ -217,12 +223,8 @@ def _resolve_instance(config: ExperimentConfig) -> dict:
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"A is {A.shape[0]} x {A.shape[1]} but B is "
                          f"{B.shape[0]} x {B.shape[1]}: inner dimensions differ")
-    kind = config.params.get("probs", "optimal")
-    family = MATMUL_PROBS.get(kind)
-    if family is None:
-        raise ValueError(f"unknown probability family {kind!r}")
     a, b = _sq_norms(A, 0), _sq_norms(B, 1)
-    probs = family(a, b)
+    probs = MATMUL_PROBS[config.params.get("probs", "optimal")](a, b)
     bound = _frobenius_bound(a, b, int(config.params["c"]), probs)
     if not math.isfinite(bound):
         raise ValueError("the expected error bound overflows float64: the "
@@ -435,6 +437,8 @@ def _hadamard_row(i: int, n: int) -> np.ndarray:
 def _check_srht(seed: int, *, n: int = 1024, r: int = 8) -> TrialReport:
     """Subsampled transform respects op counts and matches Htilde rows built one at
     a time from the closed form: O(n) memory, no arithmetic shared with the kernel."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
     n = next_pow2(n)
     x = make_rng(seed).standard_normal(n)
     plan = draw_plan(uniform_probs(n), r, seed)

@@ -31,24 +31,27 @@ __all__ = [
 RANK_RTOL = 1e-12
 RANK_ZERO_FLOOR = 1e-300
 
-# Elements per row block of _tall_qr (128 KiB of float64), so a block stays in
-# cache while it is factored.
-_QR_CHUNK = 2 ** 14
+# Float64 entries per block of every blocked kernel: the TSQR row blocks, the
+# NaN/Inf scan, sampling's norm squares, the Hadamard butterflies and leaves,
+# and the text writer.  128 KiB stays in cache, and below any malloc mmap
+# threshold it comes from the heap, not fresh pages.  Measured larger, TSQR
+# blocks (2**16 to 2**20: 45 to 111 against 44 ms at 131072 x 17) and
+# butterfly pieces (2**15 to 2**18: 29 to 41 against 20 ms) ran slower, and
+# writer blocks of 2**16 ran no faster at 4x the peak.
+_BLOCK = 2 ** 14
 # Full-size row blocks of _tall_qr per stacked np.linalg.qr call.
 _QR_GROUP = 8
-# Entries per block of _first_nonfinite, whose NaN/Inf mask is one block.
-_SCAN_CHUNK = 2 ** 14
 
 
 def _first_nonfinite(x: np.ndarray) -> int | None:
     """Flat index of the first NaN or Inf in a contiguous 1-d array, or None.
 
-    x is scanned _SCAN_CHUNK entries at a time into one reused mask, so no
-    mask of x's size is made.
+    x is scanned a block at a time into one reused mask, so no mask of x's
+    size is made.
     """
-    mask = np.empty(min(x.size, _SCAN_CHUNK), dtype=bool)
-    for i in range(0, x.size, _SCAN_CHUNK):
-        block = x[i:i + _SCAN_CHUNK]
+    mask = np.empty(min(x.size, _BLOCK), dtype=bool)
+    for i in range(0, x.size, _BLOCK):
+        block = x[i:i + _BLOCK]
         finite = np.isfinite(block, out=mask[:block.size])
         if not finite.all():
             return i + int(finite.argmin())
@@ -180,14 +183,14 @@ def _tall_qr(blocks: tuple) -> np.ndarray:
 
     The blocks are validated arrays of equal height m, each 2-d or 1-d (one
     column), k columns in all.  M is cut into row blocks of max(16k,
-    _QR_CHUNK // k) rows (_QR_CHUNK elements up to k = 32, so a block stays in
-    cache; above, the stack stays m/16 rows), and a tail shorter than k rows
-    joins the block before it.  The full-size blocks are copied from the B_i,
-    _QR_GROUP at a time, into one reused buffer and factored by one stacked
-    np.linalg.qr call; the last block is factored on its own.  Only each R_i
-    is kept, and the stacked [R_1; ...; R_p] is factored once more for R.  An
-    M under two blocks is factored whole.  No Q is formed.  (Demmel, Grigori,
-    Hoemmen & Langou, SISC 2012.)
+    _BLOCK // k) rows (one block up to k = 32; above, the stack stays m/16
+    rows), and a tail shorter than k rows joins the block before it.  The
+    full-size blocks are copied from the B_i, _QR_GROUP at a time, into one
+    reused buffer and factored by one stacked np.linalg.qr call; the last
+    block is factored on its own.  Only each R_i is kept, and the stacked
+    [R_1; ...; R_p] is factored once more for R.  An M under two blocks is
+    factored whole.  No Q is formed.  (Demmel, Grigori, Hoemmen & Langou,
+    SISC 2012.)
 
     Every matrix built here for LAPACK is column-major: np.linalg.qr copies
     its operand in the operand's own layout and LAPACK reads columns, so a
@@ -199,7 +202,7 @@ def _tall_qr(blocks: tuple) -> np.ndarray:
     """
     cols = [B.reshape(B.shape[0], -1) for B in blocks]
     m, k = cols[0].shape[0], sum(c.shape[1] for c in cols)
-    rows = max(16 * k, _QR_CHUNK // k)
+    rows = max(16 * k, _BLOCK // k)
     if m < 2 * rows:
         if len(cols) == 1:
             return np.linalg.qr(cols[0], mode="r")

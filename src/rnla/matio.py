@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _first_nonfinite, as_matrix, as_vector
+from .linalg import _BLOCK, _first_nonfinite, as_matrix, as_vector
 
 __all__ = [
     "BINARY_MAGIC",
@@ -40,10 +40,6 @@ __all__ = [
 BINARY_MAGIC = b"RNLADNS1"
 
 _BANNER = "%%MatrixMarket matrix array real general"
-
-# Entries formatted per write by the text writer (128 KiB of float64); memory
-# is bounded by one block of Python floats and their text.
-_WRITE_BLOCK = 2 ** 14
 
 
 class MatrixFileError(ValueError):
@@ -106,7 +102,7 @@ def read_vector(path) -> np.ndarray:
 
 def _write_text(path, M: np.ndarray) -> None:
     m, n = M.shape
-    cols = max(1, _WRITE_BLOCK // m)
+    cols = max(1, _BLOCK // m)
     with open(path, "w") as fh:
         fh.write(_BANNER + "\n")
         fh.write(f"{m} {n}\n")

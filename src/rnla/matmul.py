@@ -59,8 +59,10 @@ def rand_matrix_multiply(A, B, c: int, probs: ProbVector, seed: int) -> MatMulSk
     return MatMulSketch(C=_columns(A, plan), R=_rows(B, plan), plan=plan)
 
 
-def _factors(A, B, probs: ProbVector) -> tuple[np.ndarray, np.ndarray]:
-    """A and B checked, with inner dimension probs.n."""
+def _factors(A, B, c: int, probs: ProbVector) -> tuple[np.ndarray, np.ndarray]:
+    """A and B checked, with inner dimension probs.n, for c >= 1 samples."""
+    if c < 1:
+        raise ValueError("c must be >= 1")
     A, B = as_matrix(A), as_matrix(B)
     if A.shape[1] != B.shape[0] or A.shape[1] != probs.n:
         raise ValueError("dimension mismatch")
@@ -81,10 +83,8 @@ def _frobenius_bound(a: np.ndarray, b: np.ndarray, c: int, probs: ProbVector) ->
     a and b are A's squared column norms and B's squared row norms.  A term
     or sum that overflows float64 makes the bound inf, with no warning.  An
     overflowed norm meeting a zero one gives inf * 0, a NaN term; it is not
-    counted, as that product of a column and a row is zero.
+    counted, as that product of a column and a row is zero.  c >= 1.
     """
-    if c < 1:
-        raise ValueError("c must be >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
         term = a * b
         live = _zero_prob_guard(term, probs.p)
@@ -101,7 +101,7 @@ def expected_frobenius_error(A, B, c: int, probs: ProbVector) -> float:
     matmul run computes the two vectors once, where its instance is made,
     and takes its bound from the same kernel, `_frobenius_bound`.
     """
-    A, B = _factors(A, B, probs)
+    A, B = _factors(A, B, c, probs)
     return _frobenius_bound(_sq_norms(A, 0), _sq_norms(B, 1), c, probs)
 
 
@@ -110,7 +110,7 @@ def entry_variance_bound(A, B, probs: ProbVector, c: int, i: int, j: int) -> flo
 
     i and j are 0-based.
     """
-    A, B = _factors(A, B, probs)
+    A, B = _factors(A, B, c, probs)
     if not (0 <= i < A.shape[0] and 0 <= j < B.shape[1]):
         raise ValueError(f"entry ({i}, {j}) out of range")
     term = A[i, :] ** 2 * B[:, j] ** 2
@@ -134,7 +134,7 @@ def enumerate_sketch_moments(A, B, c: int, probs: ProbVector) -> EnumeratedMomen
     tuples touching zero-probability indices have weight zero and are skipped.
     Intended for desk-scale ground truth (n^c capped at MAX_TUPLES).
     """
-    A, B = _factors(A, B, probs)
+    A, B = _factors(A, B, c, probs)
     support = np.flatnonzero(probs.p > 0.0)
     if len(support) ** c > MAX_TUPLES:
         raise ValueError(f"enumeration of {len(support)}^{c} tuples exceeds cap")

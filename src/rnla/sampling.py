@@ -9,8 +9,8 @@ deviates in a precomputed cumulative array from which exact zeros are dropped,
 so zero-probability indices are never drawn and never produce 1/sqrt(0).
 
 The norm families read only A's squared column norms and B's squared row
-norms, which `_sq_norms` takes 128 KiB of rows at a time, with no temporary
-of A's or B's size and with bits that do not depend on the layout.  A run's
+norms, which `_sq_norms` takes by row blocks, with no temporary of A's or
+B's size and with bits that do not depend on the layout.  A run's
 probabilities come from the kernels the public functions call after
 validation, `_probs` and `_optimal`.  Weights that overflow float64 are
 refused with ValueError and no RuntimeWarning.
@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import _BLOCK, as_matrix
 
 __all__ = [
     "RNG_NAME",
@@ -43,9 +43,6 @@ __all__ = [
 RNG_NAME = "philox4x32-10"
 
 _KEY_LIMIT = 2 ** 128  # Philox keys lie in [0, 2**128)
-
-# Elements per row block of _sq_norms (128 KiB of float64).
-_NORM_CHUNK = 2 ** 14
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -106,20 +103,20 @@ class SampleSize(NamedTuple):
 def _sq_norms(M: np.ndarray, axis: int) -> np.ndarray:
     """np.sum(M * M, axis=axis) of a row-major M, bit for bit, by row blocks.
 
-    A block is _NORM_CHUNK elements (128 KiB), and at least one row; no
-    temporary is larger than one block.  Under axis 1 the rows are
-    independent, and each block is summed row-major.  Under axis 0 numpy adds
-    the rows of a row-major M in order, so each block is squared into a
-    row-major stack and reduced with the running sums as its first row.  A
-    single column is the exception: numpy sums it pairwise, so it is reduced
-    as one row.  So the bits do not depend on M's layout: a column-major M,
-    such as the Gram instance's A (a view of the row-major A^T), gives those
-    of its row-major copy.  A square that overflows is inf, with no warning.
+    A block is _BLOCK elements, and at least one row; no temporary is larger
+    than one block.  Under axis 1 the rows are independent, and each block is
+    summed row-major.  Under axis 0 numpy adds the rows of a row-major M in
+    order, so each block is squared into a row-major stack and reduced with
+    the running sums as its first row.  A single column is the exception:
+    numpy sums it pairwise, so it is reduced as one row.  So the bits do not
+    depend on M's layout: a column-major M, such as the Gram instance's A (a
+    view of the row-major A^T), gives those of its row-major copy.  A square
+    that overflows is inf, with no warning.
     """
     m, n = M.shape
     if axis == 0 and n == 1:
         return _sq_norms(M.reshape(1, m), 1)
-    rows = max(1, _NORM_CHUNK // max(n, 1))
+    rows = max(1, _BLOCK // max(n, 1))
     with np.errstate(over="ignore"):
         if axis == 1:
             out = np.empty(m)

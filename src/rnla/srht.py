@@ -25,8 +25,8 @@ holding q requested rows, but not all of its rows, is finished by one BLAS
 product: its q rows of Htilde_size, built from two small Sylvester tables
 by a Kronecker product, times the node's rows of the buffer.  The counter
 charges it the q (size - 1) adds of those +-1 sums per column.  A leaf is
-taken only while its sign rows hold at most _CHUNK entries; a node with more
-is walked on.
+taken only while its sign rows fit in one block (`linalg._BLOCK` entries); a
+node with more is walked on.
 
 The bound: each level above L costs at most n adds, since its nodes are
 disjoint, so those levels cost at most n log2(n/L).  Below, a node of size
@@ -40,9 +40,9 @@ spend more of that budget than walking them down to single rows would
 r = 1024), but as a few hundred BLAS products instead of thousands of
 Python-level nodes.
 
-Butterflies and leaves go through temporaries of at most _CHUNK elements
-(128 KiB), so the kernel's one large allocation is srht_apply's padded
-buffer, and its outputs are bit-identical to one whole-half pass.
+Butterflies and leaves go through temporaries of at most one block, so the
+kernel's one large allocation is srht_apply's padded buffer, and its outputs
+are bit-identical to one whole-half pass.
 
 Reproducibility contract: one Philox stream per operator seed, sign draws
 consumed first, index draws second.  Sign i is +1 when the i-th of the n_pad
@@ -63,7 +63,7 @@ from functools import cache
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import _BLOCK, as_matrix
 from .sampling import SamplingPlan, make_rng
 
 __all__ = [
@@ -146,9 +146,6 @@ def _refuse_default_width(name: str, count: int, n: int, override: str) -> None:
                          f"n_pad = {n_pad}; pass {override} to choose one")
 
 
-# Most elements a butterfly's temporary holds: 128 KiB, below any malloc mmap
-# threshold, so the temporary comes from the heap instead of fresh pages.
-_CHUNK = 2 ** 14
 # Columns of a non-row-major block that srht_apply fills per pass.  At the
 # right side's 1024 x 2048 A.T, passes of 16, 32, 64, 128, 256 and 2048
 # columns took 17.1, 13.7, 11.9, 11.6, 12.7 and 19.2 ms on a 2-vCPU VM.
@@ -160,9 +157,9 @@ def _butterfly(top: np.ndarray, bot: np.ndarray, want_top: bool, want_bot: bool)
 
     top and bot are equal-shape views: row ranges (rows, k) or level views
     (groups, half, k).  Only when both halves are wanted is a temporary
-    needed, and it holds at most _CHUNK elements: a larger pair is split
-    along its leading axis into pieces of at most _CHUNK elements, and a
-    leading entry larger than that (a group, or a row wider than the chunk)
+    needed, and it holds at most _BLOCK elements: a larger pair is split
+    along its leading axis into pieces of at most _BLOCK elements, and a
+    leading entry larger than that (a group, or a row wider than a block)
     is split the same way in turn.  A pair that fits takes one pass.  Every
     element gets the same subtraction and addition of the same operands
     either way, so the results are bit-identical to one whole-array pass.
@@ -171,8 +168,8 @@ def _butterfly(top: np.ndarray, bot: np.ndarray, want_top: bool, want_bot: bool)
         np.subtract(top, bot, out=bot)
     elif not want_bot:
         top += bot
-    elif top.size > _CHUNK:
-        step = _CHUNK // (top.size // len(top))  # leading entries per piece
+    elif top.size > _BLOCK:
+        step = _BLOCK // (top.size // len(top))  # leading entries per piece
         pieces = zip(top, bot) if step == 0 else (
             (top[i:i + step], bot[i:i + step]) for i in range(0, len(top), step))
         for t, b in pieces:
@@ -187,8 +184,8 @@ def _butterfly(top: np.ndarray, bot: np.ndarray, want_top: bool, want_bot: bool)
 def _sylvester(bits: int) -> np.ndarray:
     """Htilde_{2**bits} by Sylvester's doubling [[H, H], [H, -H]], which gives
     the closed form (-1)^popcount(i & j).  Built once per size, on first use:
-    a leaf has at most _CHUNK = 128**2 rows, so bits <= 7 (128 KiB).  Read-only,
-    since every caller shares it."""
+    a leaf has at most _BLOCK = 128**2 rows, so bits <= 7 (one block).
+    Read-only, since every caller shares it."""
     h = np.ones((1, 1))
     if bits:
         g = _sylvester(bits - 1)
@@ -241,7 +238,7 @@ def _rows_node(y: np.ndarray, offset: int, size: int, rows: memoryview, lo: int,
     rows are all requested is finished level by level, largest stride first,
     which is the same order of stages.  A node of at most leaf rows, q of
     them requested, is finished by one product with its q sign rows, at
-    q (size - 1) adds, while those rows hold at most _CHUNK entries.  A
+    q (size - 1) adds, while those rows hold at most _BLOCK entries.  A
     module-level function, not a closure, so one call leaves no reference
     cycle holding y.
     """
@@ -252,7 +249,7 @@ def _rows_node(y: np.ndarray, offset: int, size: int, rows: memoryview, lo: int,
             lvl = blk.reshape(1 << (s - 1), 2, size >> s, y.shape[1])
             _butterfly(lvl[:, 0], lvl[:, 1], True, True)
         return size * (size.bit_length() - 1)
-    if size <= leaf and q * size <= _CHUNK:
+    if size <= leaf and q * size <= _BLOCK:
         want = np.asarray(rows[lo:hi])
         y[want] = _leaf_signs(want & (size - 1), size) @ y[offset:offset + size]
         return q * (size - 1)

@@ -638,3 +638,19 @@ def test_reports_are_byte_identical_across_processes(tmp_path):
                             out.read_text())
             outputs.append((report, csv.read_bytes()))
         assert outputs[0] == outputs[1], name
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "matmul", "--c", "0"], "c must be >= 1"),
+    (["check", "srht", "--r", "0"], "r must be >= 1"),
+], ids=["matmul-c0", "srht-r0"])
+def test_a_check_with_no_samples_exits_two_with_one_line(argv, message):
+    """A fresh process, so a RuntimeWarning would reach stderr as well."""
+    src = str(Path(rnla.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "rnla.cli", *argv], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == f"rnla: error: {message}\n"

@@ -62,6 +62,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="finite numbers only"):
         ExperimentConfig("lsq", {"family": "gaussian", "m": 64, "n": 3},
                          {"eps": float("inf"), "r": 32}, trials=1, base_seed=0)
+    for c in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite numbers only"):
+            ExperimentConfig("matmul", {"family": "gaussian", "m": 4, "n": 6},
+                             {"c": c}, trials=1, base_seed=0)
 
 
 def test_a_config_with_a_param_its_algorithm_does_not_read_is_refused():
@@ -71,7 +75,8 @@ def test_a_config_with_a_param_its_algorithm_does_not_read_is_refused():
     with pytest.raises(ValueError, match="matmul takes no param eps, k"):
         ExperimentConfig("matmul", {}, {"c": 2, "k": 1, "eps": 0.5}, 1, 0)
     for algorithm, params in rnla.harness.ALGORITHM_PARAMS.items():
-        ExperimentConfig(algorithm, {"m": 8, "n": 6}, dict.fromkeys(params, 1), 1, 0)
+        values = {k: "uniform" if k == "probs" else 1 for k in params}
+        ExperimentConfig(algorithm, {"m": 8, "n": 6}, values, 1, 0)
 
 
 @pytest.mark.parametrize("algorithm, instance, params, message", [
@@ -86,8 +91,10 @@ def test_a_config_with_a_param_its_algorithm_does_not_read_is_refused():
     ("lsq", {"family": "file"}, {"eps": 0.5}, "a file lsq instance needs path, rhs$"),
     ("matmul", {"m": 8, "n": 6}, {"probs": "uniform"}, "matmul needs param c$"),
     ("lowrank", {"m": 8, "n": 6}, {"c": 4}, "lowrank needs param k, eps$"),
+    ("matmul", {"m": 3000, "n": 3000}, {"c": 2, "probs": "leverage"},
+     "^unknown probability family 'leverage'$"),
 ], ids=["matmul-m", "lsq-eps", "lowrank-n", "matmul-path", "lsq-rhs", "lsq-path-rhs",
-        "matmul-c", "lowrank-k-eps"])
+        "matmul-c", "lowrank-k-eps", "matmul-probs"])
 def test_a_config_without_a_key_its_run_reads_is_refused_before_any_work(
         monkeypatch, algorithm, instance, params, message):
     calls = []

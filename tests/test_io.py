@@ -8,6 +8,7 @@ import pytest
 from rnla import (MatrixFileError, make_rng, read_matrix, read_vector,
                   write_matrix, write_vector)
 from rnla import matio
+from rnla.linalg import _BLOCK
 from rnla.matio import BINARY_MAGIC
 
 HEAD = "%%MatrixMarket matrix array real general\n"
@@ -144,11 +145,11 @@ def test_binary_errors(tmp_path):
 
 
 # The flat index of the first NaN/Inf in a 5 x 10000 matrix (scan blocks of
-# 2**14 entries, the last one ragged) and a 1 x 40000 row wider than a block.
+# _BLOCK entries, the last one ragged) and a 1 x 40000 row wider than a block.
 NONFINITE_AT = {"first-block": ((5, 10000), 3),
-                "middle-block": ((5, 10000), 2 ** 14 + 7),
-                "ragged-last-block": ((5, 10000), 3 * 2 ** 14 + 100),
-                "row-wider-than-a-block": ((1, 40000), 2 ** 15 + 1)}
+                "middle-block": ((5, 10000), _BLOCK + 7),
+                "ragged-last-block": ((5, 10000), 3 * _BLOCK + 100),
+                "row-wider-than-a-block": ((1, 40000), 2 * _BLOCK + 1)}
 
 
 @pytest.mark.parametrize("case", list(NONFINITE_AT))
@@ -287,7 +288,7 @@ def _golden(M):
 
 @pytest.mark.parametrize("block", [1, 3, 5, 65536])
 def test_text_writer_golden_bytes(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(matio, "_WRITE_BLOCK", block)
+    monkeypatch.setattr(matio, "_BLOCK", block)
     M = np.array(AWKWARD).reshape(2, 4)
     v = np.array(AWKWARD[::-1])
     pm, pv = tmp_path / "m.mtx", tmp_path / "v.mtx"

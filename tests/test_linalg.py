@@ -6,7 +6,7 @@ import pytest
 
 from rnla import (as_matrix, as_vector, make_rng, orthonormal_basis,
                   pseudoinverse, spectral_norm, thin_svd)
-from rnla.linalg import _SCAN_CHUNK, _first_nonfinite, _thin_svd
+from rnla.linalg import _BLOCK, _first_nonfinite, _thin_svd
 
 
 def test_spectral_norm_values():
@@ -147,9 +147,9 @@ def test_as_vector_flattens_a_single_row_or_column():
 # 5 x 10000 holds three full scan blocks and a ragged last one of 848
 # entries; a 1 x 40000 row is wider than two blocks.
 NONFINITE_AT = {"first-block": ((5, 10000), 3),
-                "middle-block": ((5, 10000), _SCAN_CHUNK + 7),
-                "ragged-last-block": ((5, 10000), 3 * _SCAN_CHUNK + 100),
-                "row-wider-than-a-block": ((1, 40000), 2 * _SCAN_CHUNK + 1)}
+                "middle-block": ((5, 10000), _BLOCK + 7),
+                "ragged-last-block": ((5, 10000), 3 * _BLOCK + 100),
+                "row-wider-than-a-block": ((1, 40000), 2 * _BLOCK + 1)}
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

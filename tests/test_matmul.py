@@ -212,3 +212,17 @@ def test_frobenius_bound_overflow_reads_inf_and_a_zero_row_hides_it():
         assert expected_frobenius_error(A, B, 2, probs) == np.inf
         B[0] = 0.0
         assert expected_frobenius_error(A, B, 2, probs) == 10.0 * 5.0 / 0.5 / 2
+
+
+@pytest.mark.parametrize("c", [0, -1])
+@pytest.mark.parametrize("bound", [
+    lambda A, B, c, probs: expected_frobenius_error(A, B, c, probs),
+    lambda A, B, c, probs: entry_variance_bound(A, B, probs, c, 0, 0),
+    lambda A, B, c, probs: enumerate_sketch_moments(A, B, c, probs),
+], ids=["expected_frobenius_error", "entry_variance_bound", "enumerate_sketch_moments"])
+def test_bounds_refuse_fewer_than_one_sample_without_a_warning(bound, c):
+    A = np.arange(1.0, 7.0).reshape(2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^c must be >= 1$"):
+            bound(A, A.T, c, optimal_probs(A, A.T))

@@ -8,7 +8,8 @@ import scipy.stats
 from rnla import (ProbVector, SamplingPlan, beta_of, colnorm_probs, draw_plan,
                   expected_frobenius_error, make_rng, optimal_probs,
                   rand_matrix_multiply, rownorm_probs, uniform_probs)
-from rnla.sampling import _NORM_CHUNK, _sq_norms
+from rnla.linalg import _BLOCK
+from rnla.sampling import _sq_norms
 
 
 def test_optimal_probs_hand_case():
@@ -230,7 +231,7 @@ MT_PEAK = np.ascontiguousarray(M_PEAK.T)
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_sq_norms_hold_no_temporary_larger_than_a_block(axis):
-    assert _NORM_CHUNK * 8 < 0.1 * M_PEAK.nbytes
+    assert _BLOCK * 8 < 0.1 * M_PEAK.nbytes
     assert _traced_peak(lambda: _sq_norms(M_PEAK, axis)) < 0.1 * M_PEAK.nbytes
 
 

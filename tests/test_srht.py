@@ -9,6 +9,7 @@ from rnla import (OpCounter, SrhtOperator, coherence_check, draw_plan, fwht,
                   make_rng, make_srht, next_pow2, srht_apply, subsampled_fwht,
                   uniform_probs)
 from rnla import srht as srht_module
+from rnla.linalg import _BLOCK
 from rnla.sampling import SamplingPlan, _draw_indices
 
 
@@ -61,7 +62,7 @@ def _reference_hadamard_rows(y, idx, counter, leaf=None):
             _reference_butterfly(blk[:, 0], blk[:, 1], True, True)
             counter.add(n * k)
         return
-    if n <= leaf and idx.size * n <= srht_module._CHUNK:
+    if n <= leaf and idx.size * n <= _BLOCK:
         y[idx] = _closed_form_rows(idx, n) @ y
         counter.add(idx.size * (n - 1) * k)
         return
@@ -161,10 +162,10 @@ def test_apply_matches_reference_kernel_tall(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 4, 17, 300, 20000])
 def test_butterfly_matches_one_pass_across_the_chunk(k):
-    """Halves one row below, at and one above _CHUNK // k rows, and a row
-    wider than the chunk: the one-pass bytes, through a temporary of at most
-    _CHUNK elements."""
-    chunk_rows = srht_module._CHUNK // k
+    """Halves one row below, at and one above _BLOCK // k rows, and a row
+    wider than a block: the one-pass bytes, through a temporary of at most
+    _BLOCK elements."""
+    chunk_rows = _BLOCK // k
     rng = make_rng(k)
     for rows in sorted({chunk_rows - 1, chunk_rows, chunk_rows + 1} - {-1, 0}):
         for want in ((True, True), (True, False), (False, True)):
@@ -178,11 +179,11 @@ def test_butterfly_matches_one_pass_across_the_chunk(k):
             finally:
                 tracemalloc.stop()
             assert y.tobytes() == ref.tobytes()
-            assert peak <= 8 * srht_module._CHUNK + 4096
+            assert peak <= 8 * _BLOCK + 4096
 
 
 @pytest.mark.parametrize("side, shape, r", [
-    ("left", (8192, 4), 64),     # top half exactly _CHUNK // k rows
+    ("left", (8192, 4), 64),     # top half exactly _BLOCK // k rows
     ("left", (8193, 4), 64),     # top half twice that
     ("right", (20000, 64), 8),   # each mixed row wider than the chunk
 ])
@@ -216,7 +217,7 @@ def test_add_count_level_formula():
         want = sum((n_pad >> (s + 1)) * k * np.unique(idx >> (lg - s - 1)).size
                    for s in range(lg - leaf.bit_length() + 1))
         q = np.unique(idx // leaf, return_counts=True)[1]
-        assert np.all(q * leaf <= srht_module._CHUNK)  # every such node is a leaf or full
+        assert np.all(q * leaf <= _BLOCK)  # every such node is a leaf or full
         want += k * sum(leaf * (leaf.bit_length() - 1) if c == leaf else c * (leaf - 1)
                         for c in q.tolist())
         counter = OpCounter()
@@ -235,7 +236,7 @@ def _clustered_plan(n_pad, r, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 100, 4096, 131072])
 def test_kernel_adds_and_peak_memory_are_bounded(n):
     """At most 2 n_pad log2(r+1) adds per column, uniform or clustered draws.
-    The kernel allocates a temporary of at most _CHUNK elements (a butterfly's
+    The kernel allocates a temporary of at most _BLOCK elements (a butterfly's
     difference or a leaf's sign rows) and, per requested row, its k product
     entries and the two Kronecker factor rows (hi + lo <= 256 entries) that
     its sign row is built from."""
@@ -254,12 +255,12 @@ def test_kernel_adds_and_peak_memory_are_bounded(n):
             finally:
                 tracemalloc.stop()
             assert counter.adds_subs <= 2 * n_pad * math.log2(r + 1) * k
-            assert peak <= 8 * srht_module._CHUNK + 4096 + 8 * r * (k + 256)
+            assert peak <= 8 * _BLOCK + 4096 + 8 * r * (k + 256)
 
 
 def test_apply_matches_reference_kernel_clustered(monkeypatch):
     """Clustered draws: nodes of at most L rows whose q rows span more than
-    _CHUNK entries are walked on, down to leaves that fit."""
+    _BLOCK entries are walked on, down to leaves that fit."""
     n = 131072
     M = make_rng(15).standard_normal((n, 3))
     for r in (3, 200, 1000):
@@ -365,7 +366,7 @@ def test_column_fill_gives_the_whole_einsum_bits(monkeypatch):
 def test_right_fill_allocates_nothing_beyond_the_buffer_and_the_output(m, monkeypatch):
     """When the kernel starts, the traced peak is the (n_pad, m) buffer and a
     few KiB of views; the whole call adds only the r x m output's temporaries
-    and a leaf's sign rows (at most _CHUNK entries)."""
+    and a leaf's sign rows (at most _BLOCK entries)."""
     op = make_srht(1024, 64, 3, side="right")
     A = make_rng(3).standard_normal((m, 1024))
     buffer, output = op.n_pad * m * 8, op.r * m * 8
@@ -382,7 +383,7 @@ def test_right_fill_allocates_nothing_beyond_the_buffer_and_the_output(m, monkey
         finally:
             tracemalloc.stop()
     assert at_kernel[0] <= buffer + 16384
-    assert peak <= buffer + 2.25 * output + 8 * srht_module._CHUNK + 16384
+    assert peak <= buffer + 2.25 * output + 8 * _BLOCK + 16384
 
 
 def test_apply_leaves_no_reference_cycle():

@@ -84,6 +84,8 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         check lsq --n 256 --d 3 --eps 0.25 --r 64
         check lowrank --m 20 --n 12 --k 2 --c 6
         check lsq --k 3
+        check matmul --c 0
+        check srht --r 0
     """)
     # The Gram shape (n + c >= min(m, p)), the factored core (n + c < min(m, p))
     # and a wide inner dimension.
@@ -199,7 +201,7 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         lowrank --m 200 --n 300 --sigma 3,2,1 --eta 0.01 --k 2 --eps 0.25 --c 16 --trials 2
         matmul --m 400 --n 6 --p 300 --c 20 --trials 2 --seed 3
     """)
-    # A's squared column norms and B's squared row norms, taken by 128 KiB row
+    # A's squared column norms and B's squared row norms, taken by _BLOCK-entry row
     # blocks: a Gram instance of a 37x50 A, a file B with a tall A (5000x3,
     # one block), and two that cross blocks under both axes (a 20x1000 Gram:
     # blocks of 16 and 819 rows; a 12000x3 A: blocks of 5461 rows).
