@@ -12,12 +12,14 @@ NaN/Inf.  The other transforms are operators it applies: subsampled_fwht is
 all +1 signs over the caller's plan, fwht adds the in-order plan at scale 1,
 and coherence_check rotates with op's signs and that full plan.
 
-Only r of the n transformed entries are ever needed, so one kernel,
-_hadamard_rows, works top down on the sampled index set, in place inside
-srht_apply's zero-padded buffer: Htilde_n x = [Htilde_{n/2}(x1+x2);
+Only r of the n transformed entries are ever needed, so the transform
+works top down on the sampled index set: Htilde_n x = [Htilde_{n/2}(x1+x2);
 Htilde_{n/2}(x1-x2)], and each half is combined and entered only if it
 contains requested indices, at n/2 adds per computed half-combination.
 The full transform is the case where every index is requested.
+srht_apply combines the top node's halves while it fills them from the
+caller's blocks, one half at a time in one (n/2)-row buffer; one kernel,
+_rows_node, finishes each half in place.
 
 The walk stops at leaves of at most L rows, with L the largest power of two
 at most n log2(u+1) / u for u distinct requested rows.  A node of size <= L
@@ -40,9 +42,11 @@ spend more of that budget than walking them down to single rows would
 r = 1024), but as a few hundred BLAS products instead of thousands of
 Python-level nodes.
 
-Butterflies and leaves go through temporaries of at most one block, so the
-kernel's one large allocation is srht_apply's padded buffer, and its outputs
-are bit-identical to one whole-half pass.
+Butterflies, leaves and the fill go through temporaries of at most one
+block, so srht_apply's one large allocation is its half-sized buffer (the
+whole padded buffer only when the transform is a single leaf product: one
+requested row and n_pad <= _BLOCK), and its outputs are bit-identical to a
+zero-padded buffer walked with one whole-half pass per butterfly.
 
 Reproducibility contract: one Philox stream per operator seed, sign draws
 consumed first, index draws second.  Sign i is +1 when the i-th of the n_pad
@@ -146,9 +150,10 @@ def _refuse_default_width(name: str, count: int, n: int, override: str) -> None:
                          f"n_pad = {n_pad}; pass {override} to choose one")
 
 
-# Columns of a non-row-major block that srht_apply fills per pass.  At the
-# right side's 1024 x 2048 A.T, passes of 16, 32, 64, 128, 256 and 2048
-# columns took 17.1, 13.7, 11.9, 11.6, 12.7 and 19.2 ms on a 2-vCPU VM.
+# Rows of A per tile of the right side's fill (_fill_tiles), each tile one
+# block.  Filling both halves from a 2048 x 1024 A with tiles of 128 x 128,
+# 128 x 64, 64 x 128, 64 x 256, 32 x 256 and 16 x 512 entries took 10.4,
+# 15.7, 15.3, 14.5, 17.0 and 18.5 ms at one BLAS thread on a 2-vCPU VM.
 _FILL_COLS = 128
 
 
@@ -211,28 +216,14 @@ def _leaf_signs(loc: np.ndarray, size: int) -> np.ndarray:
     return h
 
 
-def _hadamard_rows(y: np.ndarray, idx: np.ndarray, counter: OpCounter) -> None:
-    """Leave rows idx (sorted, distinct, 0-based) of Htilde_n @ y in y, in place.
-
-    y is an (n, k) C-contiguous buffer, so a row slice of it is a view and
-    reshapes without a copy.  The tree walk is integer work: each node is
-    (offset, size, lo, hi) with rows[lo:hi] inside y[offset:offset+size],
-    where rows is a memoryview of idx (no copy), and bisect finds where the
-    halves split.  Leaves have at most `leaf` rows, the largest power of two
-    at most n log2(u+1) / u for u = idx.size.  Rows not in idx are left
-    holding partial sums.  The counter is charged once, with the adds summed
-    over the walk.
-    """
-    n, u = len(y), idx.size
-    leaf = 1 << (int(n * math.log2(u + 1) / u).bit_length() - 1)
-    adds = _rows_node(y, 0, n, memoryview(idx), 0, u, leaf)
-    counter.add(adds * y.shape[1])
-
-
 def _rows_node(y: np.ndarray, offset: int, size: int, rows: memoryview, lo: int, hi: int,
                leaf: int) -> int:
     """Rows rows[lo:hi] of Htilde_size @ y[offset:offset+size], in place; adds per column.
 
+    y is a C-contiguous buffer, so a row slice of it is a view and reshapes
+    without a copy.  The tree walk is integer work: rows is a memoryview of
+    the sorted, distinct requested rows (no copy), and bisect finds where
+    the halves split.  Rows not requested are left holding partial sums.
     Top down: the halves are combined and a half is entered only when it
     holds requested rows, at size/2 adds per combined half.  A block whose
     rows are all requested is finished level by level, largest stride first,
@@ -318,6 +309,82 @@ def make_srht(n: int, r: int, seed: int, side: str = "left") -> SrhtOperator:
     return SrhtOperator(n_pad=n_pad, signs=signs, plan=plan, side=side)
 
 
+def _signed(signs: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
+    """out <- sign * b for rows of block B.  A matrix goes through einsum,
+    not a broadcast multiply, which allocates iterator buffers; einsum's
+    zero-initialised sum turns -0.0 into +0.0.  A 1-d column takes
+    np.multiply, which keeps -0.0.  Every piece of a block takes the same
+    path, so the bits are those of one whole-block pass."""
+    if B.ndim == 1:
+        np.multiply(signs, B, out=out[:, 0])
+    else:
+        np.einsum("i,ij->ij", signs, B, out=out)
+
+
+def _fill_rows(y: np.ndarray, blocks: list, signs: np.ndarray, combine, tmp: np.ndarray) -> None:
+    """y <- x1 + x2 (combine np.add), x1 - x2 (np.subtract) or x1 (None).
+
+    x = D [M; 0] is cut after len(y) rows into x1 and x2, so y becomes the
+    top or the bottom half of the transform's first butterfly, or all of x
+    when there is no x2.  blocks are (B, col) pairs, B an (n, w) matrix or
+    an (n,) column of M that starts at column col, and signs are D's first n
+    entries.  Each entry takes the one product sign * b and at most one add
+    or subtract, as the butterfly over a filled padded buffer does, so the
+    bits agree: a top row whose partner is padding still gets + 0.0, which
+    turns -0.0 into +0.0, and x1 - 0.0 is x1 exactly.
+
+    y is filled by pieces of whole rows, all blocks per piece, and the
+    partner products go through tmp laid out as the piece, so each add runs
+    over contiguous memory (a strided one goes through numpy's buffered
+    iterator).  tmp holds one block, or one row of y where a row is wider.
+    """
+    half, k = y.shape
+    pair, own = max(len(signs) - half, 0), min(len(signs), half)
+    y[own:] = 0.0
+    step = max(1, _BLOCK // max(k, 1))
+    for lo, hi in ((0, pair), (pair, own)):
+        for i in range(lo, hi, step):
+            i1 = min(i + step, hi)
+            t = tmp[:(i1 - i) * k].reshape(i1 - i, k)
+            for B, col in blocks:
+                cols = slice(col, col + (1 if B.ndim == 1 else B.shape[1]))
+                _signed(signs[i:i1], B[i:i1], y[i:i1, cols])
+                if hi == pair:
+                    _signed(signs[half + i:half + i1], B[half + i:half + i1], t[:, cols])
+            if hi == pair:
+                combine(y[i:i1], t, out=y[i:i1])
+            elif combine is np.add:
+                np.add(y[i:i1], 0.0, out=y[i:i1])
+
+
+def _fill_tiles(y: np.ndarray, At: np.ndarray, signs: np.ndarray, combine,
+                tmp: np.ndarray) -> None:
+    """_fill_rows for one block B = At.T with At row-major, such as the right
+    side's A: the same bits, by tiles of _FILL_COLS rows of At and at most
+    _BLOCK entries.  Each tile and its partner are combined in tmp (two
+    blocks) in At's layout and copied into y transposed.  einsum's products
+    are never -0.0, so a top row whose partner is padding needs no + 0.0."""
+    half, k = y.shape
+    pair, own = max(len(signs) - half, 0), min(len(signs), half)
+    y[own:] = 0.0
+    rows = min(_FILL_COLS, k)
+    step = _BLOCK // rows
+    for j in range(0, k, rows):
+        j1 = min(j + rows, k)
+        for lo, hi in ((0, pair), (pair, own)):
+            for i in range(lo, hi, step):
+                i1 = min(i + step, hi)
+                size = (j1 - j) * (i1 - i)
+                t = tmp[:size].reshape(j1 - j, i1 - i)
+                np.einsum("j,ij->ij", signs[i:i1], At[j:j1, i:i1], out=t)
+                if hi == pair:
+                    partner = tmp[size:2 * size].reshape(t.shape)
+                    np.einsum("j,ij->ij", signs[half + i:half + i1],
+                              At[j:j1, half + i:half + i1], out=partner)
+                    combine(t, partner, out=t)
+                y[i:i1, j:j1] = t.T
+
+
 def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndarray:
     """Apply the operator: S^T H D [M; 0] (left) or [M, 0] D H S (right).
 
@@ -325,10 +392,10 @@ def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndar
     single column (left) or single row (right) and returned 1-d with length r;
     both give the same values.  On the left, M may also be a tuple of column
     blocks of equal height, each a matrix or a 1-d column: the result is
-    that of np.column_stack(M), with no stacked copy made, since each block
-    is read once, in place, into the padded buffer.  NaN/Inf in M raise
-    ValueError, checked on the r-row output: H has no zero entry, so one
-    non-finite entry (or overflow) spoils its whole column (row).
+    that of np.column_stack(M), with no stacked copy made, since each half
+    of the transform's buffer is filled from the blocks in place.  NaN/Inf
+    in M raise ValueError, checked on the r-row output: H has no zero entry,
+    so one non-finite entry (or overflow) spoils its whole column (row).
     """
     if isinstance(M, tuple):
         if op.side != "left":
@@ -343,30 +410,39 @@ def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndar
     if not blocks or any(B.ndim not in (1, 2) or len(B) != len(blocks[0]) for B in blocks):
         raise ValueError("expected a vector or matrix, or column blocks of equal "
                          f"height, got shapes {[B.shape for B in blocks]}")
-    n = len(blocks[0])
-    if n > op.n_pad:
-        raise ValueError(f"expected at most n_pad={op.n_pad} rows (left) or "
+    n, n_pad = len(blocks[0]), op.n_pad
+    if n > n_pad:
+        raise ValueError(f"expected at most n_pad={n_pad} rows (left) or "
                          f"columns (right), got {n}")
     widths = [1 if B.ndim == 1 else B.shape[1] for B in blocks]
-    y = np.zeros((op.n_pad, sum(widths)))
-    signs, col = op.signs[:n], 0
-    for B, w in zip(blocks, widths):
-        dst = y[:n, col:col + w]
-        col += w
-        if B.ndim == 1:
-            np.multiply(signs, B, out=dst[:, 0])
+    k, idx, drawn = sum(widths), np.unique(op.plan.indices), op.plan.indices
+    leaf = 1 << (int(n_pad * math.log2(idx.size + 1) / idx.size).bit_length() - 1)
+    # The top node's halves are combined as they are filled, each in turn in
+    # one half-sized buffer, unless the top node is one leaf product (one
+    # requested row, n_pad <= _BLOCK): that takes the whole padded buffer.
+    size = n_pad if n_pad <= leaf and idx.size * n_pad <= _BLOCK else n_pad >> 1
+    y = np.empty((size, k))
+    B = blocks[0]
+    if len(blocks) == 1 and B.ndim == 2 and B.flags.f_contiguous and not B.flags.c_contiguous:
+        fill, data, tmp = _fill_tiles, B.T, np.empty(2 * min(_BLOCK, n * k))
+    else:
+        data = list(zip(blocks, np.cumsum([0] + widths).tolist()))
+        fill, tmp = _fill_rows, np.empty(min(max(_BLOCK, k), n * k))
+    out = np.empty((op.r, k))
+    adds = 0
+    for base, combine in ((0, np.add), (size, np.subtract)) if size < n_pad else ((0, None),):
+        lo, hi = np.searchsorted(idx, (base, base + size)).tolist()
+        if lo == hi:
             continue
-        # einsum, not a broadcast multiply, which allocates iterator buffers.  A
-        # B that is not row-major, such as the right side's B = A.T, goes by
-        # _FILL_COLS columns: cache-sized transposes of rows of A.  Each entry is
-        # the one product sign * a on every path, so the buffer's bits agree.
-        step = max(w, 1) if B.flags.c_contiguous else _FILL_COLS
-        for j in range(0, w, step):
-            np.einsum("i,ij->ij", signs, B[:, j:j + step], out=dst[:, j:j + step])
-    if counter is None:
-        counter = OpCounter()
-    _hadamard_rows(y, np.unique(op.plan.indices), counter)
-    out = y[op.plan.indices] / math.sqrt(op.n_pad) * op.plan.scales[:, None]
+        fill(y, data, op.signs[:n], combine, tmp)
+        adds += (size if combine else 0) + _rows_node(
+            y, 0, size, memoryview(idx[lo:hi] - base), 0, hi - lo, leaf)
+        here = np.flatnonzero((drawn >= base) & (drawn < base + size))
+        out[here] = y[drawn[here] - base]
+    if counter is not None:
+        counter.add(adds * k)
+    out /= math.sqrt(n_pad)
+    out *= op.plan.scales[:, None]
     out = as_matrix(out.T if op.side == "right" else out)
     return out.reshape(-1) if vector else out
 

@@ -350,15 +350,19 @@ def test_diagnostic_solve_transforms_one_column_the_second_time(monkeypatch):
 
 
 @pytest.mark.parametrize("diagnostics", [False, True])
-def test_randomized_peak_memory_is_one_padded_buffer(diagnostics):
-    """(A, b) and then bperp go into the transform's buffer as they are, with
-    no stacked copy: the solve peaks at about the bytes of [A, b]."""
-    A, b, _ = gen_lsq_instance(16384, 16, 5)
+@pytest.mark.parametrize("m, bound", [(16384, 0.8), (16385, 1.35)])
+def test_randomized_peak_memory_is_half_a_padded_buffer(m, bound, diagnostics):
+    """(A, b) and then bperp go into the transform's (n_pad/2, k) half
+    buffer as they are, with no stacked copy and no (n_pad, k) buffer: the
+    solve peaks at about 0.70x [A, b] with no padding (n_pad = m) and at
+    1.26x with the most (n_pad = 2m - 2), against 1.12x and 2.18x for a
+    whole padded buffer."""
+    A, b, _ = gen_lsq_instance(m, 16, 5)
     ex = _exact_solve(A, b) if diagnostics else None
     rand_least_squares(A, b, 0.5, seed=0, r_override=256, exact=ex)
     _, peak = _peak_bytes(
         lambda: rand_least_squares(A, b, 0.5, seed=0, r_override=256, exact=ex))
-    assert peak <= 1.3 * (A.nbytes + b.nbytes)
+    assert peak <= bound * (A.nbytes + b.nbytes)
 
 
 def test_conditions_imply_residual_and_forward_bounds():

@@ -155,13 +155,21 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         report l.json --csv again.csv
     """)
     # Padded operators: m (lsq) or n (lowrank) not a power of two, and more
-    # draws than n_pad, so indices repeat.
+    # draws than n_pad, so indices repeat; one real row in the bottom half of
+    # the transform's first butterfly (m = 513); a zero-heavy file A, whose
+    # top rows with padding partners still take + 0.0; and one draw (c = 1),
+    # where the whole transform is one leaf product.
     out["padded"] = _split("""
         lsq --m 300 --n 4 --eps 0.5 --r 600 --trials 3 --seed 2
         lsq --family consistent_lsq --m 1000 --n 3 --eps 0.5 --r 2000 --trials 2 --seed 4
         lowrank --m 64 --n 20 --sigma 3,2,1 --eta 0.01 --k 2 --eps 0.25 --c 40 --trials 3 --seed 5
         lowrank --family gaussian --m 50 --n 12 --k 2 --eps 0.25 --c 20 --trials 2
         lowrank --m 20 --n 48 --sigma 3,2,1 --k 2 --eps 0.25 --c 70 --trials 2 --seed 1
+        lsq --m 513 --n 4 --eps 0.5 --r 64 --trials 2 --seed 3
+        gen coherent --m 300 --n 4 --out C.mtx
+        gen gaussian --m 300 --n 1 --seed 6 --out cb.mtx
+        lsq --in C.mtx --rhs cb.mtx --eps 0.5 --r 64 --trials 2 --seed 1
+        lowrank --m 40 --n 20 --sigma 3,2 --k 1 --eps 0.25 --c 1 --trials 2 --seed 2
     """)
     # Each branch of the harness's instance resolution: lsq, lowrank and
     # matmul from files and from generators, the Gram and file-B matmul, an
