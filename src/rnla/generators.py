@@ -46,7 +46,8 @@ def gen_matrix(family: str, m: int, n: int, seed: int,
         added after the factored part.
 
     A sigma or a nonzero eta that the family does not read raises ValueError,
-    as do a sigma and eta whose matrix overflows float64: every result is finite.
+    as do a NaN or infinite sigma or eta and a finite pair whose matrix
+    overflows float64: every result is finite.
     """
     if m < 1 or n < 1:
         raise ValueError("dimensions must be positive")
@@ -63,6 +64,8 @@ def gen_matrix(family: str, m: int, n: int, seed: int,
         if sigma is None:
             raise ValueError("lowrank_plus_noise requires sigma")
         s = np.sort(np.asarray(sigma, dtype=np.float64))[::-1]
+        if not (np.all(np.isfinite(s)) and np.isfinite(eta)):
+            raise ValueError("lowrank_plus_noise needs a finite sigma and eta")
         if s.size > min(m, n) or np.any(s < 0.0):
             raise ValueError("sigma must be nonnegative with length <= min(m, n)")
         # Orthonormal factors from QR of gaussian blocks; stream order is

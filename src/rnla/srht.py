@@ -18,8 +18,8 @@ Htilde_{n/2}(x1-x2)], and each half is combined and entered only if it
 contains requested indices, at n/2 adds per computed half-combination.
 The full transform is the case where every index is requested.
 srht_apply combines the top node's halves while it fills them from the
-caller's blocks, one half at a time in one (n/2)-row buffer; one kernel,
-_rows_node, finishes each half in place.
+caller's blocks (_fill), one half at a time in one (n/2)-row buffer; one
+kernel, _rows_node, finishes each half in place.
 
 The walk stops at leaves of at most L rows, with L the largest power of two
 at most n log2(u+1) / u for u distinct requested rows.  A node of size <= L
@@ -42,11 +42,12 @@ spend more of that budget than walking them down to single rows would
 r = 1024), but as a few hundred BLAS products instead of thousands of
 Python-level nodes.
 
-Butterflies, leaves and the fill go through temporaries of at most one
-block, so srht_apply's one large allocation is its half-sized buffer (the
-whole padded buffer only when the transform is a single leaf product: one
-requested row and n_pad <= _BLOCK), and its outputs are bit-identical to a
-zero-padded buffer walked with one whole-half pass per butterfly.
+Butterflies and leaves go through temporaries of at most one block, the
+fill of at most two, so srht_apply's one large allocation is its
+half-sized buffer (the whole padded buffer only when the transform is a
+single leaf product: one requested row and n_pad <= _BLOCK), and its
+outputs are bit-identical to a zero-padded buffer walked with one
+whole-half pass per butterfly.
 
 Reproducibility contract: one Philox stream per operator seed, sign draws
 consumed first, index draws second.  Sign i is +1 when the i-th of the n_pad
@@ -106,8 +107,9 @@ class SrhtOperator:
 
     side="left" applies S^T H D to the columns of a matrix with at most n_pad
     rows; side="right" applies D H S to the rows of a matrix with at most
-    n_pad columns.  The plan is uniform over n_pad, so every scale equals
-    sqrt(n_pad / r).
+    n_pad columns.  srht_apply multiplies output row t (column t on the
+    right) by plan.scales[t], whatever the plan; make_srht's plan is uniform
+    over n_pad, so each of its scales is sqrt(n_pad / r).
     """
 
     n_pad: int
@@ -148,13 +150,6 @@ def _refuse_default_width(name: str, count: int, n: int, override: str) -> None:
     if count >= n_pad:
         raise ValueError(f"theoretical sketch width {name} = {count} is at least "
                          f"n_pad = {n_pad}; pass {override} to choose one")
-
-
-# Rows of A per tile of the right side's fill (_fill_tiles), each tile one
-# block.  Filling both halves from a 2048 x 1024 A with tiles of 128 x 128,
-# 128 x 64, 64 x 128, 64 x 256, 32 x 256 and 16 x 512 entries took 10.4,
-# 15.7, 15.3, 14.5, 17.0 and 18.5 ms at one BLAS thread on a 2-vCPU VM.
-_FILL_COLS = 128
 
 
 def _butterfly(top: np.ndarray, bot: np.ndarray, want_top: bool, want_bot: bool) -> None:
@@ -310,79 +305,77 @@ def make_srht(n: int, r: int, seed: int, side: str = "left") -> SrhtOperator:
 
 
 def _signed(signs: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
-    """out <- sign * b for rows of block B.  A matrix goes through einsum,
-    not a broadcast multiply, which allocates iterator buffers; einsum's
-    zero-initialised sum turns -0.0 into +0.0.  A 1-d column takes
-    np.multiply, which keeps -0.0.  Every piece of a block takes the same
-    path, so the bits are those of one whole-block pass."""
+    """out <- sign * b for the rows of block B: np.multiply for a 1-d column,
+    einsum for a matrix, since a broadcast multiply allocates iterator buffers."""
     if B.ndim == 1:
         np.multiply(signs, B, out=out[:, 0])
     else:
         np.einsum("i,ij->ij", signs, B, out=out)
 
 
-def _fill_rows(y: np.ndarray, blocks: list, signs: np.ndarray, combine, tmp: np.ndarray) -> None:
+def _fill(y: np.ndarray, blocks: list, signs: np.ndarray, combine) -> None:
     """y <- x1 + x2 (combine np.add), x1 - x2 (np.subtract) or x1 (None).
 
     x = D [M; 0] is cut after len(y) rows into x1 and x2, so y becomes the
     top or the bottom half of the transform's first butterfly, or all of x
     when there is no x2.  blocks are (B, col) pairs, B an (n, w) matrix or
-    an (n,) column of M that starts at column col, and signs are D's first n
-    entries.  Each entry takes the one product sign * b and at most one add
-    or subtract, as the butterfly over a filled padded buffer does, so the
-    bits agree: a top row whose partner is padding still gets + 0.0, which
-    turns -0.0 into +0.0, and x1 - 0.0 is x1 exactly.
+    an (n,) column of M that starts at column col, and signs are D's first
+    n entries.  A row of y pairs with data while its partner in x2 is a row
+    of M, pairs with padding below that, and is padding itself past n.
+    Each entry takes the one product sign * b and at most one add or
+    subtract, as the butterfly over a padded buffer filled one whole block
+    at a time does, so the bits agree.  Every piece of a block takes its
+    block's product: einsum's zero-initialised sum turns -0.0 into +0.0,
+    np.multiply keeps it.  So a top row whose partner is padding gets
+    + 0.0, which turns a 1-d column's -0.0 into +0.0 and is a no-op after
+    einsum (tiles, all einsum, skip it); x1 - 0.0 is x1 exactly, so a
+    bottom row needs nothing.
 
-    y is filled by pieces of whole rows, all blocks per piece, and the
-    partner products go through tmp laid out as the piece, so each add runs
-    over contiguous memory (a strided one goes through numpy's buffered
-    iterator).  tmp holds one block, or one row of y where a row is wider.
+    Column tiles run outermost, then the paired and unpaired row ranges,
+    then row pieces, and each add runs over contiguous memory (a strided
+    one goes through numpy's buffered iterator).  The layout picks the
+    tile width, where the products go and whether a tile is copied into y.
+    A lone column-major block, such as the right side's A^T, goes by tiles
+    of isqrt(_BLOCK) columns and at most _BLOCK entries: the tile and its
+    partner are computed in the block's layout, in two one-block arrays
+    (each under the bench's 256 KiB mmap threshold, so reused from the
+    heap), combined there and copied into y transposed.  Both halves from
+    a 2048 x 1024 A took 10.4 ms by tiles of 128 x 128 entries of A, and
+    15.7, 15.3, 14.5, 17.0 and 18.5 ms by 128 x 64, 64 x 128, 64 x 256,
+    32 x 256 and 16 x 512, at one BLAS thread on a 2-vCPU VM.  Anything
+    else goes by pieces of whole rows, all blocks per piece, its products
+    written into y and the partner products into one array laid out as the
+    piece: one block, or one row of y where a row is wider.
     """
     half, k = y.shape
     pair, own = max(len(signs) - half, 0), min(len(signs), half)
     y[own:] = 0.0
-    step = max(1, _BLOCK // max(k, 1))
-    for lo, hi in ((0, pair), (pair, own)):
-        for i in range(lo, hi, step):
-            i1 = min(i + step, hi)
-            t = tmp[:(i1 - i) * k].reshape(i1 - i, k)
-            for B, col in blocks:
-                cols = slice(col, col + (1 if B.ndim == 1 else B.shape[1]))
-                _signed(signs[i:i1], B[i:i1], y[i:i1, cols])
-                if hi == pair:
-                    _signed(signs[half + i:half + i1], B[half + i:half + i1], t[:, cols])
-            if hi == pair:
-                combine(y[i:i1], t, out=y[i:i1])
-            elif combine is np.add:
-                np.add(y[i:i1], 0.0, out=y[i:i1])
-
-
-def _fill_tiles(y: np.ndarray, At: np.ndarray, signs: np.ndarray, combine,
-                tmp: np.ndarray) -> None:
-    """_fill_rows for one block B = At.T with At row-major, such as the right
-    side's A: the same bits, by tiles of _FILL_COLS rows of At and at most
-    _BLOCK entries.  Each tile and its partner are combined in tmp (two
-    blocks) in At's layout and copied into y transposed.  einsum's products
-    are never -0.0, so a top row whose partner is padding needs no + 0.0."""
-    half, k = y.shape
-    pair, own = max(len(signs) - half, 0), min(len(signs), half)
-    y[own:] = 0.0
-    rows = min(_FILL_COLS, k)
-    step = _BLOCK // rows
-    for j in range(0, k, rows):
-        j1 = min(j + rows, k)
+    B = blocks[0][0]
+    tiled = len(blocks) == 1 and B.ndim == 2 and B.flags.f_contiguous and not B.flags.c_contiguous
+    width = min(math.isqrt(_BLOCK), k) if tiled else max(k, 1)  # columns per tile
+    step = max(1, _BLOCK // width)  # rows per piece
+    size = min(step * width, len(signs) * k)
+    tmp1, tmp2 = np.empty(size if tiled else 0), np.empty(size)
+    order = "F" if tiled else "C"  # the products' layout
+    for j in range(0, k, width):
+        j1 = min(j + width, k)
+        parts = [(B[:, j:j1], 0)] if tiled else blocks
         for lo, hi in ((0, pair), (pair, own)):
             for i in range(lo, hi, step):
                 i1 = min(i + step, hi)
-                size = (j1 - j) * (i1 - i)
-                t = tmp[:size].reshape(j1 - j, i1 - i)
-                np.einsum("j,ij->ij", signs[i:i1], At[j:j1, i:i1], out=t)
+                x2 = tmp2[:(i1 - i) * (j1 - j)].reshape(i1 - i, j1 - j, order=order)
+                x1 = tmp1[:x2.size].reshape(x2.shape, order=order) if tiled else y[i:i1]
+                for C, col in parts:
+                    cols = slice(col, col + (1 if C.ndim == 1 else C.shape[1]))
+                    _signed(signs[i:i1], C[i:i1], x1[:, cols])
+                    if hi == pair:
+                        _signed(signs[half + i:half + i1], C[half + i:half + i1], x2[:, cols])
                 if hi == pair:
-                    partner = tmp[size:2 * size].reshape(t.shape)
-                    np.einsum("j,ij->ij", signs[half + i:half + i1],
-                              At[j:j1, half + i:half + i1], out=partner)
-                    combine(t, partner, out=t)
-                y[i:i1, j:j1] = t.T
+                    combine(x1, x2, out=x1)
+                elif combine is np.add and not tiled:
+                    np.add(x1, 0.0, out=x1)
+                if tiled:
+                    y[i:i1, j:j1] = x1
 
 
 def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndarray:
@@ -417,24 +410,19 @@ def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndar
     widths = [1 if B.ndim == 1 else B.shape[1] for B in blocks]
     k, idx, drawn = sum(widths), np.unique(op.plan.indices), op.plan.indices
     leaf = 1 << (int(n_pad * math.log2(idx.size + 1) / idx.size).bit_length() - 1)
-    # The top node's halves are combined as they are filled, each in turn in
-    # one half-sized buffer, unless the top node is one leaf product (one
-    # requested row, n_pad <= _BLOCK): that takes the whole padded buffer.
+    # One half-sized buffer for each half in turn, unless the top node is one
+    # leaf product (one requested row, n_pad <= _BLOCK): that takes the whole
+    # padded buffer.
     size = n_pad if n_pad <= leaf and idx.size * n_pad <= _BLOCK else n_pad >> 1
     y = np.empty((size, k))
-    B = blocks[0]
-    if len(blocks) == 1 and B.ndim == 2 and B.flags.f_contiguous and not B.flags.c_contiguous:
-        fill, data, tmp = _fill_tiles, B.T, np.empty(2 * min(_BLOCK, n * k))
-    else:
-        data = list(zip(blocks, np.cumsum([0] + widths).tolist()))
-        fill, tmp = _fill_rows, np.empty(min(max(_BLOCK, k), n * k))
+    blocks = list(zip(blocks, np.cumsum([0] + widths).tolist()))
     out = np.empty((op.r, k))
     adds = 0
     for base, combine in ((0, np.add), (size, np.subtract)) if size < n_pad else ((0, None),):
         lo, hi = np.searchsorted(idx, (base, base + size)).tolist()
         if lo == hi:
             continue
-        fill(y, data, op.signs[:n], combine, tmp)
+        _fill(y, blocks, op.signs[:n], combine)
         adds += (size if combine else 0) + _rows_node(
             y, 0, size, memoryview(idx[lo:hi] - base), 0, hi - lo, leaf)
         here = np.flatnonzero((drawn >= base) & (drawn < base + size))

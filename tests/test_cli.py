@@ -439,6 +439,21 @@ def test_lsq_files_of_mismatched_lengths_exit_two(tmp_path, capsys):
 OVERFLOW = ["--m", "16", "--n", "8", "--sigma", "1e308,1e308", "--eta", "1e308"]
 
 
+@pytest.mark.parametrize("flags", [["--sigma", "nan"], ["--sigma", "inf"],
+                                   ["--sigma", "1", "--eta", "nan"],
+                                   ["--sigma", "1", "--eta", "inf"]],
+                         ids=["sigma-nan", "sigma-inf", "eta-nan", "eta-inf"])
+def test_gen_refuses_a_nonfinite_sigma_or_eta(tmp_path, capsys, flags):
+    """Exit 2 with one line that names the bad parameters, not an overflow,
+    and no file."""
+    out = tmp_path / "x.mtx"
+    argv = ["gen", "lowrank_plus_noise", "--m", "4", "--n", "3", *flags, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "rnla: error: lowrank_plus_noise needs a finite sigma and eta\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["lowrank", *OVERFLOW, "--k", "1", "--eps", "0.25", "--c", "4"],
     ["matmul", "--family", "lowrank_plus_noise", *OVERFLOW, "--c", "4"],

@@ -119,6 +119,9 @@ def test_a_family_keyword_the_family_does_not_read_ends_the_run_before_a_trial(
     assert calls == []
 
 
+NONFINITE = "^lowrank_plus_noise needs a finite sigma and eta$"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: gen_matrix("gaussian", 0, 3, 0), "dimensions must be positive"),
     (lambda: gen_matrix("gaussian", 4, 3, 0, sigma=(1.0,)),
@@ -135,8 +138,14 @@ def test_a_family_keyword_the_family_does_not_read_ends_the_run_before_a_trial(
     (lambda: gen_matrix("lowrank_plus_noise", 16, 8, 0, sigma=(1e308, 1e308),
                         eta=1e308),
      "^lowrank_plus_noise overflows float64 at this sigma and eta$"),
+    (lambda: gen_matrix("lowrank_plus_noise", 4, 3, 0, sigma=(math.nan,)), NONFINITE),
+    (lambda: gen_matrix("lowrank_plus_noise", 4, 3, 0, sigma=(2.0, math.inf)), NONFINITE),
+    (lambda: gen_matrix("lowrank_plus_noise", 4, 3, 0, sigma=(1.0,), eta=math.nan), NONFINITE),
+    (lambda: gen_matrix("lowrank_plus_noise", 4, 3, 0, sigma=(1.0,), eta=-math.inf),
+     NONFINITE),
 ], ids=["dims", "gaussian-sigma", "coherent-eta", "sigma-negative", "sigma-long",
-        "coherent-wide", "family", "lsq-wide", "lsq-d0", "overflow"])
+        "coherent-wide", "family", "lsq-wide", "lsq-d0", "overflow", "sigma-nan",
+        "sigma-inf", "eta-nan", "eta-inf"])
 def test_generators_refuse_shapes_they_cannot_build(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -375,10 +375,10 @@ def _assert_kernel_inputs_match(op, M, monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
 def test_right_fill_by_row_blocks_gives_the_whole_einsum_bits(m, monkeypatch):
-    """Rows of A one below, at and one above a _FILL_COLS tile, and past two,
-    plus a wide A and a 1-d row: the kernel receives the halves of the
-    whole-block einsum's padded buffer after the top butterfly, byte for
-    byte, and the output is the reference's."""
+    """Rows of A one below, at and one above a fill tile's side (isqrt(_BLOCK)
+    = 128), and past two, plus a wide A and a 1-d row: the kernel receives
+    the halves of the whole-block einsum's padded buffer after the top
+    butterfly, byte for byte, and the output is the reference's."""
     rng = make_rng(m)
     shapes = [(m, 200)] + ([(64, 3000), (200,)] if m == 1 else [])
     for shape in shapes:

@@ -103,6 +103,8 @@ def groups(readme: Path) -> dict[str, list[list[str]]]:
         gen consistent_lsq --m 9 --n 3 --seed 4 --out t.bin --rhs-out t.rhs --sol-out x.mtx
         gen gaussian --m 6 --n 4 --sigma 1 --out bad.mtx
         gen consistent_lsq --m 9 --n 3 --out bad.mtx
+        gen lowrank_plus_noise --m 4 --n 3 --sigma nan --out bad.mtx
+        gen lowrank_plus_noise --m 4 --n 3 --sigma 1 --eta inf --out bad.mtx
     """)
     # Gram calls (a file A with no B) take the symmetric rule, the factored
     # core (F.mtx: n + c < m) and more draws than columns (c = 30 > n = 12),
