@@ -59,7 +59,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .generators import gen_lsq_instance, gen_matrix
-from .linalg import _hstack_f, _spectral_norm
+from .linalg import _hstack_f, _qr_r_in_place, _spectral_norm
 from .lowrank import (_exact_low_rank, lowrank_sample_size_explicit,
                       rand_low_rank, structural_inequality_check)
 from .lsq import _exact_solve, rand_least_squares
@@ -259,14 +259,15 @@ def _spectral_error(A, B, C, R, E) -> float:
 
     E = [A, C] @ [B; -R] has rank at most n + c.  When n + c < min(m, p), the
     triangular factors R1 of [A, C] and R2 of [B^T, -R^T] give an (n+c) x (n+c)
-    core R1 @ R2^T with E's singular values; both stacks are built
-    column-major, the layout LAPACK reads.  Otherwise E or its min(m, p)^2
-    Gram is the smallest, and `spectral_norm`'s kernel takes E.  No m x p
-    matrix is factored.
+    core R1 @ R2^T with E's singular values.  Both stacks are built
+    column-major, the layout LAPACK reads, and linalg's `_qr_r_in_place`
+    factors each where it lies, with no further copy.  Otherwise E or its
+    min(m, p)^2 Gram is the smallest, and `spectral_norm`'s kernel takes E.
+    No m x p matrix is factored.
     """
     if A.shape[1] + C.shape[1] < min(E.shape):
-        R1 = np.linalg.qr(_hstack_f([A, C]), mode="r")
-        R2 = np.linalg.qr(_hstack_f([B.T, -R.T]), mode="r")
+        R1 = _qr_r_in_place(_hstack_f([A, C]))
+        R2 = _qr_r_in_place(_hstack_f([B.T, -R.T]))
         return float(np.linalg.svd(R1 @ R2.T, compute_uv=False)[0])
     return _spectral_norm(E)
 

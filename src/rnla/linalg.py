@@ -7,14 +7,22 @@ plain 2-d float64 ndarrays in row-major (C) order, except those built only to
 be handed to LAPACK, which are built column-major, the order it reads.
 Exported functions call ``as_matrix`` once at entry; private kernels take
 validated arrays.
+
+Every QR that keeps only R goes through ``_qr_r_in_place``, which hands a
+column-major matrix that this module built to numpy's bundled ``dgeqrf``
+binding (``numpy.linalg.lapack_lite``) to be factored where it lies.
+``np.linalg.qr`` would copy its operand twice first, once in numpy and once
+into LAPACK's layout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 __all__ = [
     "as_matrix",
@@ -39,8 +47,6 @@ RANK_ZERO_FLOOR = 1e-300
 # butterfly pieces (2**15 to 2**18: 29 to 41 against 20 ms) ran slower, and
 # writer blocks of 2**16 ran no faster at 4x the peak.
 _BLOCK = 2 ** 14
-# Full-size row blocks of _tall_qr per stacked np.linalg.qr call.
-_QR_GROUP = 8
 
 
 def _first_nonfinite(x: np.ndarray) -> int | None:
@@ -184,38 +190,62 @@ def _tall_qr(blocks: tuple) -> np.ndarray:
     The blocks are validated arrays of equal height m, each 2-d or 1-d (one
     column), k columns in all.  M is cut into row blocks of max(16k,
     _BLOCK // k) rows (one block up to k = 32; above, the stack stays m/16
-    rows), and a tail shorter than k rows joins the block before it.  The
-    full-size blocks are copied from the B_i, _QR_GROUP at a time, into one
-    reused buffer and factored by one stacked np.linalg.qr call; the last
-    block is factored on its own.  Only each R_i is kept, and the stacked
-    [R_1; ...; R_p] is factored once more for R.  An M under two blocks is
-    factored whole.  No Q is formed.  (Demmel, Grigori, Hoemmen & Langou,
-    SISC 2012.)
+    rows), and a tail shorter than k rows joins the block before it.  Each
+    full-size block is copied from the B_i into one reused column-major
+    buffer and factored there; the last block is copied into its own.  Only
+    each R_i is kept, in a column-major stack [R_1; ...; R_p] that is
+    factored once more for R.  An M under two blocks is copied column-major
+    and factored whole, a lone B_1 too (the low-rank oracle's A): that one
+    copy replaces the two np.linalg.qr would make.  No Q is formed.
+    (Demmel, Grigori, Hoemmen & Langou, SISC 2012.)
 
-    Every matrix built here for LAPACK is column-major: np.linalg.qr copies
-    its operand in the operand's own layout and LAPACK reads columns, so a
-    row-major block would be transposed on the way in and again on the way
-    out.  geqrf sees the same values either way, so R is bit-identical to
-    factoring row-major blocks.  A lone B_1 factored whole is passed as it
-    is: a column-major copy of the low-rank oracle's A costs about what it
-    saves in the QR, and raises the oracle's traced peak from 2.0x to 2.6x A.
+    geqrf sees the same values as when np.linalg.qr factored row-major
+    blocks one at a time, with the same workspace, so R is bit-identical.
     """
     cols = [B.reshape(B.shape[0], -1) for B in blocks]
     m, k = cols[0].shape[0], sum(c.shape[1] for c in cols)
     rows = max(16 * k, _BLOCK // k)
     if m < 2 * rows:
-        if len(cols) == 1:
-            return np.linalg.qr(cols[0], mode="r")
-        return np.linalg.qr(_hstack_f(cols), mode="r")
+        return _qr_r_in_place(_hstack_f(cols))
     # full full-size blocks, then the last one, rows full * rows:m, with the tail.
     full = (m - k) // rows
     Rs = np.empty((k, (full + 1) * k)).T
-    buf = np.empty((min(_QR_GROUP, full), k, rows)).transpose(0, 2, 1)  # column-major
-    for i in range(0, full, _QR_GROUP):
-        group = _gather(cols, i * rows, buf[:full - i])
-        Rs[i * k:(i + len(group)) * k] = np.linalg.qr(group, mode="r").reshape(-1, k)
-    Rs[-k:] = np.linalg.qr(_hstack_f([c[full * rows:] for c in cols]), mode="r")
-    return np.linalg.qr(Rs, mode="r")
+    buf = np.empty((k, rows)).T
+    for i in range(full):
+        Rs[i * k:(i + 1) * k] = _qr_r_in_place(_gather(cols, i * rows, buf))
+    Rs[-k:] = _qr_r_in_place(_hstack_f([c[full * rows:] for c in cols]))
+    return _qr_r_in_place(Rs)
+
+
+def _qr_r_in_place(M: np.ndarray) -> np.ndarray:
+    """R of the reduced Householder QR of M, a column-major m x n float64
+    matrix that the caller built for this call; M is overwritten.
+
+    M.T, the C-contiguous (n, m) array that holds M, goes to numpy's bundled
+    dgeqrf binding, which refuses any other layout, and LAPACK factors it
+    where it lies.  R is the upper triangle of M's top min(m, n) rows, as
+    np.linalg.qr(M, mode="r") returns it, and has its bits: the workspace is
+    the one numpy's qr asks for, so geqrf takes the same blocked path.
+    Raises np.linalg.LinAlgError if dgeqrf reports an error.
+    """
+    m, n = M.shape
+    lwork = _geqrf_lwork(m, n)
+    out = lapack_lite.dgeqrf(m, n, M.T, max(1, m), np.empty(min(m, n)),
+                             np.empty(lwork), lwork, 0)
+    if out["info"] != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf failed with info={out['info']}")
+    return np.triu(M[:min(m, n)])
+
+
+@functools.lru_cache(maxsize=64)
+def _geqrf_lwork(m: int, n: int) -> int:
+    """dgeqrf's workspace for an m x n matrix: its optimal size, at least
+    max(1, n), as numpy's qr asks.  A shorter one would drop geqrf to its
+    unblocked code above n = 128 and change R's bits.  A query reads no matrix,
+    so one scalar stands in for every array."""
+    work = np.empty(1)
+    lapack_lite.dgeqrf(m, n, work, max(1, m), work, work, -1, 0)
+    return max(1, n, int(work[0]))
 
 
 def _hstack_f(cols: list) -> np.ndarray:
@@ -224,13 +254,11 @@ def _hstack_f(cols: list) -> np.ndarray:
 
 
 def _gather(cols: list, lo: int, out: np.ndarray) -> np.ndarray:
-    """Fill out, (rows, k) or a stack (g, rows, k), with the next g * rows rows
-    of [B_1, ..., B_j] from row lo, in order; return out."""
-    rows = math.prod(out.shape[:-1])
+    """Fill out, (rows, k), with rows lo:lo + rows of [B_1, ..., B_j]; return out."""
     j = 0
     for c in cols:
         w = c.shape[1]
-        out[..., j:j + w] = c[lo:lo + rows].reshape(*out.shape[:-1], w)
+        out[:, j:j + w] = c[lo:lo + len(out)]
         j += w
     return out
 

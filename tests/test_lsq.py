@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rnla.linalg
 import rnla.lsq
 from rnla import (SketchRankError, check_conditions, exact_least_squares,
                   gen_lsq_instance, gen_matrix, ls_sample_size, make_rng, make_srht,
@@ -55,14 +56,15 @@ def test_exact_solve_matches_lstsq_at_block_boundaries(monkeypatch, n, d, blocks
     diag = np.abs(np.diag(_tall_qr((A, b))))
     assert np.abs(diag - diag_ref).max() <= 1e-13 * diag_ref.max()
     shapes = []
-    qr = np.linalg.qr
+    dgeqrf = rnla.linalg.lapack_lite.dgeqrf
 
-    def recording_qr(M, *args, **kwargs):
-        # A stacked (g, rows, k) call factors g blocks of (rows, k).
-        shapes.extend([M.shape[-2:]] * (M.shape[0] if M.ndim == 3 else 1))
-        return qr(M, *args, **kwargs)
+    def recording_dgeqrf(m, n, a, lda, tau, work, lwork, info):
+        # A workspace query (lwork = -1) factors nothing.
+        if lwork != -1:
+            shapes.append((m, n))
+        return dgeqrf(m, n, a, lda, tau, work, lwork, info)
 
-    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(rnla.linalg.lapack_lite, "dgeqrf", recording_dgeqrf)
     ex = _exact_solve(A, b)
     k = d + 1
     stacked = [(len(blocks) * k, k)] if len(blocks) > 1 else []
@@ -99,14 +101,17 @@ def _frozen_row_major_tall_qr(blocks):
 
 # The block-boundary shapes, then k = 4 (4096-row blocks): exactly 8 full
 # blocks and a 100-row tail; 8 and a 4098-row last block that took in a 2-row
-# tail; 10 and a 4040-row tail; 16, two stacked calls, and a 4099-row last block.
+# tail; 10 and a 4040-row tail; 16 and a 4099-row last block.  Then k = 129
+# and k = 201, past geqrf's crossover of 128 columns to its blocked code, which
+# it takes only with the workspace numpy's qr asks for: one full block and a
+# 2136-row last one, then two and a 2568-row last one.
 @pytest.mark.parametrize("n, d", [(1925, 16), (1926, 16), (2905, 16), (2906, 16),
                                   (2080, 64), (3282, 100), (17, 16), (3, 5),
                                   (8 * 4096 + 100, 3), (9 * 4096 + 2, 3), (45000, 3),
-                                  (17 * 4096 + 3, 3)])
+                                  (17 * 4096 + 3, 3), (4200, 128), (9000, 200)])
 def test_column_major_tall_qr_gives_the_row_major_bits(n, d):
-    """Column-major and stacked blocks hand geqrf the same values: R byte for
-    byte, for a tuple, a lone matrix and a lone vector."""
+    """Blocks factored in place in a column-major buffer hand geqrf the same
+    values: R byte for byte, for a tuple, a lone matrix and a lone vector."""
     rng = make_rng(n * d)
     A, b = rng.standard_normal((n, d)), rng.standard_normal(n)
     for blocks in ((A, b), (A,), (b,)):
@@ -138,6 +143,14 @@ def test_exact_solve_peaks_below_a_quarter_of_the_instance():
     A, b, _ = gen_lsq_instance(131072, 16, 2)
     _, peak = _peak_bytes(lambda: _exact_solve(A, b))
     assert peak <= 0.25 * (A.nbytes + b.nbytes)
+
+
+def test_exact_solve_factors_each_block_where_it_is_gathered():
+    """LAPACK factors each row block in the one buffer it was gathered into,
+    with no copy of its own: the oracle peaks below a tenth of [A, b]."""
+    A, b, _ = gen_lsq_instance(131072, 16, 2)
+    _, peak = _peak_bytes(lambda: _exact_solve(A, b))
+    assert peak <= 0.1 * (A.nbytes + b.nbytes)
 
 
 def _frozen_tall_qr_solve(A, b):
