@@ -9,11 +9,11 @@ R-only QR, of A (or A^T) or of [A, b].  The solvers take the record.
 
 A run's instance is checked once, where it is made: the generators and the
 file readers return only finite arrays, so `_resolve_instance` validates
-nothing again, and no matmul trial rescans A or B.  Lsq and lowrank trials
-still enter through `rand_least_squares` and `rand_low_rank`, which scan A
-on every call; those public calls are the spans the benchmark times their
-solves by.  A lowrank trial copies the verdicts its solver's diagnostics
-carry; the harness holds no threshold of its own.
+nothing again, and no trial scans A or B again.  Lsq and lowrank trials
+enter through `rand_least_squares` and `rand_low_rank`, the spans the
+benchmark times their solves by; their sketch is their one check of A (lsq
+still scans the vector b at entry).  A lowrank trial copies the verdicts its
+solver's diagnostics carry; the harness holds no threshold of its own.
 
 A run has two endings.  Either every trial runs and the report is whole: a
 trial whose realized sketch misses the subspace (`SketchRankError`, the

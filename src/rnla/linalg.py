@@ -5,7 +5,8 @@ Every randomized routine in this package is judged against these deterministic
 kernels, so they carry the tightest tolerances in the library.  Matrices are
 plain 2-d float64 ndarrays in row-major (C) order, except those built only to
 be handed to LAPACK, which are built column-major, the order it reads.
-Exported functions call ``as_matrix`` once at entry; private kernels take
+Exported functions call ``as_matrix`` once at entry, except the two sketch
+solvers, whose SRHT sketch refuses a non-finite A; private kernels take
 validated arrays.
 
 Every QR that keeps only R goes through ``_qr_r_in_place``, which hands a
@@ -64,14 +65,24 @@ def _first_nonfinite(x: np.ndarray) -> int | None:
     return None
 
 
+def _as_2d(a) -> np.ndarray:
+    """``a`` as a 2-d row-major float64 array, with no scan of its entries.
+
+    For callers whose first use of ``a`` refuses NaN/Inf itself, as an SRHT
+    sketch does.  Raises ValueError on wrong dimensionality.
+    """
+    m = np.ascontiguousarray(a, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
+    return m
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a 2-d row-major float64 array.
 
     Raises ValueError on wrong dimensionality or non-finite entries.
     """
-    m = np.ascontiguousarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
+    m = _as_2d(a)
     if _first_nonfinite(m.reshape(-1)) is not None:
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m

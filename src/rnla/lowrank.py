@@ -2,15 +2,16 @@
 
 The pipeline sketches the columns of A through a right-side SRHT operator,
 takes an orthonormal basis U_C of the sketched range, and extracts the top-k
-directions of the projected matrix W = U_C^T A.  The returned basis
-Utilde_k = U_C @ U_{W,k} satisfies an exact identity: projecting A onto it is
-the same as keeping the best rank-k part of the projection U_C U_C^T A, which
-is the best rank-k approximation of A inside the captured range.  The
+left singular vectors W_k of the projected matrix G = U_C^T A.  The returned
+basis Utilde_k = U_C @ W_k satisfies an exact identity: projecting A onto it
+is the same as keeping the best rank-k part of the projection U_C U_C^T A,
+which is the best rank-k approximation of A inside the captured range.  The
 solver's diagnostics measure that identity and the range/tail error split.
 They take A_k's left factor U_k Sigma_k and the tail ||A - A_k||_F^2 from the
 caller's `exact_low_rank` record (exact); the pipeline never factors A.  The
-identity is measured on the solver's own factorization of W and its residual,
-so W is factored once per run.  The diagnostics carry their own verdicts,
+identity is measured on the solver's own factorization of G, in the
+c-dimensional space of U_C, so G is factored once per run and no m x n
+matrix but the residual is formed.  The diagnostics carry their own verdicts,
 identity_ok and split_ok, at the tolerances documented on LowRankDiagnostics,
 as lsq's ConditionReport carries cond22_pass and cond23_pass.
 structural_inequality_check evaluates both sides of the structural
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_tall_qr, _thin_svd, as_matrix, orthonormal_basis,
+from .linalg import (_as_2d, _tall_qr, _thin_svd, as_matrix, orthonormal_basis,
                      pseudoinverse, thin_svd)
 from .sampling import SampleSize
 from .srht import SketchRankError, _refuse_default_width, make_srht, srht_apply
@@ -43,7 +44,8 @@ __all__ = [
 class LowRankDiagnostics:
     """Per-run identity and decomposition checks (only when exact is given)."""
 
-    identity_gap: float        # || (A - Uk Uk^T A) - (A - U_C (U_C^T A)_k) ||_F
+    identity_gap: float        # || W_k W_k^T G - G_k ||_F, G = U_C^T A: to roundoff,
+                               # || Utilde_k Utilde_k^T A - U_C G_k ||_F
     projected_tail_sq: float   # || A_k - U_C U_C^T A_k ||_F^2
     tail_sq: float             # || A - A_k ||_F^2
     basis_cols: int            # columns captured by U_C
@@ -131,11 +133,15 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
 
     Raises
     ------
+    ValueError
+        If A holds NaN or Inf.  A is refused by its sketch, after the checks
+        on k, eps, c and exact, and numpy may first warn of the invalid
+        arithmetic.
     SketchRankError
         If the projected matrix U_C^T A has rank below k (message names the
         c used); callers typically retry with doubled c.
     """
-    A = as_matrix(A)
+    A = _as_2d(A)
     m, n = A.shape
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k={k} out of range for shape {A.shape}")
@@ -152,18 +158,22 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
         raise ValueError(f"exact.Y is {exact.Y.shape}, not {(m, min(k, exact.sigma.size))}")
     op = make_srht(n, c, seed, side="right")
     U_C = orthonormal_basis(srht_apply(op, A))
-    fw = thin_svd(U_C.T @ A)
+    G = U_C.T @ A
+    fw = thin_svd(G)
     if fw.rank < k:
         raise SketchRankError(
             f"sketch rank deficient: rank(U_C^T A) = {fw.rank} < k = {k} at c = {c}")
-    U_tilde = U_C @ fw.U[:, :k]
+    W_k = fw.U[:, :k]
+    U_tilde = U_C @ W_k
+    # The identity gap U_tilde U_tilde^T A - U_C G_k is U_C (W_k W_k^T G - G_k),
+    # and U_C has orthonormal columns: the c x n factor has its norm.
+    gap = None if exact is None else float(np.linalg.norm(
+        W_k @ (W_k.T @ G) - fw.truncate(k).reconstruct(), "fro"))
+    del G  # freed before the m x n residual
     resid = U_tilde @ (U_tilde.T @ A)
     err = float(np.linalg.norm(np.subtract(A, resid, out=resid), "fro"))
     diag = None
     if exact is not None:
-        T = U_C @ fw.truncate(k).reconstruct()  # one m x n buffer for the gap
-        np.subtract(A, T, out=T)                # A - U_C (U_C^T A)_k
-        gap = float(np.linalg.norm(np.subtract(resid, T, out=T), "fro"))
         # Y = U_k Sigma_k: V_k has orthonormal columns, so no m x n A_k is needed.
         Y = exact.Y
         proj_sq = float(np.linalg.norm(Y - U_C @ (U_C.T @ Y), "fro")) ** 2

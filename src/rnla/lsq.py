@@ -22,7 +22,8 @@ is the consistent-system case where cond23 compares roundoff with roundoff.
 The caller passes Sigma, V, x_opt, Z and bperp as one `ExactLsq` record,
 which `exact_least_squares` (and the harness's oracle, the private
 `_exact_solve`) computes from one R-only blocked QR of [A, b]; the solver
-itself touches A only through the sketch, and checks rank on the sketch.
+itself touches A only through the sketch, and checks rank and finiteness on
+the sketch.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _tall_qr, _thin_svd, as_matrix, as_vector, thin_svd
+from .linalg import _as_2d, _tall_qr, _thin_svd, as_matrix, as_vector, thin_svd
 from .sampling import SampleSize
 from .srht import (OpCounter, SketchRankError, _refuse_default_width,
                    make_srht, srht_apply)
@@ -192,12 +193,17 @@ def rand_least_squares(A, b, eps: float, seed: int,
         computed from the sketch X A, its sigma and V (X U_A = (X A) V
         diag(1/sigma)), and a second transform of its one column bperp;
         omit it for timing runs.
+
+    Raises
+    ------
+    ValueError
+        If A or b holds NaN or Inf.  b is scanned at entry; A is refused by
+        its sketch, after the checks on b's length, eps and r, and numpy may
+        first warn of the invalid arithmetic.
+    SketchRankError
+        If the sketch of A is rank deficient (see A).
     """
-    return _sketch_and_solve(as_matrix(A), as_vector(b), eps, seed, r_override, exact)
-
-
-def _sketch_and_solve(A, b, eps, seed, r_override, exact) -> LsqSolution:
-    """rand_least_squares on an already validated A and b."""
+    A, b = _as_2d(A), as_vector(b)
     n, d = A.shape
     if A.shape[0] != b.size:
         raise ValueError(f"A has {n} rows but b has length {b.size}")

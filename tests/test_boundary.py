@@ -2,11 +2,14 @@
 
 Each exported function scans each array its caller passes for NaN/Inf once,
 at entry; nothing of A's size is scanned again inside the call, and a
-non-finite caller array is still refused with ValueError.  An experiment's
-instance is checked where it is made: the generators and the file readers
-return only finite, row-major float64 arrays, the harness validates nothing
-again, and matmul trials run the private kernel, so a run's scans of A-sized
-arrays do not grow with its trial count.
+non-finite caller array is still refused with ValueError.  The transforms
+and the two sketch solvers scan no array of A's size: they refuse a
+non-finite input through their SRHT sketch, whose output check sees every
+input entry, since H has no zero entry.  An experiment's instance is checked
+where it is made: the generators and the file readers return only finite,
+row-major float64 arrays, the harness validates nothing again, and matmul
+trials run the private kernel, so a run's scans of A-sized arrays do not
+grow with its trial count.
 """
 
 import os
@@ -14,7 +17,7 @@ import os
 import numpy as np
 import pytest
 
-from rnla import (ExperimentConfig, coherence_check, draw_plan, exact_least_squares,
+from rnla import (ExperimentConfig, as_matrix, coherence_check, draw_plan, exact_least_squares,
                   exact_low_rank, fwht, gen_lsq_instance, gen_matrix, make_srht,
                   rand_least_squares, rand_low_rank, rand_matrix_multiply, read_matrix,
                   read_vector, srht_apply, run_experiment, structural_inequality_check,
@@ -33,11 +36,11 @@ U_COH = np.linalg.qr(gen_matrix("gaussian", 64, 3, 5))[0]
 # name -> (call, A, scans of arrays with at least A.size entries)
 SCANS = {
     "rand_least_squares": (lambda: rand_least_squares(
-        A_LSQ, B_LSQ, 0.5, seed=0, r_override=32, exact=EX_LSQ), A_LSQ, 1),
+        A_LSQ, B_LSQ, 0.5, seed=0, r_override=32, exact=EX_LSQ), A_LSQ, 0),
     "rand_low_rank": (lambda: rand_low_rank(
-        A_LR, 3, 0.25, seed=0, c_override=12, exact=EX_LR), A_LR, 1),
+        A_LR, 3, 0.25, seed=0, c_override=12, exact=EX_LR), A_LR, 0),
     "rand_low_rank-no-svd": (lambda: rand_low_rank(
-        A_LR, 3, 0.25, seed=0, c_override=12), A_LR, 1),
+        A_LR, 3, 0.25, seed=0, c_override=12), A_LR, 0),
     "rand_matrix_multiply": (lambda: rand_matrix_multiply(
         B_MM.T, B_MM, 8, PROBS, seed=0), B_MM, 2),
     "exact_least_squares": (lambda: exact_least_squares(A_LSQ, B_LSQ), A_LSQ, 1),
@@ -74,27 +77,43 @@ def test_one_finiteness_scan_per_caller_array(monkeypatch, name):
     assert _scans(monkeypatch, call, A) == expected
 
 
+# algorithm -> (A, b or None, a generated instance of A's shape, the
+# generator's own scans of it, params)
+RUNS = {
+    "matmul": (gen_matrix("gaussian", 16, 48, 6), None,
+               {"family": "gaussian", "m": 16, "n": 48, "p": 16, "seed": 6}, 0,
+               {"c": 8, "probs": "optimal"}),
+    "lsq": (A_LSQ, B_LSQ, {"family": "gaussian", "m": 256, "n": 4, "seed": 1}, 0,
+            {"eps": 0.5, "r": 32}),
+    "lowrank": (A_LR, None, {"family": "lowrank_plus_noise", "m": 64, "n": 48, "seed": 2,
+                             "sigma": [8.0, 6.0, 4.0], "eta": 0.01}, 1,
+                {"k": 3, "eps": 0.25, "c": 12}),
+}
+
+
 @pytest.mark.parametrize("source", ["generated", "file"])
-def test_matmul_run_scans_do_not_grow_with_trials(tmp_path, monkeypatch, source):
-    """A is 16 x 48 and the error matrix 16 x 16, so only instance-sized
-    arrays count.  The generated Gaussian instance is never scanned: the
-    probabilities and the bound read A's and B's squared norms, taken once
-    without validation.  A file instance is scanned by its reader only."""
-    A = gen_matrix("gaussian", 16, 48, 6)
+@pytest.mark.parametrize("algorithm", list(RUNS))
+def test_run_scans_do_not_grow_with_trials(tmp_path, monkeypatch, algorithm, source):
+    """Only instance-sized arrays count: the sketches and matmul's 16 x 16
+    error are smaller.  A generated instance is scanned by its generator
+    only, once, and only for lowrank_plus_noise, whose sum may overflow:
+    matmul's probabilities and bound read A's and B's squared norms, taken
+    once without validation, and the solvers check A through their sketch.
+    A file instance is scanned by its reader only."""
+    A, b, instance, made, params = RUNS[algorithm]
     if source == "file":
-        path = tmp_path / "a.mtx"
-        write_matrix(path, A)
-        instance = {"family": "file", "path": str(path)}
-    else:
-        instance = {"family": "gaussian", "m": 16, "n": 48, "p": 16, "seed": 6}
+        instance = {"family": "file", "path": str(_file(tmp_path, "a.mtx", A))}
+        if b is not None:
+            instance["rhs"] = str(tmp_path / "b.mtx")
+            write_vector(instance["rhs"], b)
 
     def run(trials):
         return lambda: run_experiment(ExperimentConfig(
-            "matmul", instance, {"c": 8, "probs": "optimal"}, trials, base_seed=0))
+            algorithm, instance, params, trials, base_seed=0))
 
     scans = _scans(monkeypatch, run(2), A)
     assert scans == _scans(monkeypatch, run(6), A)
-    assert scans == 0 if source == "generated" else scans > 0
+    assert scans == made if source == "generated" else scans > 0
 
 
 def _file(tmp_path, name, M):
@@ -180,3 +199,39 @@ REJECTS = {
 def test_entry_points_reject_non_finite(name, value):
     with pytest.raises(ValueError, match="finite"):
         REJECTS[name](value)
+
+
+A_PAD, B_PAD, _ = gen_lsq_instance(300, 4, 3)  # n_pad 512: 212 zero rows padded
+# Each solver's call on a given A; lowrank takes A_LR tall (64 x 48) and wide.
+SKETCHED = {
+    "lsq-padded": (A_PAD, lambda A: rand_least_squares(A, B_PAD, 0.5, seed=0, r_override=32)),
+    "lowrank-tall": (A_LR, lambda A: rand_low_rank(A, 3, 0.25, seed=0, c_override=12)),
+    "lowrank-wide": (A_LR.T, lambda A: rand_low_rank(A, 3, 0.25, seed=0, c_override=12)),
+}
+# Where the non-finite entries go: (row, column, value) triples.  The left
+# sketch mixes A's columns and the right sketch its rows, so each solver
+# meets +Inf and -Inf in one mixed vector in one of the two pairs.
+PLACEMENTS = {
+    **{f"{where}-{name}": ((i, i, value),)
+       for where, i in (("first", 0), ("last", -1))
+       for name, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))},
+    "inf-pair-in-a-column": ((0, 0, np.inf), (1, 0, -np.inf)),
+    "inf-pair-in-a-row": ((0, 0, np.inf), (0, 1, -np.inf)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("placement", list(PLACEMENTS))
+@pytest.mark.parametrize("solver", list(SKETCHED))
+def test_solvers_refuse_non_finite_A_through_their_sketch(solver, placement):
+    """No scan of A at entry: the sketch's output check refuses a non-finite
+    A with the text of as_matrix's entry check."""
+    A, call = SKETCHED[solver]
+    A = np.array(A)
+    for i, j, value in PLACEMENTS[placement]:
+        A[i, j] = value
+    with pytest.raises(ValueError) as expected:
+        as_matrix(A)
+    with pytest.raises(ValueError) as refused:
+        call(A)
+    assert str(refused.value) == str(expected.value)

@@ -230,20 +230,42 @@ def test_exact_low_rank_keeps_no_factor_of_the_instance_size(m, n):
     assert peak <= 3.2 * A.nbytes
 
 
-def test_diagnostic_solve_peaks_near_two_instances():
-    """The residual and the identity gap each take one m x n buffer.  A first,
-    untraced call builds the transform's cached Hadamard tables."""
-    A = gen_matrix("lowrank_plus_noise", 1024, 512, 18, sigma=[10.0] * 10,
+@pytest.mark.parametrize("diagnostics, bound", [(True, 1.3), (False, 1.11)],
+                         ids=["diagnostic", "plain"])
+def test_solve_peaks_near_one_instance(diagnostics, bound):
+    """The residual is the one m x n buffer: the identity gap is measured on
+    c x n matrices, and G = U_C^T A is freed before the residual is formed.
+    A first, untraced call builds the transform's cached Hadamard tables."""
+    A = gen_matrix("lowrank_plus_noise", 2048, 1024, 18, sigma=[10.0] * 10,
                    eta=0.01)
-    ex = exact_low_rank(A, 10)
+    ex = exact_low_rank(A, 10) if diagnostics else None
 
     def solve():
         return rand_low_rank(A, 10, 0.25, 1, c_override=64, exact=ex)
 
     solve()
     res, peak = _peak_bytes(solve)
-    assert res.diagnostics.identity_ok and res.diagnostics.split_ok
-    assert peak <= 2.3 * A.nbytes
+    if diagnostics:
+        assert res.diagnostics.identity_ok and res.diagnostics.split_ok
+    assert peak <= bound * A.nbytes
+
+
+@pytest.mark.parametrize("m, n", [(96, 64), (64, 96)], ids=["tall", "wide"])
+def test_identity_gap_is_the_m_by_n_gap(m, n):
+    """The c x n gap ||W_k W_k^T G - G_k||_F equals the m x n gap
+    ||(A - Utilde_k Utilde_k^T A) - (A - U_C G_k)||_F to roundoff."""
+    A = gen_matrix("lowrank_plus_noise", m, n, 20, sigma=(9.0, 7.0, 5.0, 3.0),
+                   eta=0.05)
+    ex = exact_low_rank(A, 4)
+    for seed in range(4):
+        res = rand_low_rank(A, 4, 0.25, seed, c_override=16, exact=ex)
+        U_C = orthonormal_basis(srht_apply(make_srht(n, 16, seed, side="right"), A))
+        fw = thin_svd(U_C.T @ A)
+        U_k = U_C @ fw.U[:, :4]
+        dense = np.linalg.norm((A - U_k @ (U_k.T @ A))
+                               - (A - U_C @ fw.truncate(4).reconstruct()), "fro")
+        assert abs(res.diagnostics.identity_gap - dense) <= 1e-12 * max(
+            1.0, np.linalg.norm(A, "fro"))
 
 
 def test_exact_record_must_fit_the_instance_and_k():
