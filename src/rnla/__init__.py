@@ -6,8 +6,7 @@ diagnostic checks needed to reproduce their error guarantees at desk scale.
 """
 
 from .harness import VERSION as __version__
-from .linalg import (as_matrix, as_vector, orthonormal_basis, pseudoinverse,
-                     spectral_norm, thin_svd)
+from .linalg import as_matrix, as_vector, pseudoinverse, spectral_norm, thin_svd
 from .sampling import (RNG_NAME, ProbVector, SamplingPlan, beta_of, colnorm_probs,
                        draw_plan, make_rng, optimal_probs, rownorm_probs,
                        uniform_probs)
@@ -30,7 +29,6 @@ __all__ = [
     "RNG_NAME",
     # linear algebra kernels
     "as_matrix", "as_vector", "spectral_norm", "thin_svd", "pseudoinverse",
-    "orthonormal_basis",
     # sampling
     "ProbVector", "SamplingPlan", "make_rng", "optimal_probs", "colnorm_probs",
     "rownorm_probs", "uniform_probs", "beta_of", "draw_plan",

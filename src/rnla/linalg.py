@@ -32,7 +32,6 @@ __all__ = [
     "ThinSVD",
     "thin_svd",
     "pseudoinverse",
-    "orthonormal_basis",
 ]
 
 # Singular values at or below RANK_RTOL * sigma_1 count as zero; for an exactly
@@ -283,13 +282,14 @@ def pseudoinverse(M) -> np.ndarray:
     return thin_svd(M).pinv()
 
 
-def orthonormal_basis(M) -> np.ndarray:
-    """Orthonormal basis Q for the column space of M, one column per rank.
+def _orthonormal_basis(M: np.ndarray) -> np.ndarray:
+    """Orthonormal basis Q for the column space of a validated M, one column
+    per rank.
 
     Computed from the thin SVD so the column count equals the numerical rank.
     Raises ValueError on a zero matrix (its column space is trivial).
     """
-    f = thin_svd(M)
+    f = _thin_svd(M)
     if f.rank == 0:
         raise ValueError("orthonormal_basis: zero matrix has no basis")
     return f.U

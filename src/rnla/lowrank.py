@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (_as_2d, _tall_qr, _thin_svd, as_matrix, orthonormal_basis,
+from .linalg import (_as_2d, _orthonormal_basis, _tall_qr, _thin_svd, as_matrix,
                      pseudoinverse, thin_svd)
 from .sampling import SampleSize
 from .srht import SketchRankError, _refuse_default_width, make_srht, srht_apply
@@ -157,7 +157,7 @@ def rand_low_rank(A, k: int, eps: float, seed: int,
     if exact is not None and exact.Y.shape != (m, min(k, exact.sigma.size)):
         raise ValueError(f"exact.Y is {exact.Y.shape}, not {(m, min(k, exact.sigma.size))}")
     op = make_srht(n, c, seed, side="right")
-    U_C = orthonormal_basis(srht_apply(op, A))
+    U_C = _orthonormal_basis(srht_apply(op, A))  # srht_apply checked the sketch
     G = U_C.T @ A
     fw = thin_svd(G)
     if fw.rank < k:

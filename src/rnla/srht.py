@@ -42,12 +42,11 @@ spend more of that budget than walking them down to single rows would
 r = 1024), but as a few hundred BLAS products instead of thousands of
 Python-level nodes.
 
-Butterflies and leaves go through temporaries of at most one block, the
-fill of at most two, so srht_apply's one large allocation is its
-half-sized buffer (the whole padded buffer only when the transform is a
-single leaf product: one requested row and n_pad <= _BLOCK), and its
-outputs are bit-identical to a zero-padded buffer walked with one
-whole-half pass per butterfly.
+Butterflies, leaves and the fill go through temporaries of at most one
+block each, so srht_apply's one large allocation is its half-sized buffer
+(the whole padded buffer only when the transform is a single leaf product:
+one requested row and n_pad <= _BLOCK), and its outputs are bit-identical
+to a zero-padded buffer walked with one whole-half pass per butterfly.
 
 Reproducibility contract: one Philox stream per operator seed, sign draws
 consumed first, index draws second.  Sign i is +1 when the i-th of the n_pad
@@ -67,6 +66,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .linalg import _BLOCK, as_matrix
 from .sampling import SamplingPlan, make_rng
@@ -304,48 +304,44 @@ def make_srht(n: int, r: int, seed: int, side: str = "left") -> SrhtOperator:
     return SrhtOperator(n_pad=n_pad, signs=signs, plan=plan, side=side)
 
 
-def _signed(signs: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
-    """out <- sign * b for the rows of block B: np.multiply for a 1-d column,
-    einsum for a matrix, since a broadcast multiply allocates iterator buffers."""
-    if B.ndim == 1:
-        np.multiply(signs, B, out=out[:, 0])
-    else:
-        np.einsum("i,ij->ij", signs, B, out=out)
+def _pairs(X: np.ndarray, half: int, pair: int) -> np.ndarray:
+    """Rows i and half + i of X, for i < pair, as one (2, pair, ...) view."""
+    if pair == half:
+        return X[:2 * half].reshape((2, half) + X.shape[1:])
+    return as_strided(X, (2, pair) + X.shape[1:], (half * X.strides[0],) + X.strides,
+                      writeable=False)
 
 
-def _fill(y: np.ndarray, blocks: list, signs: np.ndarray, combine) -> None:
-    """y <- x1 + x2 (combine np.add), x1 - x2 (np.subtract) or x1 (None).
+def _fill(y: np.ndarray, blocks: list, signs: np.ndarray, sign: float) -> None:
+    """y <- x1 + sign * x2: sign 1 (top), -1 (bottom) or 0 (x1 alone).
 
     x = D [M; 0] is cut after len(y) rows into x1 and x2, so y becomes the
     top or the bottom half of the transform's first butterfly, or all of x
     when there is no x2.  blocks are (B, col) pairs, B an (n, w) matrix or
     an (n,) column of M that starts at column col, and signs are D's first
-    n entries.  A row of y pairs with data while its partner in x2 is a row
-    of M, pairs with padding below that, and is padding itself past n.
-    Each entry takes the one product sign * b and at most one add or
-    subtract, as the butterfly over a padded buffer filled one whole block
-    at a time does, so the bits agree.  Every piece of a block takes its
-    block's product: einsum's zero-initialised sum turns -0.0 into +0.0,
-    np.multiply keeps it.  So a top row whose partner is padding gets
-    + 0.0, which turns a 1-d column's -0.0 into +0.0 and is a no-op after
-    einsum (tiles, all einsum, skip it); x1 - 0.0 is x1 exactly, so a
-    bottom row needs nothing.
+    n entries.  Row i of y pairs with data while its partner, row half + i,
+    is a row of M, pairs with padding below that, and is padding past n.
 
-    Column tiles run outermost, then the paired and unpaired row ranges,
-    then row pieces, and each add runs over contiguous memory (a strided
-    one goes through numpy's buffered iterator).  The layout picks the
-    tile width, where the products go and whether a tile is copied into y.
+    The bits are those of one butterfly over a padded buffer filled by whole
+    blocks: einsum for a matrix (its zero-initialised sum turns -0.0 into
+    +0.0), np.multiply for a column (which keeps it).  A matrix piece is one
+    einsum of the signs (s1, sign s2), or s1 alone for unpaired rows, with
+    views of rows i and half + i: +-1 products are exact, 0 + s1 x1 is
+    einsum's lone product, and adding sign s2 x2 rounds as the butterfly
+    does.  A column adds or subtracts its partner's product from a
+    temporary, since einsum would turn (-0.0) + (-0.0) into +0.0; an
+    unpaired top row gets x1 + 0.0, which turns -0.0 into +0.0.
+
+    Column tiles run outermost, then the two row ranges, then row pieces.
     A lone column-major block, such as the right side's A^T, goes by tiles
-    of isqrt(_BLOCK) columns and at most _BLOCK entries: the tile and its
-    partner are computed in the block's layout, in two one-block arrays
-    (each under the bench's 256 KiB mmap threshold, so reused from the
-    heap), combined there and copied into y transposed.  Both halves from
-    a 2048 x 1024 A took 10.4 ms by tiles of 128 x 128 entries of A, and
-    15.7, 15.3, 14.5, 17.0 and 18.5 ms by 128 x 64, 64 x 128, 64 x 256,
-    32 x 256 and 16 x 512, at one BLAS thread on a 2-vCPU VM.  Anything
-    else goes by pieces of whole rows, all blocks per piece, its products
-    written into y and the partner products into one array laid out as the
-    piece: one block, or one row of y where a row is wider.
+    of isqrt(_BLOCK) columns and _BLOCK entries, filled in its own layout
+    in one array and copied into y.  At one BLAS thread on a 2-vCPU VM,
+    both halves from a 2048 x 1024 A took 6.7-8.9 ms by 128 x 128 tiles of
+    A in six runs, 2-20% more by 128 x 64, 64 x 128, 32 x 256, 16 x 512 or
+    256 x 64, and 6-8% less by 64 x 256 (0.5 ms of a 360 ms low-rank
+    trial).  Anything else goes into y by pieces of _BLOCK // 2 rows, whose
+    temporaries are at most one block; in srht_apply at 131072 x 17, 2048 to
+    8192 rows ran alike, and 963 (one block of y) or 16384 2-5% slower.
     """
     half, k = y.shape
     pair, own = max(len(signs) - half, 0), min(len(signs), half)
@@ -353,29 +349,38 @@ def _fill(y: np.ndarray, blocks: list, signs: np.ndarray, combine) -> None:
     B = blocks[0][0]
     tiled = len(blocks) == 1 and B.ndim == 2 and B.flags.f_contiguous and not B.flags.c_contiguous
     width = min(math.isqrt(_BLOCK), k) if tiled else max(k, 1)  # columns per tile
-    step = max(1, _BLOCK // width)  # rows per piece
-    size = min(step * width, len(signs) * k)
-    tmp1, tmp2 = np.empty(size if tiled else 0), np.empty(size)
-    order = "F" if tiled else "C"  # the products' layout
+    step = _BLOCK // width if tiled else _BLOCK // 2  # rows per piece
+    tile = np.empty((min(step, own), width) if tiled else 0, order="F")
+    neg, partner = np.empty((2, min(step, pair))), np.empty(min(step, pair))
+    negate = sign < 0 and any(C.ndim == 2 for C, _ in blocks)  # (s1, -s2) for einsum
+    rows = [signs] + [C for C, _ in blocks]  # paired with their partners, then unpaired
+    ranges = [(0, [_pairs(X, half, pair) for X in rows]),
+              (pair, [X[None, pair:own] for X in rows])]
     for j in range(0, k, width):
         j1 = min(j + width, k)
-        parts = [(B[:, j:j1], 0)] if tiled else blocks
-        for lo, hi in ((0, pair), (pair, own)):
-            for i in range(lo, hi, step):
-                i1 = min(i + step, hi)
-                x2 = tmp2[:(i1 - i) * (j1 - j)].reshape(i1 - i, j1 - j, order=order)
-                x1 = tmp1[:x2.size].reshape(x2.shape, order=order) if tiled else y[i:i1]
-                for C, col in parts:
-                    cols = slice(col, col + (1 if C.ndim == 1 else C.shape[1]))
-                    _signed(signs[i:i1], C[i:i1], x1[:, cols])
-                    if hi == pair:
-                        _signed(signs[half + i:half + i1], C[half + i:half + i1], x2[:, cols])
-                if hi == pair:
-                    combine(x1, x2, out=x1)
-                elif combine is np.add and not tiled:
-                    np.add(x1, 0.0, out=x1)
+        for lo, (sign_rows, *views) in ranges:
+            for i in range(0, sign_rows.shape[1], step):
+                i1 = min(i + step, sign_rows.shape[1])
+                x = tile[:i1 - i, :j1 - j] if tiled else y[lo + i:lo + i1]
+                S = T = sign_rows[:, i:i1]  # (s1, s2), or (s1,) unpaired
+                if negate and len(S) == 2:  # einsum's T is (s1, -s2); a column subtracts
+                    T = neg[:, :i1 - i]
+                    T[0] = S[0]
+                    np.negative(S[1], out=T[1])
+                for (_, col), V in zip(blocks, views):
+                    if V.ndim == 3:
+                        V = V[:, i:i1, j:j1] if tiled else V[:, i:i1]
+                        np.einsum("ti,tij->ij", T, V, out=x[:, col:col + V.shape[2]])
+                        continue
+                    out = x[:, col]  # a column: np.multiply keeps -0.0
+                    np.multiply(S[0], V[0, i:i1], out=out)
+                    if len(S) == 2:  # x1 + x2 or x1 - x2
+                        (np.subtract if sign < 0 else np.add)(
+                            out, np.multiply(S[1], V[1, i:i1], out=partner[:i1 - i]), out=out)
+                    elif sign > 0:  # x1 + padding turns -0.0 into +0.0
+                        np.add(out, 0.0, out=out)
                 if tiled:
-                    y[i:i1, j:j1] = x1
+                    y[lo + i:lo + i1, j:j1] = x
 
 
 def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndarray:
@@ -418,12 +423,12 @@ def srht_apply(op: SrhtOperator, M, counter: OpCounter | None = None) -> np.ndar
     blocks = list(zip(blocks, np.cumsum([0] + widths).tolist()))
     out = np.empty((op.r, k))
     adds = 0
-    for base, combine in ((0, np.add), (size, np.subtract)) if size < n_pad else ((0, None),):
+    for base, sign in ((0, 1.0), (size, -1.0)) if size < n_pad else ((0, 0.0),):
         lo, hi = np.searchsorted(idx, (base, base + size)).tolist()
         if lo == hi:
             continue
-        _fill(y, blocks, op.signs[:n], combine)
-        adds += (size if combine else 0) + _rows_node(
+        _fill(y, blocks, op.signs[:n], sign)
+        adds += (size if sign else 0) + _rows_node(
             y, 0, size, memoryview(idx[lo:hi] - base), 0, hi - lo, leaf)
         here = np.flatnonzero((drawn >= base) & (drawn < base + size))
         out[here] = y[drawn[here] - base]

@@ -5,7 +5,8 @@ at entry; nothing of A's size is scanned again inside the call, and a
 non-finite caller array is still refused with ValueError.  The transforms
 and the two sketch solvers scan no array of A's size: they refuse a
 non-finite input through their SRHT sketch, whose output check sees every
-input entry, since H has no zero entry.  An experiment's instance is checked
+input entry, since H has no zero entry; in rand_low_rank that check is the
+one scan of the sketch.  An experiment's instance is checked
 where it is made: the generators and the file readers return only finite,
 row-major float64 arrays, the harness validates nothing again, and matmul
 trials run the private kernel, so a run's scans of A-sized arrays do not
@@ -22,6 +23,7 @@ from rnla import (ExperimentConfig, as_matrix, coherence_check, draw_plan, exact
                   rand_least_squares, rand_low_rank, rand_matrix_multiply, read_matrix,
                   read_vector, srht_apply, run_experiment, structural_inequality_check,
                   subsampled_fwht, thin_svd, uniform_probs, write_matrix, write_vector)
+from rnla import linalg
 from rnla.generators import MATRIX_FAMILIES
 
 A_LSQ, B_LSQ, _ = gen_lsq_instance(256, 4, 1)
@@ -218,6 +220,35 @@ PLACEMENTS = {
     "inf-pair-in-a-column": ((0, 0, np.inf), (1, 0, -np.inf)),
     "inf-pair-in-a-row": ((0, 0, np.inf), (0, 1, -np.inf)),
 }
+
+
+# call -> the sizes of the arrays its _first_nonfinite calls scan, in order:
+# the sketch C = A (X), then G = U_C^T A.
+SKETCH_SCANS = {
+    "rand_low_rank": (lambda: rand_low_rank(A_LR, 3, 0.25, seed=0, c_override=12),
+                      [64 * 12, 12 * 48]),
+    "rand_low_rank-diagnostic": (lambda: rand_low_rank(
+        A_LR, 3, 0.25, seed=0, c_override=12, exact=EX_LR), [64 * 12, 12 * 48]),
+}
+
+
+@pytest.mark.parametrize("solver", list(SKETCH_SCANS))
+def test_each_sketch_is_scanned_once_per_solve(monkeypatch, solver):
+    """srht_apply's output check is the one NaN/Inf scan of the low-rank
+    sketch: the solve takes its basis without a second one.  (lsq's r x d
+    block still goes through the public thin_svd, and so is scanned again.)"""
+    call, expected = SKETCH_SCANS[solver]
+    sizes = []
+    scan = linalg._first_nonfinite
+
+    def counting_scan(x):
+        sizes.append(x.size)
+        return scan(x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_first_nonfinite", counting_scan)
+        call()
+    assert sizes == expected
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rnla import (as_matrix, as_vector, make_rng, orthonormal_basis,
-                  pseudoinverse, spectral_norm, thin_svd)
-from rnla.linalg import _BLOCK, _first_nonfinite, _thin_svd
+from rnla import as_matrix, as_vector, make_rng, pseudoinverse, spectral_norm, thin_svd
+from rnla.linalg import _BLOCK, _first_nonfinite, _orthonormal_basis, _thin_svd
 
 
 def test_spectral_norm_values():
@@ -250,12 +249,12 @@ def test_best_rank_k_error_matches_tail():
 def test_orthonormal_basis_projector():
     rng = make_rng(7)
     Q, _ = np.linalg.qr(rng.standard_normal((6, 3)))
-    B = orthonormal_basis(Q)
+    B = _orthonormal_basis(Q)
     assert np.max(np.abs(B @ B.T - Q @ Q.T)) <= 1e-10
 
 
 def test_orthonormal_basis_hand_case():
-    B = orthonormal_basis(np.array([[1.0], [1.0]]))
+    B = _orthonormal_basis(np.array([[1.0], [1.0]]))
     assert B.shape == (2, 1)
     np.testing.assert_allclose(np.abs(B[:, 0]), [1 / math.sqrt(2)] * 2,
                                atol=1e-12)
@@ -264,9 +263,9 @@ def test_orthonormal_basis_hand_case():
 
 def test_orthonormal_basis_rank_saturation():
     M = np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
-    assert orthonormal_basis(M).shape == (3, 1)
+    assert _orthonormal_basis(M).shape == (3, 1)
     with pytest.raises(ValueError):
-        orthonormal_basis(np.zeros((3, 2)))
+        _orthonormal_basis(np.zeros((3, 2)))
 
 
 def test_norm_chain():

@@ -6,8 +6,9 @@ import pytest
 import rnla.lowrank
 from rnla import (ExactLowRank, SketchRankError, enumerate_sketch_moments,
                   exact_low_rank, gen_matrix, lowrank_sample_size_explicit,
-                  make_rng, make_srht, orthonormal_basis, rand_low_rank,
-                  srht_apply, structural_inequality_check, thin_svd, uniform_probs)
+                  make_rng, make_srht, rand_low_rank, srht_apply,
+                  structural_inequality_check, thin_svd, uniform_probs)
+from rnla.linalg import _orthonormal_basis
 
 
 def test_sample_size_explicit_frozen():
@@ -68,7 +69,7 @@ def test_identity_and_split_on_random_runs():
             d = res.diagnostics
             assert d.identity_gap <= 1e-9 * scale
             op = make_srht(A.shape[1], 12, seed, side="right")
-            U_C = orthonormal_basis(srht_apply(op, A))
+            U_C = _orthonormal_basis(srht_apply(op, A))
             A_k = f.truncate(4).reconstruct()
             dense = np.linalg.norm(A_k - U_C @ (U_C.T @ A_k), "fro") ** 2
             assert d.projected_tail_sq == pytest.approx(dense, rel=1e-12)
@@ -141,7 +142,7 @@ def test_default_width_at_least_n_pad_is_refused(monkeypatch):
 def test_identity_check_direct():
     """For any orthonormal U_C: A - Uk Uk^T A = A - U_C (U_C^T A)_k, Uk = U_C U_{W,k}."""
     A = gen_matrix("gaussian", 24, 18, 10)
-    U_C = orthonormal_basis(A @ make_rng(11).standard_normal((18, 6)))
+    U_C = _orthonormal_basis(A @ make_rng(11).standard_normal((18, 6)))
     fw = thin_svd(U_C.T @ A)
     U_k = U_C @ fw.U[:, :3]
     gap = np.linalg.norm((A - U_k @ (U_k.T @ A))
@@ -259,7 +260,7 @@ def test_identity_gap_is_the_m_by_n_gap(m, n):
     ex = exact_low_rank(A, 4)
     for seed in range(4):
         res = rand_low_rank(A, 4, 0.25, seed, c_override=16, exact=ex)
-        U_C = orthonormal_basis(srht_apply(make_srht(n, 16, seed, side="right"), A))
+        U_C = _orthonormal_basis(srht_apply(make_srht(n, 16, seed, side="right"), A))
         fw = thin_svd(U_C.T @ A)
         U_k = U_C @ fw.U[:, :4]
         dense = np.linalg.norm((A - U_k @ (U_k.T @ A))

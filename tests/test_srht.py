@@ -402,10 +402,11 @@ def test_column_fill_gives_the_whole_einsum_bits(monkeypatch):
 @pytest.mark.parametrize("m", [129, 2048])
 def test_right_fill_allocates_nothing_beyond_the_buffer_and_the_output(m, monkeypatch):
     """When the kernel starts on the top half, the traced peak is the
-    (n_pad/2, m) buffer, the fill's two one-block tiles, the r x m output
-    and a few KiB of views; the whole call adds only the output's
-    temporaries and a leaf's sign rows (at most _BLOCK entries).  No
-    (n_pad, m) buffer is made."""
+    (n_pad/2, m) buffer, the fill's one one-block tile, its (2, rows) sign
+    pair and (rows,) column partner for a tile's rows, the r x m output and
+    a few KiB of views; the whole call adds only the output's temporaries
+    and a leaf's sign rows (at most _BLOCK entries).  No (n_pad, m) buffer
+    is made."""
     op = make_srht(1024, 64, 3, side="right")
     A = make_rng(3).standard_normal((m, 1024))
     half, output = op.n_pad // 2 * m * 8, op.r * m * 8
@@ -427,7 +428,8 @@ def test_right_fill_allocates_nothing_beyond_the_buffer_and_the_output(m, monkey
         finally:
             tracemalloc.stop()
     assert len(at_kernel) == 2
-    assert at_kernel[0] <= half + 2 * 8 * _BLOCK + output + 16384
+    rows = 3 * 8 * math.isqrt(_BLOCK)  # the sign pair and the partner, for a tile's rows
+    assert at_kernel[0] <= half + 8 * _BLOCK + rows + output + 16384
     assert peak <= half + 2.25 * output + 3 * 8 * _BLOCK + 16384
 
 
@@ -445,6 +447,23 @@ def _signed_zeros(n, seed):
     A[:, 1] = 0.0
     A[::5] = 0.0
     return A, np.zeros(n)
+
+
+def _paired_zeros(signs, n, k, seed):
+    """An (n, k) Gaussian matrix with zeros set by their products sign * x
+    in rows i and half + i (half = n_pad / 2): -0.0 in both for every fourth
+    pair, -0.0 in row i and +0.0 in its partner for the next, -0.0 in the
+    partner only for the next; every third unpaired row gives -0.0."""
+    X = make_rng(seed).standard_normal((n, k))
+    half = len(signs) // 2
+    neg = np.copysign(0.0, -signs[:n, None])  # sign * neg is -0.0
+    i = np.arange(n - half)
+    both, top, bottom = i[::4], i[1::4], i[2::4]
+    X[both], X[half + both] = neg[both], neg[half + both]
+    X[top], X[half + top] = neg[top], -neg[half + top]
+    X[half + bottom] = neg[half + bottom]
+    X[n - half::3] = neg[n - half::3]
+    return X
 
 
 def _edge_cases(name):
@@ -481,6 +500,14 @@ def _edge_cases(name):
         one = _one_index_op(1500, 3, 2, 7)
         return [(op, M) for op in (left, one) for M in (A, b, (A, b), (b, A[:, 0]))] + [
             (right, A.T), (right, np.ascontiguousarray(A.T)), (right, b)]  # by rows, by tiles
+    if name == "paired-signed-zeros":  # pair = half, and n_pad / 2 < n < n_pad
+        cases = []
+        for n in (1024, 700):
+            left, right = make_srht(n, 200, 10), make_srht(n, 200, 10, side="right")
+            A, X = _paired_zeros(left.signs, n, 40, 10), _paired_zeros(right.signs, n, 300, 11)
+            cases += [(left, A), (left, A[:, 0].copy()), (left, (A[:, 0].copy(), A)),
+                      (right, X.T), (right, np.ascontiguousarray(X.T))]  # by rows, by tiles
+        return cases
     if name == "short":  # n below n_pad / 2, which make_srht never builds
         ref = make_srht(64, 8, 8)
         op = SrhtOperator(n_pad=64, signs=ref.signs, plan=ref.plan, side="left")
@@ -493,7 +520,8 @@ def _edge_cases(name):
 
 @pytest.mark.parametrize("name", ["bottom-one-row", "no-padding", "one-index", "every-row",
                                   "duplicates-vector-zero-width", "right-wide",
-                                  "signed-zeros", "short", "wide-rows"])
+                                  "signed-zeros", "paired-signed-zeros", "short",
+                                  "wide-rows"])
 def test_split_matches_the_padded_reference_at_its_edges(name, monkeypatch):
     """The fused fill and split top node give the padded reference's output
     byte for byte, with equal adds, and hand the kernel the reference's
@@ -516,6 +544,21 @@ def test_signed_zero_cases_put_negative_zeros_in_the_kernel_input():
     assert np.any(np.signbit(bottom[pair:]))
     for y in _reference_inputs(op, A):
         assert not np.any(np.signbit(y[:, 1]))
+
+
+def test_paired_negative_zeros_stay_negative_in_a_column(monkeypatch):
+    """Why a 1-d column keeps np.multiply: where both products of a pair
+    are -0.0, the top half the kernel receives holds (-0.0) + (-0.0) = -0.0
+    in the column, while a matrix, through einsum, holds +0.0 there."""
+    n = 1024
+    op = make_srht(n, 200, 10)
+    A = _paired_zeros(op.signs, n, 40, 10)
+    both = np.arange(n // 2)[::4]
+    column, _ = _kernel_inputs(op, A[:, 0].copy(), monkeypatch)
+    matrix, _ = _kernel_inputs(op, A, monkeypatch)
+    assert len(column) == len(matrix) == 2  # both halves, the top one first
+    assert np.all(np.signbit(column[0][both, 0]))
+    assert not np.any(np.signbit(matrix[0][both]))
 
 
 def test_every_row_transforms_match_the_reference():
